@@ -40,6 +40,10 @@ class AttackConfig:
     frontier: str = "priority"  # or "level"
 
     def __post_init__(self):
+        # Below 1 every prefix would descend, and the alphabet fallback past
+        # the deepest stats level never runs out of children.
+        if self.descent_threshold < 1:
+            raise AttackError(f"descent_threshold must be >= 1, got {self.descent_threshold}")
         if self.descent_threshold > MAX_HISTORY_SUGGESTIONS:
             raise AttackError(
                 f"descent_threshold {self.descent_threshold} exceeds the "
@@ -79,7 +83,8 @@ def reconstruct(oracle: SuggestFn, config: AttackConfig) -> ReconstructionResult
     Frontier discipline "priority": global max-priority order by corpus count,
     shorter prefixes first on ties, then lexicographic. "level": strict
     level order (all shorter prefixes before any longer one), frequency-ordered
-    within a level. A prefix saturating the history cap is expanded one
+    within a level. A prefix serving at least descent_threshold history
+    suggestions (by default the cap, i.e. saturated) is expanded one
     character deeper; no prefix is ever requested twice.
     """
     plan = config.plan
@@ -108,9 +113,10 @@ def reconstruct(oracle: SuggestFn, config: AttackConfig) -> ReconstructionResult
             response = oracle(prefix)
         except Exception as exc:
             raise ReconstructionAborted(str(exc), result) from exc
-        result.request_log.append((prefix, response.history_count))
+        served = response.history_count
+        result.request_log.append((prefix, served))
         result.recovered.update(response.history_texts())
-        if response.history_count == config.descent_threshold and (
+        if served >= config.descent_threshold and (
             config.max_depth is None or len(prefix) < config.max_depth
         ):
             for child in plan.extend(prefix):

@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .attack import AttackConfig, reconstruct, score, write_reports_csv
+from .attack import AttackConfig, AttackError, reconstruct, score, write_reports_csv
 from .cookies import (
     audit_trace,
     bundled_catalog,
@@ -20,6 +20,7 @@ from .cookies import (
 )
 from .harness import gen_synthetic, ingest_query_log_counted, run_batch
 from .history import load_histories, save_histories
+from .oracle import SuggestIndex
 from .planner import PrefixPlan, build_plan, bundled_wordlist, load_corpus
 
 EXIT_OK = 0
@@ -97,8 +98,6 @@ def _load_single_history(path: str, user: str | None):
 
 
 def cmd_reconstruct(args) -> int:
-    from .oracle import suggest
-
     hist = _load_single_history(args.history_file, args.user)
     plan_path = Path(args.plan_file)
     if not plan_path.is_file():
@@ -109,7 +108,7 @@ def cmd_reconstruct(args) -> int:
         budget=args.budget,
         max_depth=args.max_depth,
     )
-    result = reconstruct(lambda prefix: suggest(hist, prefix), config)
+    result = reconstruct(SuggestIndex(hist), config)
     report = score(result, hist)
     out = Path(args.output)
     out.write_text(result.to_json() + "\n")
@@ -324,7 +323,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     from .cookies import TraceError
     from .harness import HarnessError
-    from .planner import EmptyCorpusError
+    from .planner import PlannerError
 
     try:
         return args.func(args)
@@ -333,7 +332,8 @@ def main(argv=None) -> int:
         FileNotFoundError,
         TraceError,
         HarnessError,
-        EmptyCorpusError,
+        PlannerError,
+        AttackError,
         json.JSONDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,7 +12,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .attack import AttackConfig, RecallReport, compute_recall, reconstruct, score
 from .history import SearchHistory, normalize
-from .oracle import MAX_HISTORY_SUGGESTIONS, RankingKey, default_ranking, suggest
+from .oracle import MAX_HISTORY_SUGGESTIONS, RankingKey, SuggestIndex, default_ranking
 
 AOL_COLUMNS = ["AnonID", "Query", "QueryTime", "ItemRank", "ClickURL"]
 
@@ -193,10 +193,7 @@ class AggregateReport:
 
 
 def _attack_user(hist: SearchHistory, config: AttackConfig, ranking: RankingKey) -> RecallReport:
-    def oracle(prefix: str):
-        return suggest(hist, prefix, ranking=ranking)
-
-    result = reconstruct(oracle, config)
+    result = reconstruct(SuggestIndex(hist, ranking), config)
     return score(result, hist)
 
 

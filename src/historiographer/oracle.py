@@ -4,6 +4,8 @@ and the two whole-history dump channels (maps page, mobile page)."""
 from __future__ import annotations
 
 import json
+import sys
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -78,6 +80,68 @@ def default_ranking(entry: HistoryEntry) -> Tuple:
     return (-entry.count, -entry.last_time, entry.query)
 
 
+class SuggestIndex:
+    """One history's suggestion server, built once and asked many times.
+
+    The clicked entries that pass the horizon are sorted once by query, so the
+    entries a prefix matches form one contiguous run found by bisection. A
+    request ranks only that run: O(log n + matches) instead of a scan over
+    the whole history. With a horizon set, entries whose last_time is older
+    than now - horizon are not served.
+    """
+
+    def __init__(
+        self,
+        history: SearchHistory,
+        ranking: RankingKey = default_ranking,
+        horizon: Optional[int] = None,
+        now: Optional[int] = None,
+    ):
+        clicked = [e for e in history.entries.values() if e.clicked]
+        if horizon is not None:
+            cutoff = (now if now is not None else 0) - horizon
+            clicked = [e for e in clicked if e.last_time >= cutoff]
+        queries = [e.query for e in clicked]
+        self._entries = clicked
+        self._by_query = sorted(range(len(clicked)), key=queries.__getitem__)
+        self._queries = [queries[i] for i in self._by_query]
+        self._ranking = ranking
+        self._alphabet = history.alphabet
+
+    def __call__(self, prefix: str) -> SuggestionResponse:
+        """History suggestions only: the top-3 clicked entries whose query
+        starts with the prefix, under the ranking policy."""
+        if len(prefix) < MIN_PREFIX_LEN:
+            raise PrefixTooShortError(f"prefix {prefix!r} shorter than {MIN_PREFIX_LEN}")
+        # A valid prefix is any leading slice of a normalized query, so a
+        # single trailing space is legal mid-word-boundary.
+        if normalize(prefix, self._alphabet) != prefix.rstrip(" ") or prefix.endswith("  "):
+            raise UnnormalizedPrefixError(f"prefix {prefix!r} is not normalized")
+        queries = self._queries
+        lo = bisect_left(queries, prefix)
+        end = _prefix_end(prefix)
+        hi = len(queries) if end is None else bisect_left(queries, end, lo)
+        # Back to history order first, so ranking ties break as in a scan.
+        hits = sorted(self._by_query[lo:hi])
+        entries = self._entries
+        ranked = sorted([entries[i] for i in hits], key=self._ranking)
+        return SuggestionResponse(
+            prefix=prefix,
+            suggestions=[
+                Suggestion(e.query, Origin.HISTORY) for e in ranked[:MAX_HISTORY_SUGGESTIONS]
+            ],
+        )
+
+
+def _prefix_end(prefix: str) -> Optional[str]:
+    """The least string above every string that starts with prefix; None
+    when no string is."""
+    stem = prefix.rstrip(chr(sys.maxunicode))
+    if not stem:
+        return None
+    return stem[:-1] + chr(ord(stem[-1]) + 1)
+
+
 def suggest(
     history: SearchHistory,
     prefix: str,
@@ -88,32 +152,11 @@ def suggest(
 ) -> SuggestionResponse:
     """Answer one autocomplete request.
 
-    History suggestions are the top-3 clicked entries whose query starts with
-    the prefix, under the ranking policy. Generic suggestions fill the list up
-    to 10 from the ranked corpus. With a horizon set, entries whose last_time
-    is older than now - horizon are no longer served.
+    History suggestions come from a SuggestIndex of the history (see there).
+    Generic suggestions fill the list up to 10 from the ranked corpus.
     """
-    if len(prefix) < MIN_PREFIX_LEN:
-        raise PrefixTooShortError(f"prefix {prefix!r} shorter than {MIN_PREFIX_LEN}")
-    # A valid prefix is any leading slice of a normalized query, so a single
-    # trailing space is legal mid-word-boundary.
-    if normalize(prefix, history.alphabet) != prefix.rstrip(" ") or prefix.endswith("  "):
-        raise UnnormalizedPrefixError(f"prefix {prefix!r} is not normalized")
-
-    candidates = [
-        e
-        for e in history.entries.values()
-        if e.clicked and e.query.startswith(prefix)
-    ]
-    if horizon is not None:
-        cutoff = (now if now is not None else 0) - horizon
-        candidates = [e for e in candidates if e.last_time >= cutoff]
-    candidates.sort(key=ranking)
-    picked = [
-        Suggestion(e.query, Origin.HISTORY)
-        for e in candidates[:MAX_HISTORY_SUGGESTIONS]
-    ]
-
+    response = SuggestIndex(history, ranking, horizon, now)(prefix)
+    picked = response.suggestions
     seen = {s.text for s in picked}
     for q in generic_corpus:
         if len(picked) >= MAX_SUGGESTIONS:
@@ -121,7 +164,7 @@ def suggest(
         if q.startswith(prefix) and q not in seen:
             picked.append(Suggestion(q, Origin.GENERIC))
             seen.add(q)
-    return SuggestionResponse(prefix=prefix, suggestions=picked)
+    return response
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Dict, List, Optional, Sequence
 
+from .history import normalize
+
 PLANNER_ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
 
@@ -106,6 +108,12 @@ class PrefixPlan:
     filter_extensions: bool = True
     selected_by_length: Dict[int, set] = field(default_factory=dict)
 
+    # Children by parent prefix at each stats level, frequency-ordered;
+    # filled on the first extend() into that level.
+    _children: Dict[int, Dict[str, List[str]]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
+
     def extend(self, prefix: str) -> List[str]:
         """Children of a saturated prefix, one character longer, ordered by
         corpus frequency. Falls back to the whole alphabet (unigram order)
@@ -118,16 +126,19 @@ class PrefixPlan:
                 for c in self.unigram_order
                 if not (c == " " and prefix.endswith(" "))
             ]
-        children = [
-            p
-            for p in stats.counts
-            if p.startswith(prefix) and stats.counts[p] > 0
-        ]
-        if self.filter_extensions:
-            selected = self.selected_by_length.get(child_len, set())
-            children = [p for p in children if p in selected]
-        children.sort(key=lambda p: (-stats.counts[p], p))
-        return children
+        groups = self._children.get(child_len)
+        if groups is None:
+            groups = self._children[child_len] = self._group_children(child_len)
+        return list(groups.get(prefix, ()))
+
+    def _group_children(self, child_len: int) -> Dict[str, List[str]]:
+        stats = self.stats_by_length[child_len]
+        selected = self.selected_by_length.get(child_len, set())
+        groups: Dict[str, List[str]] = {}
+        for p in stats.ordered():
+            if stats.counts[p] > 0 and (not self.filter_extensions or p in selected):
+                groups.setdefault(p[: child_len - 1], []).append(p)
+        return groups
 
     def seed_count(self, prefix: str) -> int:
         stats = self.stats_by_length.get(len(prefix))
@@ -223,21 +234,21 @@ def build_plan(
     )
 
 
-def load_corpus(path) -> List[str]:
-    """Word-list corpus: one item per line, normalized on load."""
-    from .history import normalize
-
+def _normalized_items(lines) -> List[str]:
     items = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            item = normalize(line)
-            if item:
-                items.append(item)
+    for line in lines:
+        item = normalize(line)
+        if item:
+            items.append(item)
     return items
 
 
-def bundled_wordlist() -> List[str]:
-    from .history import normalize
+def load_corpus(path) -> List[str]:
+    """Word-list corpus: one item per line, normalized on load."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return _normalized_items(fh)
 
+
+def bundled_wordlist() -> List[str]:
     text = resources.files("historiographer.data").joinpath("wordlist.txt").read_text()
-    return [normalize(line) for line in text.splitlines() if normalize(line)]
+    return _normalized_items(text.splitlines())

@@ -105,6 +105,28 @@ class TestDescent:
         with pytest.raises(AttackError):
             AttackConfig(plan=plan, frontier="random")
 
+    def test_threshold_below_one_rejected(self, wordlist):
+        plan = build_plan(wordlist, 0.9)
+        with pytest.raises(AttackError):
+            AttackConfig(plan=plan, descent_threshold=0)
+
+    def test_threshold_descends_at_or_above(self, wordlist):
+        hist = random_history(random.Random(7), wordlist, max_entries=200, clicked_fraction=0.8)
+        runs = {}
+        for threshold in (2, 3):
+            plan = build_plan(wordlist, 0.9)
+            extended = []
+            extend = plan.extend
+            plan.extend = lambda prefix: extended.append(prefix) or extend(prefix)
+            result = reconstruct(
+                make_oracle(hist), AttackConfig(plan=plan, descent_threshold=threshold)
+            )
+            assert extended == [p for p, served in result.request_log if served >= threshold]
+            runs[threshold] = result
+        assert any(served == 2 for _, served in runs[2].request_log)
+        assert runs[2].requests_used > runs[3].requests_used
+        assert runs[2].recovered >= runs[3].recovered
+
 
 class TestProperties:
     @given(st.integers(0, 2**31))

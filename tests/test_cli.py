@@ -39,6 +39,12 @@ class TestPlan:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [["--mass", "0"], ["--length", "1"]])
+    def test_bad_plan_value_exit_2(self, tmp_path, capsys, flag):
+        rc = run(["plan", "bundled", *flag, "-o", tmp_path / "p.json"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestReconstruct:
     def test_appendix_style_fixture(self, tmp_path):
@@ -145,6 +151,15 @@ class TestEval:
         assert run(["eval", dataset, "-o", out]) == 0
         report = json.loads(out.read_text())
         assert report["users"] == 2
+
+
+    def test_bad_budget_exit_2(self, tmp_path, capsys):
+        from importlib import resources
+
+        fixture = resources.files("historiographer.data").joinpath("volunteers.jsonl")
+        rc = run(["eval", str(fixture), "--budget", "0", "-o", tmp_path / "r.json"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: budget")
 
 
 class TestAudit:

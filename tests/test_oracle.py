@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from historiographer.history import SearchHistory
+from historiographer.history import SearchHistory, normalize
 from historiographer.oracle import (
     CustomizationMarker,
     InvalidSessionError,
@@ -12,7 +12,11 @@ from historiographer.oracle import (
     Origin,
     PrefixTooShortError,
     Session,
+    Suggestion,
+    SuggestIndex,
+    SuggestionResponse,
     UnnormalizedPrefixError,
+    default_ranking,
     maps_dump,
     mobile_dump,
     suggest,
@@ -140,6 +144,101 @@ class TestSuggest:
             # completeness below the cap
             if len(matching) < 4:
                 assert served == matching
+
+
+def scan_suggest(history, prefix, ranking=default_ranking, horizon=None, now=None):
+    """Linear-scan reference for SuggestIndex: every entry tested in history
+    order, matches ranked by a stable sort."""
+    if len(prefix) < 2:
+        raise PrefixTooShortError(prefix)
+    if normalize(prefix, history.alphabet) != prefix.rstrip(" ") or prefix.endswith("  "):
+        raise UnnormalizedPrefixError(prefix)
+    matches = []
+    for entry in history.entries.values():
+        if not entry.clicked or not entry.query.startswith(prefix):
+            continue
+        if horizon is not None and entry.last_time < (now or 0) - horizon:
+            continue
+        matches.append(entry)
+    matches.sort(key=ranking)
+    return SuggestionResponse(
+        prefix, [Suggestion(e.query, Origin.HISTORY) for e in matches[:3]]
+    )
+
+
+def count_only_ranking(entry):
+    # Many ties: only the history order separates equal counts.
+    return -entry.count
+
+
+SEARCHES = st.lists(
+    st.tuples(
+        st.sampled_from(["co", "cob", "code", "code x", "coffee", "cool", "dog", "do", "dot 2"]),
+        st.integers(0, 50),
+        st.booleans(),
+    ),
+    max_size=30,
+)
+RANKINGS = st.sampled_from([default_ranking, count_only_ranking])
+WINDOWS = st.one_of(
+    st.tuples(st.none(), st.none()),
+    st.tuples(st.integers(0, 50), st.one_of(st.none(), st.integers(0, 60))),
+)
+
+
+class TestSuggestIndex:
+    @staticmethod
+    def build(searches):
+        hist = SearchHistory(user_id="u")
+        for query, time, clicked in searches:
+            hist.insert_search(query, time, f"http://example.com/{time}" if clicked else None)
+        return hist
+
+    @staticmethod
+    def outcome(fn, prefix):
+        try:
+            response = fn(prefix)
+        except Exception as exc:
+            return type(exc)
+        return response.to_json()
+
+    @given(
+        SEARCHES,
+        RANKINGS,
+        WINDOWS,
+        st.lists(st.one_of(st.text(max_size=6), st.text("cdfoxe 2", max_size=7)), max_size=8),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_linear_scan(self, searches, ranking, window, texts):
+        hist = self.build(searches)
+        horizon, now = window
+        index = SuggestIndex(hist, ranking, horizon, now)
+        prefixes = [q[:k] for q in hist.entries for k in range(len(q) + 2)] + texts
+        for prefix in prefixes:
+            expected = self.outcome(lambda p: scan_suggest(hist, p, ranking, horizon, now), prefix)
+            assert self.outcome(index, prefix) == expected
+            assert self.outcome(
+                lambda p: suggest(hist, p, ranking=ranking, horizon=horizon, now=now), prefix
+            ) == expected
+
+    def test_ties_keep_history_order(self):
+        hist = make_history([(q, 1, 10, True) for q in ["cod", "cob", "coa", "coz"]])
+        assert SuggestIndex(hist, count_only_ranking)("co").history_texts() == ["cod", "cob", "coa"]
+
+    def test_top_code_point_in_prefix(self):
+        top = chr(0x10FFFF)
+        hist = SearchHistory(user_id="u", alphabet="ab" + top)
+        for query in ["a" + top, "a" + top + "b", "b", "a" + top + top]:
+            hist.insert_search(query, 1, "http://example.com")
+        index = SuggestIndex(hist)
+        expected = ["a" + top, "a" + top + "b", "a" + top + top]
+        assert sorted(index("a" + top).history_texts()) == sorted(expected)
+        assert index(top + top).history_texts() == []
+
+    def test_fresh_response_each_call(self):
+        index = SuggestIndex(make_history([("cobalt", 1, 1, True)]))
+        index("co").suggestions.append(Suggestion("x", Origin.GENERIC))
+        assert index("co").history_texts() == ["cobalt"]
 
 
 class TestTargetedCheck:

@@ -1,3 +1,4 @@
+import json
 import string
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from historiographer.planner import (
     EmptyCorpusError,
     PlannerError,
+    PrefixPlan,
     build_plan,
     build_stats,
     bundled_wordlist,
@@ -135,7 +137,60 @@ class TestExtend:
                 assert len(child) == len(prefix) + 1
 
 
+def reference_extend(plan, prefix):
+    """Scan every prefix one level down, as extend() did before its cache."""
+    child_len = len(prefix) + 1
+    stats = plan.stats_by_length.get(child_len)
+    if stats is None:
+        return [prefix + c for c in plan.unigram_order if not (c == " " and prefix.endswith(" "))]
+    children = [p for p in stats.counts if p.startswith(prefix) and stats.counts[p] > 0]
+    if plan.filter_extensions:
+        selected = plan.selected_by_length.get(child_len, set())
+        children = [p for p in children if p in selected]
+    return sorted(children, key=lambda p: (-stats.counts[p], p))
+
+
+class TestExtendCache:
+    @pytest.mark.parametrize("round_trip", [False, True])
+    @pytest.mark.parametrize("filter_extensions", [True, False])
+    @pytest.mark.parametrize("lengths", [(2, 3), (2, 3, 4)])
+    def test_matches_reference_scan(self, wordlist, lengths, filter_extensions, round_trip):
+        plan = build_plan(wordlist, 0.9, lengths=lengths, filter_extensions=filter_extensions)
+        if round_trip:
+            plan = PrefixPlan.from_dict(json.loads(json.dumps(plan.to_dict())))
+        prefixes = [a + b for a in LETTERS for b in LETTERS]
+        prefixes += sorted(plan.stats_by_length[3].counts) + ["qjx", "zzz"]
+        for prefix in prefixes:
+            assert plan.extend(prefix) == reference_extend(plan, prefix), prefix
+
+    def test_filter_changes_children(self, wordlist):
+        # Both settings are exercised above only if they can differ.
+        kept = build_plan(wordlist, 0.5).extend("co")
+        unfiltered = build_plan(wordlist, 0.5, filter_extensions=False).extend("co")
+        assert set(kept) < set(unfiltered)
+
+    def test_fresh_list_each_call(self, wordlist):
+        plan = build_plan(wordlist, 0.9)
+        plan.extend("co").clear()
+        assert plan.extend("co")
+
+    def test_plan_outputs_unchanged_by_extend(self, wordlist):
+        plan = build_plan(wordlist, 0.9)
+        before = json.dumps(plan.to_dict(), sort_keys=True)
+        for prefix in ("co", "de", "qj", "con", "cobb"):
+            plan.extend(prefix)
+        assert json.dumps(plan.to_dict(), sort_keys=True) == before
+        assert plan == PrefixPlan.from_dict(json.loads(before))
+        assert "_children" not in repr(plan)
+
+
 class TestBundledWordlist:
+    def test_equals_load_corpus_of_bundled_file(self, wordlist):
+        from importlib import resources
+
+        path = resources.files("historiographer.data").joinpath("wordlist.txt")
+        assert wordlist == load_corpus(path)
+
     def test_seed_band_at_default_mass(self, wordlist):
         # paper-style calibration band, not an equality
         plan = build_plan(wordlist, 0.9)
