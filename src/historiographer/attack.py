@@ -60,6 +60,9 @@ class ReconstructionResult:
     recovered: Set[str] = field(default_factory=set)
     request_log: List[Tuple[str, int]] = field(default_factory=list)
     frontier_exhausted: bool = False
+    # len(recovered) after each request: entry i is what a budget of i + 1
+    # would have recovered. Not part of to_json.
+    recovered_counts: List[int] = field(default_factory=list)
 
     @property
     def requests_used(self) -> int:
@@ -116,6 +119,7 @@ def reconstruct(oracle: SuggestFn, config: AttackConfig) -> ReconstructionResult
         served = response.history_count
         result.request_log.append((prefix, served))
         result.recovered.update(response.history_texts())
+        result.recovered_counts.append(len(result.recovered))
         if served >= config.descent_threshold and (
             config.max_depth is None or len(prefix) < config.max_depth
         ):

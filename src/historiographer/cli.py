@@ -19,7 +19,7 @@ from .cookies import (
     write_audit_csv,
 )
 from .harness import gen_synthetic, ingest_query_log_counted, run_batch
-from .history import load_histories, save_histories
+from .history import HistoryError, load_histories, save_histories
 from .oracle import SuggestIndex
 from .planner import PrefixPlan, build_plan, bundled_wordlist, load_corpus
 
@@ -229,10 +229,16 @@ def cmd_audit(args) -> int:
 
 
 def _parse_entries(raw: str):
-    if ":" in raw:
-        low, _, high = raw.partition(":")
-        return (int(low), int(high))
-    return int(raw)
+    """A count, or a low:high range, of entries per user: integers with
+    1 <= low <= high."""
+    low, sep, high = raw.partition(":")
+    try:
+        bounds = (int(low), int(high if sep else low))
+    except ValueError:
+        raise InputError(f"--entries must be a count or low:high, got {raw!r}") from None
+    if not 1 <= bounds[0] <= bounds[1]:
+        raise InputError(f"--entries needs 1 <= low <= high, got {raw!r}")
+    return bounds if sep else bounds[0]
 
 
 def cmd_gen(args) -> int:
@@ -332,6 +338,7 @@ def main(argv=None) -> int:
         FileNotFoundError,
         TraceError,
         HarnessError,
+        HistoryError,
         PlannerError,
         AttackError,
         json.JSONDecodeError,

@@ -6,12 +6,20 @@ from __future__ import annotations
 import json
 import random
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from .attack import AttackConfig, RecallReport, compute_recall, reconstruct, score
-from .history import SearchHistory, normalize
+from .attack import (
+    AttackConfig,
+    AttackError,
+    RecallReport,
+    ReconstructionAborted,
+    compute_recall,
+    reconstruct,
+    score,
+)
+from .history import SearchHistory, load_histories, normalize
 from .oracle import MAX_HISTORY_SUGGESTIONS, RankingKey, SuggestIndex, default_ranking
 
 AOL_COLUMNS = ["AnonID", "Query", "QueryTime", "ItemRank", "ClickURL"]
@@ -21,19 +29,9 @@ def bundled_volunteers() -> Dict[str, SearchHistory]:
     """The calibrated 12-user fixture shipped with the package."""
     from importlib import resources
 
-    from .history import SearchHistory as _SH
-
-    text = (
-        resources.files("historiographer.data")
-        .joinpath("volunteers.jsonl")
-        .read_text()
-    )
-    out: Dict[str, SearchHistory] = {}
-    for line in text.splitlines():
-        if line.strip():
-            hist = _SH.from_dict(json.loads(line))
-            out[hist.user_id] = hist
-    return out
+    ref = resources.files("historiographer.data").joinpath("volunteers.jsonl")
+    with resources.as_file(ref) as path:
+        return load_histories(path)
 
 
 class HarnessError(Exception):
@@ -192,6 +190,17 @@ class AggregateReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
+def _means(per_user: List[RecallReport]) -> Tuple[float, float]:
+    """Mean recall over users with a clicked query, and mean requests over
+    all users, summed in the order given."""
+    scored = [r for r in per_user if r.n_c > 0]
+    mean_recall = sum(r.recall for r in scored) / len(scored) if scored else 0.0
+    mean_requests = (
+        sum(r.requests for r in per_user) / len(per_user) if per_user else 0.0
+    )
+    return mean_recall, mean_requests
+
+
 def _attack_user(hist: SearchHistory, config: AttackConfig, ranking: RankingKey) -> RecallReport:
     result = reconstruct(SuggestIndex(hist, ranking), config)
     return score(result, hist)
@@ -233,11 +242,7 @@ def run_batch(
                     failures[user_id] = str(exc)
 
     per_user = [reports[uid] for uid in user_ids if uid in reports]
-    scored = [r for r in per_user if r.n_c > 0]
-    mean_recall = sum(r.recall for r in scored) / len(scored) if scored else 0.0
-    mean_requests = (
-        sum(r.requests for r in per_user) / len(per_user) if per_user else 0.0
-    )
+    mean_recall, mean_requests = _means(per_user)
     return AggregateReport(
         users=len(per_user),
         mean_recall=mean_recall,
@@ -251,25 +256,51 @@ def recall_curve(
     histories: Dict[str, SearchHistory],
     config: AttackConfig,
     budgets: Sequence[int] = (110, 440, 2000),
-    workers: int = 1,
     ranking: RankingKey = default_ranking,
 ) -> List[dict]:
-    """Mean recall at several request budgets; reported, not asserted."""
+    """Mean recall at several request budgets; reported, not asserted.
+
+    Each user is attacked once, at the largest budget. The budget only cuts
+    the frontier loop short and never changes its order, so a run at budget
+    b is that run's first b requests: its recovered count is read from
+    ``recovered_counts``. A user whose run aborts after k requests counts at
+    every budget up to k and is dropped above it; any other failure drops
+    the user at every budget. Points average over sorted user ids, as
+    ``run_batch`` does, and come back in the order of ``budgets``.
+    """
+    if not budgets:
+        return []
+    if min(budgets) < 1:
+        raise AttackError("budget must be >= 1")
+    if not histories:
+        raise HarnessError("no histories to evaluate")
+    run_config = replace(config, budget=max(budgets))
+    # per user: (truth, its n_c, recovered count after each request,
+    # requests made before an abort or None)
+    runs = []
+    for user_id in sorted(histories):
+        hist = histories[user_id]
+        try:
+            result = reconstruct(SuggestIndex(hist, ranking), run_config)
+            aborted_at = None
+        except ReconstructionAborted as exc:
+            result, aborted_at = exc.partial, exc.partial.requests_used
+        except Exception:
+            continue
+        runs.append((hist, hist.n_c, result.recovered_counts, aborted_at))
     points = []
     for budget in budgets:
-        bounded = AttackConfig(
-            plan=config.plan,
-            budget=budget,
-            max_depth=config.max_depth,
-            descent_threshold=config.descent_threshold,
-            frontier=config.frontier,
-        )
-        report = run_batch(histories, bounded, workers=workers, ranking=ranking)
+        per_user = []
+        for hist, n_c, counts, aborted_at in runs:
+            if aborted_at is not None and budget > aborted_at:
+                continue
+            n = min(budget, len(counts))
+            n_s = counts[n - 1] if n else 0
+            per_user.append(
+                RecallReport(hist.user_id, hist.n_h, n_c, n_s, compute_recall(n_c, n_s), n)
+            )
+        mean_recall, mean_requests = _means(per_user)
         points.append(
-            {
-                "budget": budget,
-                "mean_recall": report.mean_recall,
-                "mean_requests": report.mean_requests,
-            }
+            {"budget": budget, "mean_recall": mean_recall, "mean_requests": mean_requests}
         )
     return points

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional
 
 DEFAULT_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789 "
@@ -22,6 +23,29 @@ class HistoryDisabledError(HistoryError):
 
 class EmptyQueryError(HistoryError):
     """Raised when a query normalizes to the empty string."""
+
+
+_KIND_NAMES = {str: "a string", bool: "a boolean", int: "an integer", list: "a list"}
+_ENTRY_FIELDS = {"query": str, "clicked": bool, "first_time": int, "last_time": int, "count": int}
+_ENTRY_OPTIONAL = {"clicked_urls": list}
+_entry_values = itemgetter(*_ENTRY_FIELDS)
+_HISTORY_FIELDS = {"user_id": str, "history_enabled": bool}
+
+
+def _bad_field(record, required: dict, optional: dict, where: str = "") -> Optional[HistoryError]:
+    """The error for record's first field that is missing, though required,
+    or not exactly of its type (so a boolean is not an integer); None when
+    every field is good."""
+    if not isinstance(record, dict):
+        return HistoryError(f"{where.rstrip('.') or 'record'}: expected an object")
+    for key, kind in {**required, **optional}.items():
+        if key not in record:
+            if key in required:
+                return HistoryError(f"{where}{key}: missing")
+        elif type(record[key]) is not kind:
+            value = record[key]
+            return HistoryError(f"{where}{key}: expected {_KIND_NAMES[kind]}, got {type(value).__name__}")
+    return None
 
 
 def normalize(raw: str, alphabet: str = DEFAULT_ALPHABET) -> str:
@@ -59,14 +83,24 @@ class HistoryEntry:
 
     @classmethod
     def from_dict(cls, d: dict) -> "HistoryEntry":
-        return cls(
-            query=d["query"],
-            clicked=bool(d["clicked"]),
-            first_time=int(d["first_time"]),
-            last_time=int(d["last_time"]),
-            count=int(d["count"]),
-            clicked_urls=list(d.get("clicked_urls", [])),
-        )
+        """The entry that to_dict wrote. A missing or ill-typed field raises
+        HistoryError naming it."""
+        try:
+            query, clicked, first_time, last_time, count = _entry_values(d)
+            urls = d.get("clicked_urls", [])
+        except (AttributeError, KeyError, TypeError):
+            raise _bad_field(d, _ENTRY_FIELDS, _ENTRY_OPTIONAL) from None
+        # exact types, as _ENTRY_FIELDS names them: a boolean is not a count
+        if (
+            type(query) is not str
+            or type(clicked) is not bool
+            or type(first_time) is not int
+            or type(last_time) is not int
+            or type(count) is not int
+            or type(urls) is not list
+        ):
+            raise _bad_field(d, _ENTRY_FIELDS, _ENTRY_OPTIONAL)
+        return cls(query, clicked, first_time, last_time, count, list(urls))
 
 
 @dataclass
@@ -127,9 +161,18 @@ class SearchHistory:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SearchHistory":
-        hist = cls(user_id=d["user_id"], history_enabled=bool(d["history_enabled"]))
-        for ed in d.get("entries", []):
-            entry = HistoryEntry.from_dict(ed)
+        """The history that to_dict wrote. A missing or ill-typed field
+        raises HistoryError naming it."""
+        error = _bad_field(d, _HISTORY_FIELDS, {"entries": list})
+        if error is not None:
+            raise error
+        hist = cls(d["user_id"], d["history_enabled"])
+        for i, ed in enumerate(d.get("entries", [])):
+            try:
+                entry = HistoryEntry.from_dict(ed)
+            except HistoryError:
+                # named again with its place, only on this rare path
+                raise _bad_field(ed, _ENTRY_FIELDS, _ENTRY_OPTIONAL, f"entries[{i}].") from None
             hist.entries[entry.query] = entry
         return hist
 
@@ -142,12 +185,22 @@ def save_histories(histories: Iterable[SearchHistory], path) -> None:
 
 
 def load_histories(path) -> Dict[str, SearchHistory]:
+    """Read one SearchHistory per non-blank JSON line, keyed by user id.
+
+    A line that is not JSON, or a record with a missing or ill-typed field,
+    raises HistoryError naming the file, the line and the field.
+    """
     out: Dict[str, SearchHistory] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            hist = SearchHistory.from_dict(json.loads(line))
+            try:
+                hist = SearchHistory.from_dict(json.loads(line))
+            except json.JSONDecodeError as exc:
+                raise HistoryError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
+            except HistoryError as exc:
+                raise HistoryError(f"{path}:{lineno}: {exc}") from exc
             out[hist.user_id] = hist
     return out

@@ -1,4 +1,5 @@
 import copy
+import json
 import random
 
 import pytest
@@ -126,6 +127,46 @@ class TestDescent:
         assert any(served == 2 for _, served in runs[2].request_log)
         assert runs[2].requests_used > runs[3].requests_used
         assert runs[2].recovered >= runs[3].recovered
+
+
+class TestRecoveredCounts:
+    def check(self, result):
+        counts = result.recovered_counts
+        assert len(counts) == result.requests_used
+        assert counts == sorted(counts)
+        assert counts[-1:] == ([len(result.recovered)] if counts else [])
+
+    @pytest.mark.parametrize("budget", [None, 1, 40])
+    def test_cumulative_recovered(self, wordlist, budget):
+        hist = random_history(random.Random(7), wordlist, max_entries=80)
+        result = reconstruct(make_oracle(hist), AttackConfig(plan=build_plan(wordlist, 0.9), budget=budget))
+        self.check(result)
+        # a run at another budget makes the same requests up to its end
+        other = reconstruct(make_oracle(hist), AttackConfig(plan=build_plan(wordlist, 0.9), budget=10))
+        n = min(other.requests_used, result.requests_used)
+        assert other.recovered_counts[:n] == result.recovered_counts[:n]
+
+    def test_partial_result_of_an_abort(self, wordlist):
+        hist = random_history(random.Random(8), wordlist, max_entries=80)
+        plan = build_plan(wordlist, 0.9)
+        plan.seeds = plan.seeds + ["ZZ"]
+        with pytest.raises(ReconstructionAborted) as exc_info:
+            reconstruct(make_oracle(hist), AttackConfig(plan=plan))
+        self.check(exc_info.value.partial)
+
+    def test_left_out_of_json(self, wordlist):
+        hist = random_history(random.Random(9), wordlist, max_entries=40)
+        result = reconstruct(make_oracle(hist), AttackConfig(plan=build_plan(wordlist, 0.9)))
+        assert result.recovered_counts
+        assert result.to_json() == json.dumps(
+            {
+                "recovered": sorted(result.recovered),
+                "requests_used": result.requests_used,
+                "request_log": [[p, c] for p, c in result.request_log],
+                "frontier_exhausted": result.frontier_exhausted,
+            },
+            sort_keys=True,
+        )
 
 
 class TestProperties:

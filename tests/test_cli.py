@@ -161,6 +161,13 @@ class TestEval:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: budget")
 
+    def test_history_missing_field_exit_2(self, tmp_path, capsys):
+        dataset = tmp_path / "d.jsonl"
+        dataset.write_text(json.dumps({"user_id": "u", "entries": []}) + "\n")
+        rc = run(["eval", dataset, "-o", tmp_path / "r.json"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {dataset}:1: history_enabled: missing\n"
+
 
 class TestAudit:
     def _write_trace(self, tmp_path, rows):
@@ -228,6 +235,22 @@ class TestGen:
             "--seed", 2, "-o", out,
         ]) == 0
         assert all(h.n_c == 0 for h in load_histories(out).values())
+
+    @pytest.mark.parametrize("entries", ["5:1", "x", "0", "0:3", "1:x", ":", "3:", "-2:4"])
+    def test_bad_entries_exit_2(self, tmp_path, capsys, entries):
+        out = tmp_path / "d.jsonl"
+        rc = run(["gen", "--users", 2, f"--entries={entries}", "-o", out])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --entries") and repr(entries) in err
+        assert not out.exists()
+
+    def test_entries_range_bounds_inclusive(self, tmp_path):
+        from historiographer.history import load_histories
+
+        out = tmp_path / "d.jsonl"
+        assert run(["gen", "--users", 4, "--entries", "3:3", "--clicked-fraction", 1, "-o", out]) == 0
+        assert all(h.n_h <= 3 for h in load_histories(out).values())
 
 
 def test_version_flag(capsys):

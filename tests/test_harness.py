@@ -1,6 +1,10 @@
+import dataclasses
+import json
+
 import pytest
 
-from historiographer.attack import AttackConfig
+from historiographer import harness
+from historiographer.attack import AttackConfig, AttackError, ReconstructionAborted, reconstruct
 from historiographer.harness import (
     HarnessError,
     HeaderMismatchError,
@@ -13,6 +17,7 @@ from historiographer.harness import (
     run_batch,
 )
 from historiographer.history import SearchHistory, load_histories, save_histories
+from historiographer.oracle import SuggestIndex
 from historiographer.planner import build_plan, bundled_wordlist
 
 AOL_HEADER = "AnonID\tQuery\tQueryTime\tItemRank\tClickURL"
@@ -189,3 +194,110 @@ class TestCalibratedFixture:
         points = recall_curve(histories, AttackConfig(plan=plan), budgets=(10, 50, 200))
         recalls = [p["mean_recall"] for p in points]
         assert recalls == sorted(recalls)
+
+
+def per_budget_curve(histories, config, budgets):
+    """The recall curve as one run_batch per budget: the reference that
+    recall_curve must match byte for byte."""
+    points = []
+    for budget in budgets:
+        report = run_batch(histories, dataclasses.replace(config, budget=budget))
+        points.append(
+            {
+                "budget": budget,
+                "mean_recall": report.mean_recall,
+                "mean_requests": report.mean_requests,
+            }
+        )
+    return points
+
+
+def assert_same_curve(histories, config, budgets):
+    got = recall_curve(histories, config, budgets=budgets)
+    assert json.dumps(got) == json.dumps(per_budget_curve(histories, config, budgets))
+    return got
+
+
+class TestRecallCurve:
+    @pytest.fixture(scope="class")
+    def config(self):
+        return AttackConfig(plan=build_plan(bundled_wordlist(), 0.9))
+
+    def test_fixture_matches_per_budget_runs(self, config):
+        assert_same_curve(bundled_volunteers(), config, (1, 10, 110, 440, 2000))
+
+    def test_synthetic_unsorted_duplicated_budgets(self, config, wordlist):
+        # inserted in reverse: the means must still sum in sorted user order
+        histories = dict(reversed(gen_synthetic(30, (5, 80), 0.6, wordlist, seed=8).items()))
+        points = assert_same_curve(histories, config, (440, 7, 110, 440, 2000, 7))
+        assert [p["budget"] for p in points] == [440, 7, 110, 440, 2000, 7]
+
+    def test_budgets_past_frontier_exhaustion(self, config, wordlist):
+        histories = gen_synthetic(10, (5, 40), 0.6, wordlist, seed=9)
+        unlimited = run_batch(histories, config)
+        most = max(r.requests for r in unlimited.per_user)
+        points = assert_same_curve(histories, config, (most - 1, most, most + 1, 10 * most))
+        assert points[-1]["mean_requests"] == unlimited.mean_requests
+        assert points[-1]["mean_recall"] == unlimited.mean_recall
+
+    def test_one_run_per_user(self, config, wordlist, monkeypatch):
+        histories = gen_synthetic(6, (5, 30), 0.6, wordlist, seed=10)
+        budgets = []
+
+        def counting(oracle, run_config):
+            budgets.append(run_config.budget)
+            return reconstruct(oracle, run_config)
+
+        monkeypatch.setattr(harness, "reconstruct", counting)
+        recall_curve(histories, config, budgets=(110, 2000, 440))
+        assert budgets == [2000] * len(histories)
+
+    def test_abort_counts_only_at_budgets_it_reached(self, wordlist):
+        # "ZZ" has corpus count 0, so it is requested after every counted
+        # prefix; the oracle rejects it as unnormalized and the run aborts
+        # partway, after a number of requests that differs per user.
+        histories = gen_synthetic(12, (5, 80), 0.6, wordlist, seed=11)
+        plan = build_plan(wordlist, 0.9)
+        plan.seeds = plan.seeds + ["ZZ"]
+        config = AttackConfig(plan=plan)
+        reached = []
+        for hist in histories.values():
+            with pytest.raises(ReconstructionAborted) as exc_info:
+                reconstruct(SuggestIndex(hist), config)
+            reached.append(exc_info.value.partial.requests_used)
+        low, high = min(reached), max(reached)
+        middle = sorted(reached)[len(reached) // 2]
+        assert low < middle < high
+        budgets = (1, low, middle, high, high + 1, 2000)
+        points = assert_same_curve(histories, config, budgets)
+        users = [run_batch(histories, dataclasses.replace(config, budget=b)).users for b in budgets]
+        assert users[1] == len(histories)
+        assert 0 < users[2] < len(histories)
+        assert users[4] == 0
+        assert points[4] == {"budget": high + 1, "mean_recall": 0.0, "mean_requests": 0.0}
+
+    def test_every_user_failing_drops_them_at_every_budget(self, wordlist):
+        histories = gen_synthetic(3, 5, 0.5, wordlist, seed=12)
+        plan = build_plan(wordlist, 0.9)
+        plan.seeds = []
+        assert_same_curve(histories, AttackConfig(plan=plan), (1, 110))
+
+    def test_other_failure_drops_user_at_every_budget(self, config, wordlist, monkeypatch):
+        histories = gen_synthetic(5, (5, 30), 0.6, wordlist, seed=13)
+        doomed = histories["user0002"]
+
+        def index(hist, ranking):
+            if hist is doomed:
+                raise RuntimeError("broken history")
+            return SuggestIndex(hist, ranking)
+
+        monkeypatch.setattr(harness, "SuggestIndex", index)
+        assert run_batch(histories, config).failures == {"user0002": "broken history"}
+        assert_same_curve(histories, config, (1, 110, 2000))
+
+    def test_edge_cases(self, config):
+        assert recall_curve({}, config, budgets=()) == []
+        with pytest.raises(AttackError):
+            recall_curve(bundled_volunteers(), config, budgets=(110, 0))
+        with pytest.raises(HarnessError):
+            recall_curve({}, config, budgets=(110,))

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from historiographer.history import (
     EmptyQueryError,
     HistoryDisabledError,
+    HistoryError,
     SearchHistory,
     load_histories,
     normalize,
@@ -114,3 +115,86 @@ def test_jsonl_field_names(tmp_path):
     assert set(row["entries"][0]) == {
         "query", "clicked", "first_time", "last_time", "count", "clicked_urls",
     }
+
+
+def _record(**changes):
+    entry = {
+        "query": "privacy",
+        "clicked": True,
+        "first_time": 100,
+        "last_time": 100,
+        "count": 1,
+        "clicked_urls": ["http://privacy.org"],
+    }
+    record = {"user_id": "u1", "history_enabled": True, "entries": [entry]}
+    for key, value in changes.items():
+        target = entry if key in entry else record
+        if value is None:
+            del target[key]
+        else:
+            target[key] = value
+    return record
+
+
+@pytest.mark.parametrize(
+    "changes, field",
+    [
+        ({"history_enabled": None}, "history_enabled: missing"),
+        ({"user_id": 7}, "user_id: expected a string, got int"),
+        ({"history_enabled": "yes"}, "history_enabled: expected a boolean"),
+        ({"entries": {}}, "entries: expected a list"),
+        ({"clicked": None}, "entries[0].clicked: missing"),
+        ({"count": "x"}, "entries[0].count: expected an integer, got str"),
+        ({"first_time": True}, "entries[0].first_time: expected an integer, got bool"),
+        ({"clicked_urls": "http://x"}, "entries[0].clicked_urls: expected a list"),
+    ],
+)
+def test_load_names_line_and_field(tmp_path, changes, field):
+    import json
+
+    path = tmp_path / "hist.jsonl"
+    path.write_text(json.dumps(_record()) + "\n\n" + json.dumps(_record(**changes)) + "\n")
+    with pytest.raises(HistoryError) as exc_info:
+        load_histories(path)
+    assert str(exc_info.value).startswith(f"{path}:3: {field}")
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("{not json", "invalid JSON"),
+        ("[1, 2]", "record: expected an object"),
+        ('{"user_id": "u", "history_enabled": true, "entries": [3]}', "entries[0]: expected an object"),
+    ],
+)
+def test_load_rejects_malformed_lines(tmp_path, line, message):
+    path = tmp_path / "hist.jsonl"
+    path.write_text(line + "\n")
+    with pytest.raises(HistoryError) as exc_info:
+        load_histories(path)
+    assert str(exc_info.value).startswith(f"{path}:1: {message}")
+
+
+def test_optional_fields_default(tmp_path):
+    import json
+
+    path = tmp_path / "hist.jsonl"
+    path.write_text(json.dumps(_record(clicked_urls=None)) + "\n" + json.dumps({"user_id": "u2", "history_enabled": False}) + "\n")
+    loaded = load_histories(path)
+    assert loaded["u1"].entries["privacy"].clicked_urls == []
+    assert loaded["u2"].entries == {} and not loaded["u2"].history_enabled
+
+
+def test_bundled_volunteers_is_the_fixture_file():
+    import json
+    from importlib import resources
+
+    from historiographer.harness import bundled_volunteers
+
+    text = resources.files("historiographer.data").joinpath("volunteers.jsonl").read_text()
+    expected = [json.loads(line) for line in text.splitlines() if line.strip()]
+    loaded = bundled_volunteers()
+    assert list(loaded) == [record["user_id"] for record in expected]
+    assert [h.to_dict() for h in loaded.values()] == [
+        SearchHistory.from_dict(record).to_dict() for record in expected
+    ]
