@@ -93,22 +93,33 @@ def reconstruct(oracle: SuggestFn, config: AttackConfig) -> ReconstructionResult
     plan = config.plan
     if not plan.seeds:
         raise AttackError("plan has no seeds")
+    budget = config.budget
+    threshold = config.descent_threshold
+    max_depth = config.max_depth
+    by_level = config.frontier == "level"
+    counts = {n: stats.counts for n, stats in plan.stats_by_length.items()}
+    no_counts: dict = {}
 
     def priority(prefix: str) -> Tuple:
-        count = plan.seed_count(prefix)
-        if config.frontier == "level":
+        count = counts.get(len(prefix), no_counts).get(prefix, 0)
+        if by_level:
             return (len(prefix), -count, prefix)
         return (-count, len(prefix), prefix)
 
-    heap: List[Tuple[Tuple, str]] = [(priority(p), p) for p in plan.seeds]
+    # The prefix is the last element of its priority, so the heap holds the
+    # priorities alone.
+    heap: List[Tuple] = [priority(p) for p in plan.seeds]
     heapq.heapify(heap)
     requested: Set[str] = set()
     result = ReconstructionResult()
+    recovered = result.recovered
+    request_log = result.request_log
+    recovered_counts = result.recovered_counts
 
     while heap:
-        if config.budget is not None and result.requests_used >= config.budget:
+        if budget is not None and len(request_log) >= budget:
             return result
-        _, prefix = heapq.heappop(heap)
+        prefix = heapq.heappop(heap)[-1]
         if prefix in requested:
             continue
         requested.add(prefix)
@@ -116,16 +127,14 @@ def reconstruct(oracle: SuggestFn, config: AttackConfig) -> ReconstructionResult
             response = oracle(prefix)
         except Exception as exc:
             raise ReconstructionAborted(str(exc), result) from exc
-        served = response.history_count
-        result.request_log.append((prefix, served))
-        result.recovered.update(response.history_texts())
-        result.recovered_counts.append(len(result.recovered))
-        if served >= config.descent_threshold and (
-            config.max_depth is None or len(prefix) < config.max_depth
-        ):
+        texts = response.history_texts()
+        request_log.append((prefix, len(texts)))
+        recovered.update(texts)
+        recovered_counts.append(len(recovered))
+        if len(texts) >= threshold and (max_depth is None or len(prefix) < max_depth):
             for child in plan.extend(prefix):
                 if child not in requested:
-                    heapq.heappush(heap, (priority(child), child))
+                    heapq.heappush(heap, priority(child))
     result.frontier_exhausted = True
     return result
 

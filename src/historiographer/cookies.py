@@ -131,9 +131,42 @@ def cookie_applies(cookie: Cookie, record: TrafficRecord) -> bool:
     return True
 
 
+_TRACE_STRINGS = ("scheme", "client_ip", "host", "path")
+
+
+def _bad_trace_field(record) -> str:
+    """What is wrong with a trace record that load_trace could not build:
+    its first field that is missing or of the wrong type."""
+    if not isinstance(record, dict):
+        return "record: expected an object"
+    for key in ("time",) + _TRACE_STRINGS:
+        if key not in record:
+            return f"{key}: missing"
+    try:
+        int(record["time"])
+    except (TypeError, ValueError, OverflowError):
+        return f"time: expected an integer, got {type(record['time']).__name__}"
+    for key in _TRACE_STRINGS:
+        if type(record[key]) is not str:
+            return f"{key}: expected a string, got {type(record[key]).__name__}"
+    headers = record.get("headers", {})
+    if type(headers) is not dict:
+        return f"headers: expected an object, got {type(headers).__name__}"
+    for name, values in headers.items():
+        if type(values) is not str and (
+            type(values) is not list or any(type(v) is not str for v in values)
+        ):
+            return f"headers.{name}: expected a string or a list of strings"
+    return "body_flags: expected a list of strings"
+
+
 def load_trace(path) -> List[TrafficRecord]:
     """Read a JSON-lines trace. Cookie headers on HTTPS records are redacted:
-    an eavesdropper never sees them."""
+    an eavesdropper never sees them.
+
+    A line that is not JSON, or a record with a missing or ill-typed field,
+    raises TraceError naming the file, the line and the field.
+    """
     records: List[TrafficRecord] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -142,20 +175,33 @@ def load_trace(path) -> List[TrafficRecord]:
                 continue
             try:
                 d = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
+                # ValueError also covers an integer too long to convert
                 raise TraceError(f"{path}:{lineno}: bad JSON: {exc}") from exc
-            headers = {}
-            for name, values in d.get("headers", {}).items():
-                headers[name] = list(values) if isinstance(values, list) else [values]
-            record = TrafficRecord(
-                time=int(d["time"]),
-                scheme=d["scheme"].lower(),
-                client_ip=d["client_ip"],
-                host=d["host"],
-                path=d["path"],
-                headers=headers,
-                body_flags=set(d.get("body_flags", [])),
-            )
+            try:
+                headers = {}
+                for name, values in d.get("headers", {}).items():
+                    if type(values) is str:
+                        headers[name] = [values]
+                    elif type(values) is list and all(type(v) is str for v in values):
+                        headers[name] = list(values)
+                    else:
+                        raise TypeError
+                client_ip, host, req_path = d["client_ip"], d["host"], d["path"]
+                if type(client_ip) is not str or type(host) is not str or type(req_path) is not str:
+                    raise TypeError
+                record = TrafficRecord(
+                    time=int(d["time"]),
+                    scheme=d["scheme"].lower(),
+                    client_ip=client_ip,
+                    host=host,
+                    path=req_path,
+                    headers=headers,
+                    body_flags=set(d.get("body_flags", [])),
+                )
+            except (AttributeError, KeyError, TypeError, ValueError, OverflowError):
+                # which field, worked out only on this rare path
+                raise TraceError(f"{path}:{lineno}: {_bad_trace_field(d)}") from None
             if record.scheme == "https":
                 record.headers = {
                     name: values

@@ -266,7 +266,9 @@ def recall_curve(
     ``recovered_counts``. A user whose run aborts after k requests counts at
     every budget up to k and is dropped above it; any other failure drops
     the user at every budget. Points average over sorted user ids, as
-    ``run_batch`` does, and come back in the order of ``budgets``.
+    ``run_batch`` does, and come back in the order of ``budgets``. Each
+    point's ``users`` counts the users it averages over, so a budget that
+    every user's abort falls short of reads 0 there, not a recall of 0.
     """
     if not budgets:
         return []
@@ -301,6 +303,11 @@ def recall_curve(
             )
         mean_recall, mean_requests = _means(per_user)
         points.append(
-            {"budget": budget, "mean_recall": mean_recall, "mean_requests": mean_requests}
+            {
+                "budget": budget,
+                "mean_recall": mean_recall,
+                "mean_requests": mean_requests,
+                "users": len(per_user),
+            }
         )
     return points

@@ -4,11 +4,10 @@ and the two whole-history dump channels (maps page, mobile page)."""
 from __future__ import annotations
 
 import json
-import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .history import HistoryEntry, SearchHistory, normalize
 
@@ -80,14 +79,30 @@ def default_ranking(entry: HistoryEntry) -> Tuple:
     return (-entry.count, -entry.last_time, entry.query)
 
 
+# Prefixes that passed _check_prefix, per alphabet. The check depends on
+# nothing else, and an attack asks every user the same plan prefixes, so each
+# is checked once per process. A prefix that fails is never added.
+_CHECKED: Dict[str, Set[str]] = {}
+
+
+def _check_prefix(prefix: str, alphabet: str) -> None:
+    if len(prefix) < MIN_PREFIX_LEN:
+        raise PrefixTooShortError(f"prefix {prefix!r} shorter than {MIN_PREFIX_LEN}")
+    # A valid prefix is any leading slice of a normalized query, so a
+    # single trailing space is legal mid-word-boundary.
+    if normalize(prefix, alphabet) != prefix.rstrip(" ") or prefix.endswith("  "):
+        raise UnnormalizedPrefixError(f"prefix {prefix!r} is not normalized")
+
+
 class SuggestIndex:
     """One history's suggestion server, built once and asked many times.
 
     The clicked entries that pass the horizon are sorted once by query, so the
     entries a prefix matches form one contiguous run found by bisection. A
     request ranks only that run: O(log n + matches) instead of a scan over
-    the whole history. With a horizon set, entries whose last_time is older
-    than now - horizon are not served.
+    the whole history, and a prefix that matches nothing costs one bisection.
+    With a horizon set, entries whose last_time is older than now - horizon
+    are not served.
     """
 
     def __init__(
@@ -107,20 +122,21 @@ class SuggestIndex:
         self._queries = [queries[i] for i in self._by_query]
         self._ranking = ranking
         self._alphabet = history.alphabet
+        self._checked = _CHECKED.setdefault(history.alphabet, set())
 
     def __call__(self, prefix: str) -> SuggestionResponse:
         """History suggestions only: the top-3 clicked entries whose query
         starts with the prefix, under the ranking policy."""
-        if len(prefix) < MIN_PREFIX_LEN:
-            raise PrefixTooShortError(f"prefix {prefix!r} shorter than {MIN_PREFIX_LEN}")
-        # A valid prefix is any leading slice of a normalized query, so a
-        # single trailing space is legal mid-word-boundary.
-        if normalize(prefix, self._alphabet) != prefix.rstrip(" ") or prefix.endswith("  "):
-            raise UnnormalizedPrefixError(f"prefix {prefix!r} is not normalized")
+        if prefix not in self._checked:
+            _check_prefix(prefix, self._alphabet)
+            self._checked.add(prefix)
         queries = self._queries
         lo = bisect_left(queries, prefix)
-        end = _prefix_end(prefix)
-        hi = len(queries) if end is None else bisect_left(queries, end, lo)
+        if lo == len(queries) or not queries[lo].startswith(prefix):
+            return SuggestionResponse(prefix=prefix, suggestions=[])
+        hi = lo + 1
+        while hi < len(queries) and queries[hi].startswith(prefix):
+            hi += 1
         # Back to history order first, so ranking ties break as in a scan.
         hits = sorted(self._by_query[lo:hi])
         entries = self._entries
@@ -131,15 +147,6 @@ class SuggestIndex:
                 Suggestion(e.query, Origin.HISTORY) for e in ranked[:MAX_HISTORY_SUGGESTIONS]
             ],
         )
-
-
-def _prefix_end(prefix: str) -> Optional[str]:
-    """The least string above every string that starts with prefix; None
-    when no string is."""
-    stem = prefix.rstrip(chr(sys.maxunicode))
-    if not stem:
-        return None
-    return stem[:-1] + chr(ord(stem[-1]) + 1)
 
 
 def suggest(

@@ -1,4 +1,6 @@
 import copy
+import heapq
+import itertools
 import json
 import random
 
@@ -11,13 +13,14 @@ from historiographer.attack import (
     AttackConfig,
     AttackError,
     ReconstructionAborted,
+    ReconstructionResult,
     compute_recall,
     reconstruct,
     score,
 )
-from historiographer.harness import brute_force_recoverable
+from historiographer.harness import brute_force_recoverable, gen_synthetic
 from historiographer.history import SearchHistory
-from historiographer.oracle import suggest
+from historiographer.oracle import SuggestIndex, suggest
 from historiographer.planner import build_plan
 
 FULL_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789 "
@@ -167,6 +170,119 @@ class TestRecoveredCounts:
             },
             sort_keys=True,
         )
+
+
+def reference_reconstruct(oracle, config):
+    """The frontier loop as first written: priorities from plan.seed_count
+    on every push, (priority, prefix) pairs on the heap, config read on every
+    request and each response walked twice. reconstruct must make the same
+    requests and recover the same queries."""
+    plan = config.plan
+    if not plan.seeds:
+        raise AttackError("plan has no seeds")
+
+    def priority(prefix):
+        count = plan.seed_count(prefix)
+        if config.frontier == "level":
+            return (len(prefix), -count, prefix)
+        return (-count, len(prefix), prefix)
+
+    heap = [(priority(p), p) for p in plan.seeds]
+    heapq.heapify(heap)
+    requested = set()
+    result = ReconstructionResult()
+    while heap:
+        if config.budget is not None and result.requests_used >= config.budget:
+            return result
+        _, prefix = heapq.heappop(heap)
+        if prefix in requested:
+            continue
+        requested.add(prefix)
+        try:
+            response = oracle(prefix)
+        except Exception as exc:
+            raise ReconstructionAborted(str(exc), result) from exc
+        served = response.history_count
+        result.request_log.append((prefix, served))
+        result.recovered.update(response.history_texts())
+        result.recovered_counts.append(len(result.recovered))
+        if served >= config.descent_threshold and (
+            config.max_depth is None or len(prefix) < config.max_depth
+        ):
+            for child in plan.extend(prefix):
+                if child not in requested:
+                    heapq.heappush(heap, (priority(child), child))
+    result.frontier_exhausted = True
+    return result
+
+
+def run_outcome(fn, oracle, config):
+    """What a run leaves: its result's fields, and the abort message if any."""
+    try:
+        result, error = fn(oracle, config), None
+    except ReconstructionAborted as exc:
+        result, error = exc.partial, str(exc)
+    return (
+        result.request_log,
+        result.recovered,
+        result.recovered_counts,
+        result.frontier_exhausted,
+        error,
+    )
+
+
+class TestAgainstReferenceLoop:
+    @pytest.fixture(scope="class")
+    def histories(self, wordlist):
+        return list(gen_synthetic(4, (5, 40), 0.7, wordlist, seed=21).values())
+
+    @pytest.fixture(scope="class")
+    def plan(self, wordlist):
+        plan = build_plan(wordlist, 0.9)
+        # a seed with no corpus count ties with others only on its length
+        plan.seeds = plan.seeds + ["qz"]
+        return plan
+
+    @pytest.mark.parametrize("frontier", ["priority", "level"])
+    @pytest.mark.parametrize("threshold", [1, 2, 3])
+    def test_same_run(self, histories, plan, frontier, threshold):
+        descended = cut_short = 0
+        for max_depth, budget in itertools.product([None, 3], [None, 1, 50]):
+            config = AttackConfig(
+                plan=plan,
+                budget=budget,
+                max_depth=max_depth,
+                descent_threshold=threshold,
+                frontier=frontier,
+            )
+            for hist in histories:
+                index = SuggestIndex(hist)
+                got = run_outcome(reconstruct, index, config)
+                assert got == run_outcome(reference_reconstruct, index, config)
+                request_log, _, _, exhausted, _ = got
+                descended += any(len(p) > 2 for p, _ in request_log)
+                cut_short += not exhausted
+        assert descended and cut_short
+
+    @pytest.mark.parametrize("frontier", ["priority", "level"])
+    @pytest.mark.parametrize("fail_at", [0, 1, 7, 40])
+    def test_same_partial_result_on_abort(self, histories, plan, frontier, fail_at):
+        config = AttackConfig(plan=plan, descent_threshold=2, frontier=frontier)
+        for hist in histories:
+            outcomes = []
+            for fn in (reconstruct, reference_reconstruct):
+                index, calls = SuggestIndex(hist), []
+
+                def aborting(prefix):
+                    if len(calls) == fail_at:
+                        raise RuntimeError(f"refused {prefix!r}")
+                    calls.append(prefix)
+                    return index(prefix)
+
+                outcomes.append(run_outcome(fn, aborting, config))
+            assert outcomes[0] == outcomes[1]
+            assert len(outcomes[0][0]) == fail_at
+            assert outcomes[0][4].startswith("refused ")
 
 
 class TestProperties:

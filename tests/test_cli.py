@@ -1,7 +1,10 @@
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from historiographer.cli import main
 from historiographer.history import SearchHistory, save_histories
@@ -211,6 +214,98 @@ class TestAudit:
 
     def test_missing_trace_exit_2(self, tmp_path):
         assert run(["audit", tmp_path / "no.jsonl", "-o", tmp_path / "a.json"]) == 2
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"client_ip": None}, "client_ip: missing"),
+            ({"time": "x"}, "time: expected an integer, got str"),
+            ({"headers": []}, "headers: expected an object, got list"),
+            ({"body_flags": 5}, "body_flags: expected a list of strings"),
+            ({"client_ip": ["10.0.0.1"]}, "client_ip: expected a string, got list"),
+            ({"headers": {"Cookie": [5]}}, "headers.Cookie: expected a string or a list of strings"),
+            ({"time": 1e400}, "time: expected an integer, got float"),
+            ("[1,2]", "record: expected an object"),
+        ],
+    )
+    def test_malformed_record_exit_2(self, tmp_path, capsys, change, message):
+        good = {"time": 1, "scheme": "http", "client_ip": "10.0.0.1",
+                "host": "www.google.com", "path": "/search"}
+        if isinstance(change, str):
+            bad = change
+        else:
+            record = {k: v for k, v in {**good, **change}.items() if v is not None}
+            bad = json.dumps(record)
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text(json.dumps(good) + "\n" + bad + "\n")
+        assert run(["audit", trace, "-o", tmp_path / "a.json"]) == 2
+        assert capsys.readouterr().err == f"error: {trace}:2: {message}\n"
+
+
+def audit_exit_code(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        trace = Path(tmp) / "trace.jsonl"
+        trace.write_text(text, encoding="utf-8")
+        return main(["audit", str(trace), "-o", str(Path(tmp) / "audit.json")])
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+COOKIE_TEXT = st.one_of(
+    st.text(max_size=12),
+    st.builds("SID={}; NID={}".format, st.text("ab", min_size=1, max_size=2), st.text("ab", max_size=2)),
+)
+GOOD_FIELDS = {
+    "time": st.one_of(st.integers(), st.text("0123456789", min_size=1, max_size=5)),
+    "scheme": st.sampled_from(["http", "https", "HTTP", "ftp"]),
+    "client_ip": st.sampled_from(["10.0.0.1", "10.0.0.2"]),
+    "host": st.sampled_from(["www.google.com", "mail.google.com"]),
+    "path": st.sampled_from(["/", "/search"]),
+    "headers": st.fixed_dictionaries(
+        {"Cookie": st.one_of(COOKIE_TEXT, st.lists(COOKIE_TEXT, max_size=2))},
+        optional={"cookie": COOKIE_TEXT, "Set-Cookie": COOKIE_TEXT, "User-Agent": st.text(max_size=5)},
+    ),
+    "body_flags": st.lists(st.sampled_from(["has_history_link", "other"]), max_size=2),
+}
+# the fields to break, and the value inside headers that the audit parses
+BREAKABLE = sorted(GOOD_FIELDS) + ["headers.Cookie"]
+
+
+@st.composite
+def trace_records(draw):
+    """A good record, or one with a field left out or given any JSON value."""
+    record = draw(st.fixed_dictionaries(GOOD_FIELDS))
+    key = draw(st.one_of(st.none(), st.sampled_from(BREAKABLE)))
+    if key == "headers.Cookie":
+        record["headers"]["Cookie"] = draw(st.one_of(JSON_VALUES, st.lists(JSON_VALUES, min_size=1, max_size=2)))
+    elif key is not None and draw(st.booleans()):
+        del record[key]
+    elif key is not None:
+        record[key] = draw(JSON_VALUES)
+    return record
+
+
+class TestAuditExitCodes:
+    """Whatever a trace holds, audit succeeds or reports an input error
+    (exit 2); it never exits 3."""
+
+    @given(st.text(st.characters(blacklist_categories=("Cs",))))
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_any_text(self, text):
+        assert audit_exit_code(text) in (0, 2)
+
+    @given(st.lists(trace_records(), min_size=1, max_size=2))
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_records_of_right_and_wrong_types(self, records):
+        assert audit_exit_code("".join(json.dumps(r) + "\n" for r in records)) in (0, 2)
+
+    def test_good_records_pass(self):
+        record = {"time": "7", "scheme": "HTTP", "client_ip": "10.0.0.1", "host": "h",
+                  "path": "/", "headers": {"Cookie": ["SID=a", "NID=b"]}, "body_flags": []}
+        assert audit_exit_code(json.dumps(record) + "\n") == 0
 
 
 class TestGen:

@@ -207,6 +207,7 @@ def per_budget_curve(histories, config, budgets):
                 "budget": budget,
                 "mean_recall": report.mean_recall,
                 "mean_requests": report.mean_requests,
+                "users": report.users,
             }
         )
     return points
@@ -274,7 +275,9 @@ class TestRecallCurve:
         assert users[1] == len(histories)
         assert 0 < users[2] < len(histories)
         assert users[4] == 0
-        assert points[4] == {"budget": high + 1, "mean_recall": 0.0, "mean_requests": 0.0}
+        assert [p["users"] for p in points] == users
+        assert points[4] == {"budget": high + 1, "mean_recall": 0.0, "mean_requests": 0.0, "users": 0}
+        assert points[5]["users"] == 0
 
     def test_every_user_failing_drops_them_at_every_budget(self, wordlist):
         histories = gen_synthetic(3, 5, 0.5, wordlist, seed=12)

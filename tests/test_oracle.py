@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from historiographer.history import SearchHistory, normalize
+from historiographer.history import DEFAULT_ALPHABET, SearchHistory, normalize
 from historiographer.oracle import (
     CustomizationMarker,
     InvalidSessionError,
@@ -235,10 +235,72 @@ class TestSuggestIndex:
         assert sorted(index("a" + top).history_texts()) == sorted(expected)
         assert index(top + top).history_texts() == []
 
+    def test_run_ends(self):
+        top = chr(0x10FFFF)
+        hist = SearchHistory(user_id="u", alphabet="abcxyz " + top)
+        for query in ["ab", "abc", "abx", "b" + top, "b" + top + "a", "bz", "xy", "xyz"]:
+            hist.insert_search(query, 1, "http://example.com")
+        index = SuggestIndex(hist)
+
+        def served(prefix):
+            return sorted(index(prefix).history_texts())
+
+        # in sorted order: ab, abc, abx, bz, b<top>, b<top>a, xy, xyz
+        assert served("xz") == []  # past the last query
+        assert served("ac") == []  # between two queries
+        assert served("abc") == ["abc"]  # a whole query, run of one
+        assert served("xyz") == ["xyz"]  # the last query
+        assert served("xy") == ["xy", "xyz"]  # a run to the end
+        assert served("ab") == ["ab", "abc", "abx"]
+        assert served("b" + top) == ["b" + top, "b" + top + "a"]
+        assert served("b" + top + top) == []
+
     def test_fresh_response_each_call(self):
         index = SuggestIndex(make_history([("cobalt", 1, 1, True)]))
         index("co").suggestions.append(Suggestion("x", Origin.GENERIC))
         assert index("co").history_texts() == ["cobalt"]
+
+
+def old_prefix_check(prefix, alphabet):
+    """The check every request made before checked prefixes were
+    remembered: the error type it raises, or None."""
+    if len(prefix) < 2:
+        return PrefixTooShortError
+    if normalize(prefix, alphabet) != prefix.rstrip(" ") or prefix.endswith("  "):
+        return UnnormalizedPrefixError
+    return None
+
+
+# "zq" and "a1" pass under the first alphabet only; "ab c" under both.
+ALPHABETS = (DEFAULT_ALPHABET, "abcxy ")
+
+
+class TestPrefixCheck:
+    @staticmethod
+    def check(index, prefix):
+        try:
+            index(prefix)
+        except Exception as exc:
+            return type(exc)
+        return None
+
+    @given(st.lists(st.one_of(st.text(max_size=6), st.text("abzq1 C", max_size=5)), max_size=10))
+    @settings(max_examples=200, deadline=None)
+    def test_accepts_what_normalize_accepts(self, texts):
+        indexes = [SuggestIndex(SearchHistory("u", alphabet=a)) for a in ALPHABETS]
+        for _ in range(2):
+            for prefix in texts:
+                for alphabet, index in zip(ALPHABETS, indexes):
+                    assert self.check(index, prefix) == old_prefix_check(prefix, alphabet)
+
+    @pytest.mark.parametrize("order", [ALPHABETS, ALPHABETS[::-1]])
+    def test_checked_prefixes_kept_per_alphabet(self, order):
+        prefixes = ["zq", "a1", "ab c", "Ab", "a", "ab  "]
+        for _ in range(2):
+            for alphabet in order:
+                index = SuggestIndex(SearchHistory("u", alphabet=alphabet))
+                got = [self.check(index, p) for p in prefixes]
+                assert got == [old_prefix_check(p, alphabet) for p in prefixes]
 
 
 class TestTargetedCheck:
