@@ -11,6 +11,7 @@ from pathlib import Path
 from . import __version__
 from .attack import AttackConfig, AttackError, reconstruct, score, write_reports_csv
 from .cookies import (
+    CookieError,
     audit_trace,
     bundled_catalog,
     count_users,
@@ -18,10 +19,10 @@ from .cookies import (
     load_trace,
     write_audit_csv,
 )
-from .harness import gen_synthetic, ingest_query_log_counted, run_batch
+from .harness import HarnessError, gen_synthetic, ingest_query_log_counted, run_batch
 from .history import HistoryError, load_histories, save_histories
 from .oracle import SuggestIndex
-from .planner import PrefixPlan, build_plan, bundled_wordlist, load_corpus
+from .planner import PlannerError, PrefixPlan, build_plan, bundled_wordlist, load_corpus
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -43,13 +44,17 @@ def _write_manifest(output: Path, subcommand: str, config: dict) -> None:
     manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
+def _input_file(path: str, what: str) -> Path:
+    """The path of an input file that must exist."""
+    if not Path(path).is_file():
+        raise InputError(f"{what} not found: {path}")
+    return Path(path)
+
+
 def _load_corpus_arg(corpus: str):
     if corpus == "bundled":
         return bundled_wordlist()
-    path = Path(corpus)
-    if not path.is_file():
-        raise InputError(f"corpus file not found: {corpus}")
-    return load_corpus(path)
+    return load_corpus(_input_file(corpus, "corpus file"))
 
 
 def cmd_plan(args) -> int:
@@ -84,10 +89,7 @@ def cmd_plan(args) -> int:
 
 
 def _load_single_history(path: str, user: str | None):
-    p = Path(path)
-    if not p.is_file():
-        raise InputError(f"history file not found: {path}")
-    histories = load_histories(p)
+    histories = load_histories(_input_file(path, "history file"))
     if not histories:
         raise InputError(f"no histories in {path}")
     if user is not None:
@@ -99,10 +101,7 @@ def _load_single_history(path: str, user: str | None):
 
 def cmd_reconstruct(args) -> int:
     hist = _load_single_history(args.history_file, args.user)
-    plan_path = Path(args.plan_file)
-    if not plan_path.is_file():
-        raise InputError(f"plan file not found: {args.plan_file}")
-    plan = PrefixPlan.load(plan_path)
+    plan = PrefixPlan.load(_input_file(args.plan_file, "plan file"))
     config = AttackConfig(
         plan=plan,
         budget=args.budget,
@@ -131,12 +130,10 @@ def cmd_reconstruct(args) -> int:
 
 
 def _load_dataset(path: str):
-    p = Path(path)
-    if not p.is_file():
-        raise InputError(f"dataset not found: {path}")
-    with open(p, "r", encoding="utf-8") as fh:
+    p = _input_file(path, "dataset")
+    with open(p, "rb") as fh:
         first = fh.readline()
-    if first.startswith("AnonID\t"):
+    if first.startswith(b"AnonID\t"):
         histories, _ = ingest_query_log_counted(p)
         return histories
     return load_histories(p)
@@ -145,10 +142,7 @@ def _load_dataset(path: str):
 def cmd_eval(args) -> int:
     histories = _load_dataset(args.dataset)
     if args.plan_file is not None:
-        plan_path = Path(args.plan_file)
-        if not plan_path.is_file():
-            raise InputError(f"plan file not found: {args.plan_file}")
-        plan = PrefixPlan.load(plan_path)
+        plan = PrefixPlan.load(_input_file(args.plan_file, "plan file"))
     else:
         plan = build_plan(bundled_wordlist(), mass_fraction=0.9)
     config = AttackConfig(plan=plan, budget=args.budget)
@@ -173,15 +167,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    trace_path = Path(args.trace_file)
-    if not trace_path.is_file():
-        raise InputError(f"trace file not found: {args.trace_file}")
-    trace = load_trace(trace_path)
+    trace = load_trace(_input_file(args.trace_file, "trace file"))
     if args.catalog_file is not None:
-        catalog_path = Path(args.catalog_file)
-        if not catalog_path.is_file():
-            raise InputError(f"catalog file not found: {args.catalog_file}")
-        catalog = load_catalog(catalog_path)
+        catalog = load_catalog(_input_file(args.catalog_file, "catalog file"))
     else:
         catalog = bundled_catalog()
     counts = count_users(trace)
@@ -192,25 +180,9 @@ def cmd_audit(args) -> int:
         replay_ip=args.replay_ip,
     )
     out = Path(args.output)
-    out.write_text(
-        json.dumps(
-            {
-                "user_counts": counts,
-                "accounts": [
-                    {
-                        "sid": r.sid,
-                        "services_accessible": r.services_accessible,
-                        "cookies_seen": r.cookies_seen,
-                        "signed_in": r.signed_in,
-                        "history_enabled": r.history_enabled,
-                    }
-                    for r in reports
-                ],
-            },
-            sort_keys=True,
-        )
-        + "\n"
-    )
+    # an account is every field of its HijackReport
+    audit = {"user_counts": counts, "accounts": [vars(r) for r in reports]}
+    out.write_text(json.dumps(audit, sort_keys=True) + "\n")
     stem = out.with_suffix("")
     write_audit_csv(reports, catalog, Path(f"{stem}.services.csv"))
     _write_manifest(
@@ -327,21 +299,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    from .cookies import TraceError
-    from .harness import HarnessError
-    from .planner import PlannerError
-
     try:
         return args.func(args)
     except (
         InputError,
         FileNotFoundError,
-        TraceError,
+        CookieError,
         HarnessError,
         HistoryError,
         PlannerError,
         AttackError,
-        json.JSONDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

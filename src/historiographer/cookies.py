@@ -4,11 +4,12 @@ ingestion, user counting and the session-hijack exposure audit."""
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 from email.utils import parsedate_to_datetime
 from importlib import resources
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set, get_type_hints
+
+from .history import field_problem, json_lines, read_json
 
 HISTORY_LINK_FLAG = "has_history_link"
 
@@ -22,6 +23,10 @@ class MalformedHeaderError(CookieError):
 
 
 class TraceError(CookieError):
+    pass
+
+
+class CatalogError(CookieError):
     pass
 
 
@@ -100,22 +105,10 @@ class TrafficRecord:
     client_ip: str
     host: str
     path: str
-    headers: Dict[str, List[str]] = field(default_factory=dict)
+    # crumbs of the request's Cookie headers, name -> value; load_trace
+    # leaves them out of HTTPS records, which an eavesdropper cannot read
+    cookies: Dict[str, str] = field(default_factory=dict)
     body_flags: Set[str] = field(default_factory=set)
-
-    def header_values(self, name: str) -> List[str]:
-        wanted = name.lower()
-        out: List[str] = []
-        for key, values in self.headers.items():
-            if key.lower() == wanted:
-                out.extend(values)
-        return out
-
-    def cookies(self) -> Dict[str, str]:
-        crumbs: Dict[str, str] = {}
-        for value in self.header_values("Cookie"):
-            crumbs.update(parse_cookie_header(value))
-        return crumbs
 
 
 def cookie_applies(cookie: Cookie, record: TrafficRecord) -> bool:
@@ -161,54 +154,43 @@ def _bad_trace_field(record) -> str:
 
 
 def load_trace(path) -> List[TrafficRecord]:
-    """Read a JSON-lines trace. Cookie headers on HTTPS records are redacted:
-    an eavesdropper never sees them.
+    """Read a JSON-lines trace, parsing each record's Cookie headers once; an
+    HTTPS record keeps no cookies, because an eavesdropper never sees them.
 
-    A line that is not JSON, or a record with a missing or ill-typed field,
-    raises TraceError naming the file, the line and the field.
+    A bad line (not UTF-8, not JSON) or a record with a missing or ill-typed
+    field raises TraceError naming the file, the line and the field.
     """
     records: List[TrafficRecord] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                d = json.loads(line)
-            except (ValueError, RecursionError) as exc:
-                # ValueError also covers an integer too long to convert
-                raise TraceError(f"{path}:{lineno}: bad JSON: {exc}") from exc
-            try:
-                headers = {}
-                for name, values in d.get("headers", {}).items():
-                    if type(values) is str:
-                        headers[name] = [values]
-                    elif type(values) is list and all(type(v) is str for v in values):
-                        headers[name] = list(values)
-                    else:
-                        raise TypeError
-                client_ip, host, req_path = d["client_ip"], d["host"], d["path"]
-                if type(client_ip) is not str or type(host) is not str or type(req_path) is not str:
+    for lineno, d in json_lines(path, TraceError):
+        try:
+            scheme = d["scheme"].lower()
+            crumbs: Dict[str, str] = {}
+            # every header is type-checked; Cookie crumbs merge in order, later ones win
+            for name, values in d.get("headers", {}).items():
+                if type(values) is str:
+                    values = (values,)
+                elif type(values) is not list or any(type(v) is not str for v in values):
                     raise TypeError
-                record = TrafficRecord(
+                if scheme != "https" and name.lower() == "cookie":
+                    for value in values:
+                        crumbs.update(parse_cookie_header(value))
+            client_ip, host, req_path = d["client_ip"], d["host"], d["path"]
+            if type(client_ip) is not str or type(host) is not str or type(req_path) is not str:
+                raise TypeError
+            records.append(
+                TrafficRecord(
                     time=int(d["time"]),
-                    scheme=d["scheme"].lower(),
+                    scheme=scheme,
                     client_ip=client_ip,
                     host=host,
                     path=req_path,
-                    headers=headers,
+                    cookies=crumbs,
                     body_flags=set(d.get("body_flags", [])),
                 )
-            except (AttributeError, KeyError, TypeError, ValueError, OverflowError):
-                # which field, worked out only on this rare path
-                raise TraceError(f"{path}:{lineno}: {_bad_trace_field(d)}") from None
-            if record.scheme == "https":
-                record.headers = {
-                    name: values
-                    for name, values in record.headers.items()
-                    if name.lower() not in ("cookie", "set-cookie")
-                }
-            records.append(record)
+            )
+        except (AttributeError, KeyError, TypeError, ValueError, OverflowError):
+            # which field, worked out only on this rare path
+            raise TraceError(f"{path}:{lineno}: {_bad_trace_field(d)}") from None
     return records
 
 
@@ -221,14 +203,13 @@ def count_users(trace: Sequence[TrafficRecord]) -> Dict[str, int]:
     clients_with_sid: Set[str] = set()
     history_sids: Set[str] = set()
     for record in trace:
-        crumbs = record.cookies()
-        sid = crumbs.get("SID")
+        sid = record.cookies.get("SID")
         if sid:
             sids.add(sid)
             clients_with_sid.add(record.client_ip)
             if HISTORY_LINK_FLAG in record.body_flags:
                 history_sids.add(sid)
-        nid = crumbs.get("NID")
+        nid = record.cookies.get("NID")
         if nid:
             nid_clients.setdefault(nid, set()).add(record.client_ip)
     anonymous = sum(
@@ -250,26 +231,34 @@ class ServiceCatalogEntry:
     host_pattern: str
     path_pattern: str
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ServiceCatalogEntry":
-        return cls(
-            service=d["service"],
-            default_scheme=d["default_scheme"].lower(),
-            https_support=d["https_support"].lower(),
-            uses_domain_cookie=bool(d["uses_domain_cookie"]),
-            host_pattern=d["host_pattern"],
-            path_pattern=d["path_pattern"],
-        )
+    def __post_init__(self) -> None:
+        self.default_scheme = self.default_scheme.lower()
+        self.https_support = self.https_support.lower()
+
+
+# every field of an entry is required, with the JSON type it is declared with
+_CATALOG_FIELDS = get_type_hints(ServiceCatalogEntry)
 
 
 def load_catalog(path) -> List[ServiceCatalogEntry]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return [ServiceCatalogEntry.from_dict(d) for d in json.load(fh)]
+    """Read the service catalog, a JSON array of entries. A file that is not
+    such an array, or an entry with a missing or ill-typed field, raises
+    CatalogError naming the file, the entry and the field."""
+    entries = read_json(path, CatalogError)
+    if type(entries) is not list:
+        raise CatalogError(f"{path}: expected a JSON array, got {type(entries).__name__}")
+    for i, d in enumerate(entries):
+        problem = field_problem(d, _CATALOG_FIELDS, where=f"[{i}].")
+        if problem:
+            raise CatalogError(f"{path}: {problem}")
+    return [ServiceCatalogEntry(**{key: d[key] for key in _CATALOG_FIELDS}) for d in entries]
 
 
 def bundled_catalog() -> List[ServiceCatalogEntry]:
-    text = resources.files("historiographer.data").joinpath("services.json").read_text()
-    return [ServiceCatalogEntry.from_dict(d) for d in json.loads(text)]
+    """The service catalog shipped with the package."""
+    ref = resources.files("historiographer.data").joinpath("services.json")
+    with resources.as_file(ref) as path:
+        return load_catalog(path)
 
 
 @dataclass
@@ -333,18 +322,17 @@ def audit_services(
 def harvest_accounts(trace: Sequence[TrafficRecord]) -> Dict[str, List[Cookie]]:
     """Group cookies observable in cleartext by the SID they travel with.
 
-    Only HTTP records contribute (HTTPS cookies are redacted at load time).
+    Only HTTP records contribute (HTTPS records carry no cookies).
     """
     accounts: Dict[str, Dict[str, Cookie]] = {}
     for record in trace:
         if record.scheme != "http":
             continue
-        crumbs = record.cookies()
-        sid = crumbs.get("SID")
+        sid = record.cookies.get("SID")
         if not sid:
             continue
         jar = accounts.setdefault(sid, {})
-        for name, value in crumbs.items():
+        for name, value in record.cookies.items():
             jar.setdefault(
                 name, Cookie(name=name, value=value, domain="google.com")
             )
@@ -358,30 +346,27 @@ def audit_trace(
     replay_ip: str = "",
 ) -> List[HijackReport]:
     """One HijackReport per pseudo-account (distinct SID) seen in the trace."""
-    history_sids = {
-        record.cookies().get("SID")
-        for record in trace
-        if HISTORY_LINK_FLAG in record.body_flags and record.cookies().get("SID")
-    }
-    capture_ips: Dict[str, str] = {}
+    history_sids: Set[str] = set()
+    capture_ips: Dict[str, str] = {}  # an SID's first client
     for record in trace:
-        sid = record.cookies().get("SID")
-        if sid and sid not in capture_ips:
-            capture_ips[sid] = record.client_ip
-    reports = []
-    for sid, cookies in sorted(harvest_accounts(trace).items()):
-        reports.append(
-            audit_services(
-                cookies,
-                catalog,
-                enforce_ip_binding=enforce_ip_binding,
-                capture_ip=capture_ips.get(sid, ""),
-                replay_ip=replay_ip or capture_ips.get(sid, ""),
-                sid=sid,
-                history_enabled=sid in history_sids,
-            )
+        sid = record.cookies.get("SID")
+        if sid:
+            capture_ips.setdefault(sid, record.client_ip)
+            if HISTORY_LINK_FLAG in record.body_flags:
+                history_sids.add(sid)
+    # every harvested SID has a capture address: it came from a record
+    return [
+        audit_services(
+            cookies,
+            catalog,
+            enforce_ip_binding=enforce_ip_binding,
+            capture_ip=capture_ips[sid],
+            replay_ip=replay_ip or capture_ips[sid],
+            sid=sid,
+            history_enabled=sid in history_sids,
         )
-    return reports
+        for sid, cookies in sorted(harvest_accounts(trace).items())
+    ]
 
 
 def write_audit_csv(reports: Sequence[HijackReport], catalog: Sequence[ServiceCatalogEntry], path) -> None:

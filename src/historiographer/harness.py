@@ -90,11 +90,6 @@ def ingest_query_log_counted(path) -> Tuple[Dict[str, SearchHistory], int]:
     return histories, skipped
 
 
-def ingest_query_log(path) -> Dict[str, SearchHistory]:
-    histories, _ = ingest_query_log_counted(path)
-    return histories
-
-
 def gen_synthetic(
     n_users: int,
     entries_per_user: Union[int, Tuple[int, int]],

@@ -6,7 +6,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 DEFAULT_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789 "
 
@@ -25,26 +25,30 @@ class EmptyQueryError(HistoryError):
     """Raised when a query normalizes to the empty string."""
 
 
-_KIND_NAMES = {str: "a string", bool: "a boolean", int: "an integer", list: "a list"}
+_KIND_NAMES = {
+    str: "a string", bool: "a boolean", int: "an integer", list: "a list", dict: "an object",
+    (int, float): "a number",
+}
 _ENTRY_FIELDS = {"query": str, "clicked": bool, "first_time": int, "last_time": int, "count": int}
 _ENTRY_OPTIONAL = {"clicked_urls": list}
 _entry_values = itemgetter(*_ENTRY_FIELDS)
 _HISTORY_FIELDS = {"user_id": str, "history_enabled": bool}
 
 
-def _bad_field(record, required: dict, optional: dict, where: str = "") -> Optional[HistoryError]:
-    """The error for record's first field that is missing, though required,
-    or not exactly of its type (so a boolean is not an integer); None when
-    every field is good."""
+def field_problem(
+    record, required: dict, optional: Optional[dict] = None, where: str = ""
+) -> Optional[str]:
+    """What is wrong with a JSON record, as "where.field: ...": its first field
+    that is missing, though required, or not exactly of its kind (a boolean is
+    not an integer; a kind is a type or a tuple of types); None if all is good."""
     if not isinstance(record, dict):
-        return HistoryError(f"{where.rstrip('.') or 'record'}: expected an object")
-    for key, kind in {**required, **optional}.items():
+        return f"{where.rstrip('.') or 'record'}: expected an object"
+    for key, kind in {**required, **(optional or {})}.items():
         if key not in record:
             if key in required:
-                return HistoryError(f"{where}{key}: missing")
-        elif type(record[key]) is not kind:
-            value = record[key]
-            return HistoryError(f"{where}{key}: expected {_KIND_NAMES[kind]}, got {type(value).__name__}")
+                return f"{where}{key}: missing"
+        elif type(record[key]) not in (kind if type(kind) is tuple else (kind,)):
+            return f"{where}{key}: expected {_KIND_NAMES[kind]}, got {type(record[key]).__name__}"
     return None
 
 
@@ -89,7 +93,7 @@ class HistoryEntry:
             query, clicked, first_time, last_time, count = _entry_values(d)
             urls = d.get("clicked_urls", [])
         except (AttributeError, KeyError, TypeError):
-            raise _bad_field(d, _ENTRY_FIELDS, _ENTRY_OPTIONAL) from None
+            raise HistoryError(field_problem(d, _ENTRY_FIELDS, _ENTRY_OPTIONAL)) from None
         # exact types, as _ENTRY_FIELDS names them: a boolean is not a count
         if (
             type(query) is not str
@@ -99,7 +103,7 @@ class HistoryEntry:
             or type(count) is not int
             or type(urls) is not list
         ):
-            raise _bad_field(d, _ENTRY_FIELDS, _ENTRY_OPTIONAL)
+            raise HistoryError(field_problem(d, _ENTRY_FIELDS, _ENTRY_OPTIONAL))
         return cls(query, clicked, first_time, last_time, count, list(urls))
 
 
@@ -163,16 +167,17 @@ class SearchHistory:
     def from_dict(cls, d: dict) -> "SearchHistory":
         """The history that to_dict wrote. A missing or ill-typed field
         raises HistoryError naming it."""
-        error = _bad_field(d, _HISTORY_FIELDS, {"entries": list})
-        if error is not None:
-            raise error
+        problem = field_problem(d, _HISTORY_FIELDS, {"entries": list})
+        if problem:
+            raise HistoryError(problem)
         hist = cls(d["user_id"], d["history_enabled"])
         for i, ed in enumerate(d.get("entries", [])):
             try:
                 entry = HistoryEntry.from_dict(ed)
             except HistoryError:
                 # named again with its place, only on this rare path
-                raise _bad_field(ed, _ENTRY_FIELDS, _ENTRY_OPTIONAL, f"entries[{i}].") from None
+                problem = field_problem(ed, _ENTRY_FIELDS, _ENTRY_OPTIONAL, f"entries[{i}].")
+                raise HistoryError(problem) from None
             hist.entries[entry.query] = entry
         return hist
 
@@ -184,23 +189,51 @@ def save_histories(histories: Iterable[SearchHistory], path) -> None:
             fh.write(json.dumps(hist.to_dict(), sort_keys=True) + "\n")
 
 
-def load_histories(path) -> Dict[str, SearchHistory]:
-    """Read one SearchHistory per non-blank JSON line, keyed by user id.
+def read_json(path, error: type):
+    """The JSON value in a UTF-8 file. Bytes that are not UTF-8, or JSON
+    that the decoder refuses, raise error naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8: {exc}") from None
+    except (ValueError, RecursionError) as exc:
+        # ValueError also covers an integer too long to convert
+        raise error(f"{path}: invalid JSON: {exc}") from None
 
-    A line that is not JSON, or a record with a missing or ill-typed field,
-    raises HistoryError naming the file, the line and the field.
-    """
-    out: Dict[str, SearchHistory] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
+
+def json_lines(path, error: type) -> Iterator[Tuple[int, object]]:
+    """(line number, value) for each non-blank line of a JSON-lines file.
+    Each line is decoded on its own, so a line that is not UTF-8, or JSON
+    that the decoder refuses, raises error naming the file and that line."""
+    # a larger buffer reads long lines (a whole history each) faster
+    with open(path, "rb", buffering=1 << 16) as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise error(f"{path}:{lineno}: not UTF-8: {exc}") from None
             if not line:
                 continue
             try:
-                hist = SearchHistory.from_dict(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise HistoryError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
-            except HistoryError as exc:
-                raise HistoryError(f"{path}:{lineno}: {exc}") from exc
-            out[hist.user_id] = hist
+                value = json.loads(line)
+            except (ValueError, RecursionError) as exc:
+                # ValueError also covers an integer too long to convert
+                raise error(f"{path}:{lineno}: invalid JSON: {exc}") from None
+            yield lineno, value
+
+
+def load_histories(path) -> Dict[str, SearchHistory]:
+    """Read one SearchHistory per non-blank JSON line, keyed by user id.
+
+    A bad line (not UTF-8, not JSON) or a record with a missing or ill-typed
+    field raises HistoryError naming the file, the line and the field.
+    """
+    out: Dict[str, SearchHistory] = {}
+    for lineno, d in json_lines(path, HistoryError):
+        try:
+            hist = SearchHistory.from_dict(d)
+        except HistoryError as exc:
+            raise HistoryError(f"{path}:{lineno}: {exc}") from exc
+        out[hist.user_id] = hist
     return out

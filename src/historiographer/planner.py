@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Dict, List, Optional, Sequence
 
-from .history import normalize
+from .history import field_problem, normalize, read_json
 
 PLANNER_ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
@@ -95,6 +95,13 @@ def select_rank(stats: PrefixStats, mass_fraction: float) -> List[str]:
     idx = min(len(values) - 1, int(mass_fraction * len(values)))
     threshold = values[idx]
     return [p for p in stats.ordered() if stats.counts[p] >= threshold]
+
+
+# the top-level fields of a saved plan and their JSON types
+_PLAN_FIELDS = {
+    "seeds": list, "mass_fraction": (int, float), "alphabet": str, "unigram_order": str,
+    "stats": dict,
+}
 
 
 @dataclass
@@ -190,8 +197,16 @@ class PrefixPlan:
 
     @classmethod
     def load(cls, path) -> "PrefixPlan":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        """The plan that save wrote. A file that is not a JSON object, or a
+        top-level field that is missing or of the wrong JSON type, raises
+        PlannerError naming the file and the field."""
+        d = read_json(path, PlannerError)
+        if type(d) is not dict:
+            raise PlannerError(f"{path}: expected a JSON object, got {type(d).__name__}")
+        problem = field_problem(d, _PLAN_FIELDS)
+        if problem:
+            raise PlannerError(f"{path}: {problem}")
+        return cls.from_dict(d)
 
 
 def build_plan(

@@ -1,5 +1,6 @@
 import json
 import tempfile
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -171,6 +172,36 @@ class TestEval:
         assert rc == 2
         assert capsys.readouterr().err == f"error: {dataset}:1: history_enabled: missing\n"
 
+    @pytest.mark.parametrize(
+        "line",
+        ['{"user_id": "u", "count": ' + "9" * 5000 + "}", "[" * 100_000 + "]" * 100_000],
+        ids=["over-long-integer", "deep-nesting"],
+    )
+    def test_json_the_decoder_refuses_exit_2(self, tmp_path, capsys, line):
+        dataset = tmp_path / "d.jsonl"
+        dataset.write_text(json.dumps({"user_id": "u", "history_enabled": True}) + "\n" + line + "\n")
+        assert run(["eval", dataset, "-o", tmp_path / "r.json"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {dataset}:2: invalid JSON: ")
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"stats": None}, "stats: missing"),
+            ({"seeds": "ab"}, "seeds: expected a list, got str"),
+            ({"mass_fraction": True}, "mass_fraction: expected a number, got bool"),
+            ([], "expected a JSON object, got list"),
+        ],
+    )
+    def test_malformed_plan_exit_2(self, tmp_path, capsys, plan_file, change, message):
+        if isinstance(change, dict):
+            plan = {**json.loads(plan_file.read_text()), **change}
+            plan_file.write_text(json.dumps({k: v for k, v in plan.items() if v is not None}))
+        else:
+            plan_file.write_text(json.dumps(change))
+        fixture = resources.files("historiographer.data").joinpath("volunteers.jsonl")
+        assert run(["eval", str(fixture), plan_file, "-o", tmp_path / "r.json"]) == 2
+        assert capsys.readouterr().err == f"error: {plan_file}: {message}\n"
+
 
 class TestAudit:
     def _write_trace(self, tmp_path, rows):
@@ -240,6 +271,52 @@ class TestAudit:
         trace.write_text(json.dumps(good) + "\n" + bad + "\n")
         assert run(["audit", trace, "-o", tmp_path / "a.json"]) == 2
         assert capsys.readouterr().err == f"error: {trace}:2: {message}\n"
+
+    @pytest.mark.parametrize(
+        "index, change, message",
+        [
+            (2, {"default_scheme": None}, "[2].default_scheme: missing"),
+            (0, {"default_scheme": 5}, "[0].default_scheme: expected a string, got int"),
+            (1, {"uses_domain_cookie": 0}, "[1].uses_domain_cookie: expected a boolean, got int"),
+        ],
+    )
+    def test_malformed_catalog_exit_2(self, tmp_path, capsys, index, change, message):
+        trace = self._write_trace(tmp_path, [
+            {"time": 1, "scheme": "http", "client_ip": "10.0.0.1",
+             "host": "www.google.com", "path": "/search", "headers": {"Cookie": "SID=s1"}},
+        ])
+        text = resources.files("historiographer.data").joinpath("services.json").read_text()
+        catalog = json.loads(text)
+        entry = {**catalog[index], **change}
+        catalog[index] = {k: v for k, v in entry.items() if v is not None}
+        catalog_file = tmp_path / "services.json"
+        catalog_file.write_text(json.dumps(catalog))
+        assert run(["audit", trace, catalog_file, "-o", tmp_path / "a.json"]) == 2
+        assert capsys.readouterr().err == f"error: {catalog_file}: {message}\n"
+
+
+GOOD_LINES = {
+    "eval": json.dumps({"user_id": "u", "history_enabled": True}).encode(),
+    "audit": json.dumps({"time": 1, "scheme": "http", "client_ip": "10.0.0.1", "host": "h", "path": "/"}).encode(),
+}
+GOOD_LINES["reconstruct"] = GOOD_LINES["eval"]
+
+
+@pytest.mark.parametrize("command", ["eval", "reconstruct", "audit"])
+@pytest.mark.parametrize(
+    "lines, lineno",
+    [
+        ([b"\xff\xfe{}"], 1),  # a UTF-16 byte order mark
+        ([None, None, b'{"note": "caf\xe9"}'], 3),  # Latin-1
+    ],
+    ids=["first-line", "third-line"],
+)
+def test_not_utf8_exit_2_naming_the_line(tmp_path, capsys, plan_file, command, lines, lineno):
+    data = tmp_path / "data.jsonl"
+    data.write_bytes(b"".join((line or GOOD_LINES[command]) + b"\n" for line in lines))
+    args = [command, data, plan_file] if command == "reconstruct" else [command, data]
+    assert run([*args, "-o", tmp_path / "out.json"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {data}:{lineno}: not UTF-8: ")
 
 
 def audit_exit_code(text):

@@ -1,9 +1,15 @@
 import json
 import random
+import tempfile
+from importlib import resources
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from historiographer.cookies import (
+    CatalogError,
     Cookie,
     MalformedHeaderError,
     TrafficRecord,
@@ -13,6 +19,7 @@ from historiographer.cookies import (
     cookie_applies,
     count_users,
     harvest_accounts,
+    load_catalog,
     load_trace,
     parse_set_cookie,
     write_audit_csv,
@@ -137,8 +144,7 @@ class TestTrace:
         trace = load_trace(trace_file)
         for rec in trace:
             if rec.scheme == "https":
-                assert not rec.header_values("Cookie")
-                assert not rec.header_values("Set-Cookie")
+                assert rec.cookies == {}
 
     def test_count_users_hand_counted(self, trace_file):
         trace = load_trace(trace_file)
@@ -218,3 +224,158 @@ class TestAudit:
         rows = {line.split(",")[1]: line.split(",")[2] for line in lines[1:]}
         assert rows["Search"] == "3"
         assert rows["Gmail"] == "0"
+
+
+def test_bundled_catalog_is_the_catalog_file():
+    text = resources.files("historiographer.data").joinpath("services.json").read_text()
+    expected = [
+        {**d, "default_scheme": d["default_scheme"].lower(), "https_support": d["https_support"].lower()}
+        for d in json.loads(text)
+    ]
+    assert [vars(entry) for entry in bundled_catalog()] == expected
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("{}", "expected a JSON array, got dict"),
+        ("[3]", "[0]: expected an object"),
+        ("[", "invalid JSON"),
+        ('[{"service": "S"}]', "[0].default_scheme: missing"),
+    ],
+)
+def test_load_catalog_names_entry_and_field(tmp_path, text, message):
+    path = tmp_path / "services.json"
+    path.write_text(text)
+    with pytest.raises(CatalogError) as exc_info:
+        load_catalog(path)
+    assert str(exc_info.value).startswith(f"{path}: {message}")
+
+
+def test_other_scheme_counts_but_is_not_harvested(tmp_path):
+    """A scheme other than http/https keeps its cookies: they count as users
+    and give an SID its capture address, but are not harvested."""
+    path = tmp_path / "trace.jsonl"
+    rows = [
+        {"time": 1, "scheme": "ftp", "client_ip": "10.0.0.9", "host": "h", "path": "/",
+         "headers": {"Cookie": "SID=s1; NID=n1"}, "body_flags": ["has_history_link"]},
+        {"time": 2, "scheme": "HTTP", "client_ip": "10.0.0.1", "host": "h", "path": "/",
+         "headers": {"cookie": ["SID=s1", "PREF=p"]}},
+    ]
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    trace = load_trace(path)
+    assert [r.cookies for r in trace] == [{"SID": "s1", "NID": "n1"}, {"SID": "s1", "PREF": "p"}]
+    assert count_users(trace) == {"signed_in": 1, "anonymous": 0, "history_enabled": 1}
+    assert {c.name for c in harvest_accounts(trace)["s1"]} == {"SID", "PREF"}
+    (report,) = audit_trace(trace, bundled_catalog(), enforce_ip_binding=True, replay_ip="10.0.0.9")
+    assert report.history_enabled and "Search" in report.services_accessible
+
+
+# Reference rules for the audit, written against the raw JSON the way the
+# trace loader read it before it parsed cookies itself: HTTPS records lose
+# their cookie headers; every header whose name is "cookie" in any case is
+# split on ";" and "=", in header order, a later crumb winning.
+
+
+def reference_cookies(raw: dict) -> dict:
+    if raw["scheme"].lower() == "https":
+        return {}
+    crumbs = {}
+    for name, values in raw.get("headers", {}).items():
+        if name.lower() != "cookie":
+            continue
+        for value in [values] if isinstance(values, str) else values:
+            for crumb in value.split(";"):
+                crumb = crumb.strip()
+                if crumb and "=" in crumb:
+                    key, _, val = crumb.partition("=")
+                    crumbs[key.strip()] = val.strip()
+    return crumbs
+
+
+def reference_count_users(raws) -> dict:
+    sids, clients_with_sid, history_sids, nid_clients = set(), set(), set(), {}
+    for raw in raws:
+        crumbs = reference_cookies(raw)
+        if crumbs.get("SID"):
+            sids.add(crumbs["SID"])
+            clients_with_sid.add(raw["client_ip"])
+            if "has_history_link" in raw.get("body_flags", []):
+                history_sids.add(crumbs["SID"])
+        if crumbs.get("NID"):
+            nid_clients.setdefault(crumbs["NID"], set()).add(raw["client_ip"])
+    return {
+        "signed_in": len(sids),
+        "anonymous": sum(1 for clients in nid_clients.values() if not clients & clients_with_sid),
+        "history_enabled": len(history_sids),
+    }
+
+
+def reference_audit(raws, catalog, enforce_ip_binding, replay_ip):
+    history_sids, capture_ips, jars = set(), {}, {}
+    for raw in raws:
+        crumbs = reference_cookies(raw)
+        sid = crumbs.get("SID")
+        if not sid:
+            continue
+        if "has_history_link" in raw.get("body_flags", []):
+            history_sids.add(sid)
+        capture_ips.setdefault(sid, raw["client_ip"])
+        if raw["scheme"].lower() == "http":
+            jar = jars.setdefault(sid, {})
+            for name, value in crumbs.items():
+                jar.setdefault(name, Cookie(name=name, value=value, domain="google.com"))
+    return [
+        audit_services(
+            list(jars[sid].values()), catalog,
+            enforce_ip_binding=enforce_ip_binding,
+            capture_ip=capture_ips[sid],
+            replay_ip=replay_ip or capture_ips[sid],
+            sid=sid,
+            history_enabled=sid in history_sids,
+        )
+        for sid in sorted(jars)
+    ]
+
+
+# Few distinct names and values, so that records share SIDs and NIDs across
+# schemes and clients; a bare name is a crumb without "=".
+NAMES = st.sampled_from(["SID", "SID", " SID ", "sid", "NID", "HSID", ""])
+CRUMB = st.one_of(st.builds("{}={}".format, NAMES, st.sampled_from(["a", "b", " a ", "", "a=b"])), NAMES)
+COOKIE_VALUE = st.one_of(
+    st.lists(CRUMB, min_size=1, max_size=3).map("; ".join),
+    st.lists(CRUMB, min_size=1, max_size=3).map(";".join),
+    st.text("SIDN=; ab", max_size=12),
+)
+RAW_RECORDS = st.fixed_dictionaries(
+    {
+        "time": st.integers(0, 9),
+        "scheme": st.sampled_from(["http", "HTTP", "Http", "https", "HTTPS", "ftp", "ws", ""]),
+        "client_ip": st.sampled_from(["10.0.0.1", "10.0.0.2", "10.0.0.3"]),
+        "host": st.just("www.google.com"),
+        "path": st.just("/search"),
+        "headers": st.dictionaries(
+            st.sampled_from(["Cookie", "cookie", "COOKIE", "CooKie", "Set-Cookie", "User-Agent"]),
+            st.one_of(COOKIE_VALUE, st.lists(COOKIE_VALUE, max_size=3)),
+            max_size=3,
+        ),
+    },
+    optional={"body_flags": st.lists(st.sampled_from(["has_history_link", "other"]), max_size=2)},
+)
+
+
+@given(st.lists(RAW_RECORDS, max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_cookies_parsed_at_load_match_header_rules(raws):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.jsonl"
+        path.write_text("".join(json.dumps(raw) + "\n" for raw in raws), encoding="utf-8")
+        trace = load_trace(path)
+    assert [record.cookies for record in trace] == [reference_cookies(raw) for raw in raws]
+    assert count_users(trace) == reference_count_users(raws)
+    catalog = bundled_catalog()
+    # IP binding shows which address an account was captured from
+    for binding, replay_ip in [(False, ""), (True, ""), (True, "10.0.0.1"), (True, "10.0.0.2")]:
+        assert audit_trace(trace, catalog, binding, replay_ip) == reference_audit(
+            raws, catalog, binding, replay_ip
+        )

@@ -11,7 +11,6 @@ from historiographer.harness import (
     brute_force_recoverable,
     bundled_volunteers,
     gen_synthetic,
-    ingest_query_log,
     ingest_query_log_counted,
     recall_curve,
     run_batch,
@@ -36,20 +35,20 @@ class TestIngest:
             "1\tpets 10\t2006-03-01 10:05:00\t\t",
             "2\tmaps\t2006-03-02 09:00:00\t\t",
         ])
-        histories = ingest_query_log(path)
+        histories = ingest_query_log_counted(path)[0]
         assert set(histories) == {"1", "2"}
         assert histories["1"].n_c == 1
         assert histories["2"].n_c == 0
 
     def test_empty_after_header(self, tmp_path):
         path = write_log(tmp_path, [])
-        assert ingest_query_log(path) == {}
+        assert ingest_query_log_counted(path)[0] == {}
 
     def test_click_without_rank_tolerated(self, tmp_path):
         path = write_log(tmp_path, [
             "1\tprivacy\t2006-03-01 10:00:00\t\thttp://privacy.org",
         ])
-        histories = ingest_query_log(path)
+        histories = ingest_query_log_counted(path)[0]
         assert histories["1"].entries["privacy"].clicked
 
     def test_malformed_rows_skipped_and_counted(self, tmp_path):
@@ -67,18 +66,18 @@ class TestIngest:
         path = tmp_path / "bad.tsv"
         path.write_text("foo\tbar\n1\tx\n")
         with pytest.raises(HeaderMismatchError):
-            ingest_query_log(path)
+            ingest_query_log_counted(path)[0]
 
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(HarnessError):
-            ingest_query_log(tmp_path / "missing.tsv")
+            ingest_query_log_counted(tmp_path / "missing.tsv")[0]
 
     def test_round_trip_lossless(self, tmp_path):
         path = write_log(tmp_path, [
             "1\tPrivacy\t2006-03-01 10:00:00\t1\thttp://privacy.org",
             "1\tprivacy\t2006-03-01 11:00:00\t\t",
         ])
-        histories = ingest_query_log(path)
+        histories = ingest_query_log_counted(path)[0]
         out = tmp_path / "hist.jsonl"
         save_histories(histories.values(), out)
         reloaded = load_histories(out)
