@@ -37,7 +37,6 @@ class AttackConfig:
     budget: Optional[int] = UNLIMITED
     max_depth: Optional[int] = UNLIMITED
     descent_threshold: int = MAX_HISTORY_SUGGESTIONS
-    frontier: str = "priority"  # or "level"
 
     def __post_init__(self):
         # Below 1 every prefix would descend, and the alphabet fallback past
@@ -51,8 +50,6 @@ class AttackConfig:
             )
         if self.budget is not None and self.budget < 1:
             raise AttackError("budget must be >= 1")
-        if self.frontier not in ("priority", "level"):
-            raise AttackError(f"unknown frontier discipline {self.frontier!r}")
 
 
 @dataclass
@@ -83,12 +80,11 @@ class ReconstructionResult:
 def reconstruct(oracle: SuggestFn, config: AttackConfig) -> ReconstructionResult:
     """Run the planned descent.
 
-    Frontier discipline "priority": global max-priority order by corpus count,
-    shorter prefixes first on ties, then lexicographic. "level": strict
-    level order (all shorter prefixes before any longer one), frequency-ordered
-    within a level. A prefix serving at least descent_threshold history
-    suggestions (by default the cap, i.e. saturated) is expanded one
-    character deeper; no prefix is ever requested twice.
+    The frontier is requested in max-priority order by corpus count, shorter
+    prefixes first on ties, then lexicographic. A prefix serving at least
+    descent_threshold history suggestions (by default the cap, i.e.
+    saturated) is expanded one character deeper; no prefix is ever
+    requested twice.
     """
     plan = config.plan
     if not plan.seeds:
@@ -96,15 +92,11 @@ def reconstruct(oracle: SuggestFn, config: AttackConfig) -> ReconstructionResult
     budget = config.budget
     threshold = config.descent_threshold
     max_depth = config.max_depth
-    by_level = config.frontier == "level"
     counts = {n: stats.counts for n, stats in plan.stats_by_length.items()}
     no_counts: dict = {}
 
     def priority(prefix: str) -> Tuple:
-        count = counts.get(len(prefix), no_counts).get(prefix, 0)
-        if by_level:
-            return (len(prefix), -count, prefix)
-        return (-count, len(prefix), prefix)
+        return (-counts.get(len(prefix), no_counts).get(prefix, 0), len(prefix), prefix)
 
     # The prefix is the last element of its priority, so the heap holds the
     # priorities alone.
@@ -127,7 +119,7 @@ def reconstruct(oracle: SuggestFn, config: AttackConfig) -> ReconstructionResult
             response = oracle(prefix)
         except Exception as exc:
             raise ReconstructionAborted(str(exc), result) from exc
-        texts = response.history_texts()
+        texts = response.texts
         request_log.append((prefix, len(texts)))
         recovered.update(texts)
         recovered_counts.append(len(recovered))

@@ -33,12 +33,13 @@ class InputError(Exception):
     pass
 
 
-def _write_manifest(output: Path, subcommand: str, config: dict) -> None:
-    manifest = {
-        "subcommand": subcommand,
-        "config": config,
-        "version": __version__,
-    }
+def _write_manifest(output: Path, args, **fixed) -> None:
+    """Record the subcommand's resolved configuration: each of its
+    arguments, the output path as written and, where it takes none, a seed
+    of None."""
+    config = {"seed": None, **vars(args), **fixed, "output": str(output)}
+    del config["command"], config["func"]
+    manifest = {"subcommand": args.command, "config": config, "version": __version__}
     path = output.with_suffix("")
     manifest_path = Path(str(path) + ".manifest.json")
     manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
@@ -64,7 +65,6 @@ def cmd_plan(args) -> int:
         mass_fraction=args.mass,
         lengths=(args.length, args.length + 1),
         alphabet=args.alphabet,
-        selection=args.selection,
     )
     out = Path(args.output)
     plan.save(out)
@@ -72,19 +72,8 @@ def cmd_plan(args) -> int:
     for n, stats in plan.stats_by_length.items():
         stats.write_csv(Path(f"{stem}.stats{n}.csv"))
     Path(f"{stem}.seeds.txt").write_text("\n".join(plan.seeds) + "\n")
-    _write_manifest(
-        out,
-        "plan",
-        {
-            "corpus": args.corpus,
-            "mass": args.mass,
-            "length": args.length,
-            "alphabet": args.alphabet,
-            "selection": args.selection,
-            "output": str(out),
-            "seed": None,
-        },
-    )
+    # the manifest names the one seed selection there is
+    _write_manifest(out, args, selection="mass")
     return EXIT_OK
 
 
@@ -113,19 +102,7 @@ def cmd_reconstruct(args) -> int:
     out.write_text(result.to_json() + "\n")
     stem = out.with_suffix("")
     write_reports_csv([report], Path(f"{stem}.report.csv"))
-    _write_manifest(
-        out,
-        "reconstruct",
-        {
-            "history_file": args.history_file,
-            "plan_file": args.plan_file,
-            "user": args.user,
-            "budget": args.budget,
-            "max_depth": args.max_depth,
-            "output": str(out),
-            "seed": None,
-        },
-    )
+    _write_manifest(out, args)
     return EXIT_OK
 
 
@@ -146,23 +123,12 @@ def cmd_eval(args) -> int:
     else:
         plan = build_plan(bundled_wordlist(), mass_fraction=0.9)
     config = AttackConfig(plan=plan, budget=args.budget)
-    report = run_batch(histories, config, workers=args.workers)
+    report = run_batch(histories, config)
     out = Path(args.output)
     out.write_text(report.to_json() + "\n")
     stem = out.with_suffix("")
     write_reports_csv(report.per_user, Path(f"{stem}.per_user.csv"))
-    _write_manifest(
-        out,
-        "eval",
-        {
-            "dataset": args.dataset,
-            "plan_file": args.plan_file,
-            "budget": args.budget,
-            "workers": args.workers,
-            "seed": args.seed,
-            "output": str(out),
-        },
-    )
+    _write_manifest(out, args)
     return EXIT_OK
 
 
@@ -185,18 +151,7 @@ def cmd_audit(args) -> int:
     out.write_text(json.dumps(audit, sort_keys=True) + "\n")
     stem = out.with_suffix("")
     write_audit_csv(reports, catalog, Path(f"{stem}.services.csv"))
-    _write_manifest(
-        out,
-        "audit",
-        {
-            "trace_file": args.trace_file,
-            "catalog_file": args.catalog_file,
-            "enforce_ip_binding": args.enforce_ip_binding,
-            "replay_ip": args.replay_ip,
-            "output": str(out),
-            "seed": None,
-        },
-    )
+    _write_manifest(out, args)
     return EXIT_OK
 
 
@@ -227,18 +182,7 @@ def cmd_gen(args) -> int:
     )
     out = Path(args.output)
     save_histories((histories[uid] for uid in sorted(histories)), out)
-    _write_manifest(
-        out,
-        "gen",
-        {
-            "users": args.users,
-            "entries": args.entries,
-            "clicked_fraction": args.clicked_fraction,
-            "seed": args.seed,
-            "vocab": args.vocab,
-            "output": str(out),
-        },
-    )
+    _write_manifest(out, args)
     return EXIT_OK
 
 
@@ -255,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mass", type=float, default=0.9)
     p.add_argument("--length", type=int, default=2)
     p.add_argument("--alphabet", default="abcdefghijklmnopqrstuvwxyz")
-    p.add_argument("--selection", choices=["mass", "rank"], default="mass")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_plan)
 
@@ -272,8 +215,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dataset", help="history JSON-lines or AOL-format TSV")
     p.add_argument("plan_file", nargs="?", default=None)
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--workers", type=int, default=1,
+        help="recorded in the manifest; the batch runs serially at any value",
+    )
+    p.add_argument(
+        "--seed", type=int, default=0,
+        help="recorded in the manifest; eval has no randomness",
+    )
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_eval)
 

@@ -238,20 +238,30 @@ class ServiceCatalogEntry:
 
 # every field of an entry is required, with the JSON type it is declared with
 _CATALOG_FIELDS = get_type_hints(ServiceCatalogEntry)
+# the values a field may take, in any case
+_CATALOG_VALUES = {"default_scheme": ("http", "https"), "https_support": ("no", "optional", "mandatory")}
 
 
 def load_catalog(path) -> List[ServiceCatalogEntry]:
     """Read the service catalog, a JSON array of entries. A file that is not
-    such an array, or an entry with a missing or ill-typed field, raises
-    CatalogError naming the file, the entry and the field."""
+    such an array, or an entry with a missing, ill-typed or unknown field
+    value, raises CatalogError naming the file, the entry and the field."""
     entries = read_json(path, CatalogError)
     if type(entries) is not list:
         raise CatalogError(f"{path}: expected a JSON array, got {type(entries).__name__}")
+    catalog = []
     for i, d in enumerate(entries):
         problem = field_problem(d, _CATALOG_FIELDS, where=f"[{i}].")
         if problem:
             raise CatalogError(f"{path}: {problem}")
-    return [ServiceCatalogEntry(**{key: d[key] for key in _CATALOG_FIELDS}) for d in entries]
+        entry = ServiceCatalogEntry(**{key: d[key] for key in _CATALOG_FIELDS})
+        for key, allowed in _CATALOG_VALUES.items():
+            if getattr(entry, key) not in allowed:
+                raise CatalogError(
+                    f"{path}: [{i}].{key}: expected one of {', '.join(allowed)}, got {d[key]!r}"
+                )
+        catalog.append(entry)
+    return catalog
 
 
 def bundled_catalog() -> List[ServiceCatalogEntry]:

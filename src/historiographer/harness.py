@@ -5,10 +5,9 @@ from __future__ import annotations
 
 import json
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Sequence, Set, Tuple, Union
 
 from .attack import (
     AttackConfig,
@@ -20,7 +19,7 @@ from .attack import (
     score,
 )
 from .history import SearchHistory, load_histories, normalize
-from .oracle import MAX_HISTORY_SUGGESTIONS, RankingKey, SuggestIndex, default_ranking
+from .oracle import MAX_HISTORY_SUGGESTIONS, SuggestIndex, default_ranking
 
 AOL_COLUMNS = ["AnonID", "Query", "QueryTime", "ItemRank", "ClickURL"]
 
@@ -123,12 +122,7 @@ def gen_synthetic(
     return histories
 
 
-def brute_force_recoverable(
-    history: SearchHistory,
-    ranking: RankingKey = default_ranking,
-    horizon: Optional[int] = None,
-    now: Optional[int] = None,
-) -> Set[str]:
+def brute_force_recoverable(history: SearchHistory) -> Set[str]:
     """Ground truth for recoverability, by direct enumeration.
 
     A clicked query is recoverable iff some prefix of it (length >= 2) ranks
@@ -136,15 +130,12 @@ def brute_force_recoverable(
     no budget.
     """
     clicked = [e for e in history.entries.values() if e.clicked]
-    if horizon is not None:
-        cutoff = (now if now is not None else 0) - horizon
-        clicked = [e for e in clicked if e.last_time >= cutoff]
     recoverable: Set[str] = set()
     for entry in clicked:
         for k in range(2, len(entry.query) + 1):
             prefix = entry.query[:k]
             matching = sorted(
-                (e for e in clicked if e.query.startswith(prefix)), key=ranking
+                (e for e in clicked if e.query.startswith(prefix)), key=default_ranking
             )
             if entry.query in {
                 e.query for e in matching[:MAX_HISTORY_SUGGESTIONS]
@@ -196,47 +187,19 @@ def _means(per_user: List[RecallReport]) -> Tuple[float, float]:
     return mean_recall, mean_requests
 
 
-def _attack_user(hist: SearchHistory, config: AttackConfig, ranking: RankingKey) -> RecallReport:
-    result = reconstruct(SuggestIndex(hist, ranking), config)
-    return score(result, hist)
-
-
-def run_batch(
-    histories: Dict[str, SearchHistory],
-    config: AttackConfig,
-    workers: int = 1,
-    ranking: RankingKey = default_ranking,
-) -> AggregateReport:
-    """Reconstruct and score every history. Output is identical at any
-    worker count: users are processed independently and aggregated in
-    sorted user order."""
+def run_batch(histories: Dict[str, SearchHistory], config: AttackConfig) -> AggregateReport:
+    """Reconstruct and score every history, one after another in sorted
+    user order. A user whose run raises is recorded in failures."""
     if not histories:
         raise HarnessError("no histories to evaluate")
-    user_ids = sorted(histories)
-    reports: Dict[str, RecallReport] = {}
+    per_user: List[RecallReport] = []
     failures: Dict[str, str] = {}
-
-    def work(user_id: str):
-        return user_id, _attack_user(histories[user_id], config, ranking)
-
-    if workers <= 1:
-        for user_id in user_ids:
-            try:
-                _, report = work(user_id)
-                reports[user_id] = report
-            except Exception as exc:
-                failures[user_id] = str(exc)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {uid: pool.submit(work, uid) for uid in user_ids}
-            for user_id in user_ids:
-                try:
-                    _, report = futures[user_id].result()
-                    reports[user_id] = report
-                except Exception as exc:
-                    failures[user_id] = str(exc)
-
-    per_user = [reports[uid] for uid in user_ids if uid in reports]
+    for user_id in sorted(histories):
+        hist = histories[user_id]
+        try:
+            per_user.append(score(reconstruct(SuggestIndex(hist), config), hist))
+        except Exception as exc:
+            failures[user_id] = str(exc)
     mean_recall, mean_requests = _means(per_user)
     return AggregateReport(
         users=len(per_user),
@@ -251,7 +214,6 @@ def recall_curve(
     histories: Dict[str, SearchHistory],
     config: AttackConfig,
     budgets: Sequence[int] = (110, 440, 2000),
-    ranking: RankingKey = default_ranking,
 ) -> List[dict]:
     """Mean recall at several request budgets; reported, not asserted.
 
@@ -278,7 +240,7 @@ def recall_curve(
     for user_id in sorted(histories):
         hist = histories[user_id]
         try:
-            result = reconstruct(SuggestIndex(hist, ranking), run_config)
+            result = reconstruct(SuggestIndex(hist), run_config)
             aborted_at = None
         except ReconstructionAborted as exc:
             result, aborted_at = exc.partial, exc.partial.requests_used

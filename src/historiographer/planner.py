@@ -84,24 +84,48 @@ def select_mass(stats: PrefixStats, mass_fraction: float) -> List[str]:
     return picked
 
 
-def select_rank(stats: PrefixStats, mass_fraction: float) -> List[str]:
-    """Alternative reading of percentile selection: keep prefixes whose count
-    reaches the mass_fraction quantile of the per-prefix count distribution."""
-    if not 0 < mass_fraction <= 1:
-        raise PlannerError(f"mass_fraction must be in (0, 1], got {mass_fraction}")
-    values = sorted(stats.counts.values())
-    if not values:
-        return []
-    idx = min(len(values) - 1, int(mass_fraction * len(values)))
-    threshold = values[idx]
-    return [p for p in stats.ordered() if stats.counts[p] >= threshold]
-
-
 # the top-level fields of a saved plan and their JSON types
 _PLAN_FIELDS = {
     "seeds": list, "mass_fraction": (int, float), "alphabet": str, "unigram_order": str,
     "stats": dict,
 }
+_PLAN_OPTIONAL = {"selected": dict, "filter_extensions": bool}
+
+
+def _strings(value) -> bool:
+    return type(value) is list and all(type(v) is str for v in value)
+
+
+def _is_length(key: str) -> bool:
+    # a few decimal digits; int() refuses more than 4300
+    return key.isascii() and key.isdigit() and len(key) <= 9
+
+
+def _plan_problem(d) -> Optional[str]:
+    """What is wrong with a saved plan, as "field: ...": its first field or
+    nested value of the wrong shape; None if all is good."""
+    if type(d) is not dict:
+        return f"expected a JSON object, got {type(d).__name__}"
+    problem = field_problem(d, _PLAN_FIELDS, _PLAN_OPTIONAL)
+    if problem:
+        return problem
+    if not _strings(d["seeds"]):
+        return "seeds: expected a list of strings"
+    # stats and selected are keyed by prefix length
+    for n, counts in d["stats"].items():
+        if not _is_length(n):
+            return f"stats.{n}: expected an integer key"
+        if type(counts) is not dict:
+            return f"stats.{n}: expected an object, got {type(counts).__name__}"
+        for p, count in counts.items():
+            if type(count) is not int:
+                return f"stats.{n}.{p}: expected an integer, got {type(count).__name__}"
+    for n, sel in d.get("selected", {}).items():
+        if not _is_length(n):
+            return f"selected.{n}: expected an integer key"
+        if not _strings(sel):
+            return f"selected.{n}: expected a list of strings"
+    return None
 
 
 @dataclass
@@ -111,8 +135,6 @@ class PrefixPlan:
     stats_by_length: Dict[int, PrefixStats]
     alphabet: str
     unigram_order: str
-    selection: str = "mass"
-    filter_extensions: bool = True
     selected_by_length: Dict[int, set] = field(default_factory=dict)
 
     # Children by parent prefix at each stats level, frequency-ordered;
@@ -143,7 +165,7 @@ class PrefixPlan:
         selected = self.selected_by_length.get(child_len, set())
         groups: Dict[str, List[str]] = {}
         for p in stats.ordered():
-            if stats.counts[p] > 0 and (not self.filter_extensions or p in selected):
+            if stats.counts[p] > 0 and p in selected:
                 groups.setdefault(p[: child_len - 1], []).append(p)
         return groups
 
@@ -159,8 +181,10 @@ class PrefixPlan:
             "mass_fraction": self.mass_fraction,
             "alphabet": self.alphabet,
             "unigram_order": self.unigram_order,
-            "selection": self.selection,
-            "filter_extensions": self.filter_extensions,
+            # fixed since seeds are always selected by mass and children
+            # always filtered; written so that saved plans stay the same
+            "selection": "mass",
+            "filter_extensions": True,
             "stats": {
                 str(n): s.counts for n, s in sorted(self.stats_by_length.items())
             },
@@ -177,33 +201,36 @@ class PrefixPlan:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PrefixPlan":
+        """The plan to_dict gave. A plan saved with filter_extensions false
+        extended a prefix to every child with a count, so it selects those."""
         alphabet = d["alphabet"]
         stats_by_length = {
             int(n): PrefixStats(length=int(n), counts=dict(counts), alphabet=alphabet)
             for n, counts in d["stats"].items()
         }
+        if d.get("filter_extensions", True):
+            selected = {int(n): set(sel) for n, sel in d.get("selected", {}).items()}
+        else:
+            selected = {
+                n: {p for p, count in s.counts.items() if count > 0}
+                for n, s in stats_by_length.items()
+            }
         return cls(
             seeds=list(d["seeds"]),
             mass_fraction=d["mass_fraction"],
             stats_by_length=stats_by_length,
             alphabet=alphabet,
             unigram_order=d["unigram_order"],
-            selection=d.get("selection", "mass"),
-            filter_extensions=d.get("filter_extensions", True),
-            selected_by_length={
-                int(n): set(sel) for n, sel in d.get("selected", {}).items()
-            },
+            selected_by_length=selected,
         )
 
     @classmethod
     def load(cls, path) -> "PrefixPlan":
         """The plan that save wrote. A file that is not a JSON object, or a
-        top-level field that is missing or of the wrong JSON type, raises
-        PlannerError naming the file and the field."""
+        field or nested value that is missing or of the wrong JSON type,
+        raises PlannerError naming the file and the field."""
         d = read_json(path, PlannerError)
-        if type(d) is not dict:
-            raise PlannerError(f"{path}: expected a JSON object, got {type(d).__name__}")
-        problem = field_problem(d, _PLAN_FIELDS)
+        problem = _plan_problem(d)
         if problem:
             raise PlannerError(f"{path}: {problem}")
         return cls.from_dict(d)
@@ -214,19 +241,16 @@ def build_plan(
     mass_fraction: float = 0.9,
     lengths: Sequence[int] = (2, 3),
     alphabet: str = PLANNER_ALPHABET,
-    selection: str = "mass",
-    filter_extensions: bool = True,
 ) -> PrefixPlan:
     """Build seed list and per-length stats from a reference corpus."""
     if not corpus:
         raise EmptyCorpusError("reference corpus is empty")
-    select = {"mass": select_mass, "rank": select_rank}[selection]
     stats_by_length = {}
     selected_by_length = {}
     for n in sorted(lengths):
         stats = build_stats(corpus, n, alphabet)
         stats_by_length[n] = stats
-        selected_by_length[n] = set(select(stats, mass_fraction))
+        selected_by_length[n] = set(select_mass(stats, mass_fraction))
 
     unigrams: Counter = Counter()
     for item in corpus:
@@ -236,15 +260,13 @@ def build_plan(
     unigram_order = "".join(sorted(alphabet, key=lambda c: (-unigrams[c], c)))
 
     seed_len = min(lengths)
-    seeds = select(stats_by_length[seed_len], mass_fraction)
+    seeds = select_mass(stats_by_length[seed_len], mass_fraction)
     return PrefixPlan(
         seeds=seeds,
         mass_fraction=mass_fraction,
         stats_by_length=stats_by_length,
         alphabet=alphabet,
         unigram_order=unigram_order,
-        selection=selection,
-        filter_extensions=filter_extensions,
         selected_by_length=selected_by_length,
     )
 

@@ -77,15 +77,6 @@ class TestDescent:
         )
         assert all(len(p) == 2 for p, _ in result.request_log)
 
-    def test_level_frontier_orders_by_length(self, wordlist, rng):
-        plan = build_plan(wordlist, 0.9)
-        hist = random_history(rng, wordlist, max_entries=80, clicked_fraction=1.0)
-        result = reconstruct(
-            make_oracle(hist), AttackConfig(plan=plan, frontier="level")
-        )
-        lengths = [len(p) for p, _ in result.request_log]
-        assert lengths == sorted(lengths)
-
     def test_oracle_error_aborts_with_partial(self, wordlist):
         plan = build_plan(wordlist, 0.9)
         calls = []
@@ -107,7 +98,7 @@ class TestDescent:
         with pytest.raises(AttackError):
             AttackConfig(plan=plan, budget=0)
         with pytest.raises(AttackError):
-            AttackConfig(plan=plan, frontier="random")
+            AttackConfig(plan=plan, budget=-5)
 
     def test_threshold_below_one_rejected(self, wordlist):
         plan = build_plan(wordlist, 0.9)
@@ -174,18 +165,15 @@ class TestRecoveredCounts:
 
 def reference_reconstruct(oracle, config):
     """The frontier loop as first written: priorities from plan.seed_count
-    on every push, (priority, prefix) pairs on the heap, config read on every
-    request and each response walked twice. reconstruct must make the same
-    requests and recover the same queries."""
+    on every push, (priority, prefix) pairs on the heap and config read on
+    every request. reconstruct must make the same requests and recover the
+    same queries."""
     plan = config.plan
     if not plan.seeds:
         raise AttackError("plan has no seeds")
 
     def priority(prefix):
-        count = plan.seed_count(prefix)
-        if config.frontier == "level":
-            return (len(prefix), -count, prefix)
-        return (-count, len(prefix), prefix)
+        return (-plan.seed_count(prefix), len(prefix), prefix)
 
     heap = [(priority(p), p) for p in plan.seeds]
     heapq.heapify(heap)
@@ -204,7 +192,7 @@ def reference_reconstruct(oracle, config):
             raise ReconstructionAborted(str(exc), result) from exc
         served = response.history_count
         result.request_log.append((prefix, served))
-        result.recovered.update(response.history_texts())
+        result.recovered.update(response.texts)
         result.recovered_counts.append(len(result.recovered))
         if served >= config.descent_threshold and (
             config.max_depth is None or len(prefix) < config.max_depth
@@ -243,9 +231,9 @@ class TestAgainstReferenceLoop:
         plan.seeds = plan.seeds + ["qz"]
         return plan
 
-    @pytest.mark.parametrize("frontier", ["priority", "level"])
-    @pytest.mark.parametrize("threshold", [1, 2, 3])
-    def test_same_run(self, histories, plan, frontier, threshold):
+    # the ids name the descent order checked: the priority frontier
+    @pytest.mark.parametrize("threshold", [1, 2, 3], ids="{}-priority".format)
+    def test_same_run(self, histories, plan, threshold):
         descended = cut_short = 0
         for max_depth, budget in itertools.product([None, 3], [None, 1, 50]):
             config = AttackConfig(
@@ -253,7 +241,6 @@ class TestAgainstReferenceLoop:
                 budget=budget,
                 max_depth=max_depth,
                 descent_threshold=threshold,
-                frontier=frontier,
             )
             for hist in histories:
                 index = SuggestIndex(hist)
@@ -264,10 +251,9 @@ class TestAgainstReferenceLoop:
                 cut_short += not exhausted
         assert descended and cut_short
 
-    @pytest.mark.parametrize("frontier", ["priority", "level"])
-    @pytest.mark.parametrize("fail_at", [0, 1, 7, 40])
-    def test_same_partial_result_on_abort(self, histories, plan, frontier, fail_at):
-        config = AttackConfig(plan=plan, descent_threshold=2, frontier=frontier)
+    @pytest.mark.parametrize("fail_at", [0, 1, 7, 40], ids="{}-priority".format)
+    def test_same_partial_result_on_abort(self, histories, plan, fail_at):
+        config = AttackConfig(plan=plan, descent_threshold=2)
         for hist in histories:
             outcomes = []
             for fn in (reconstruct, reference_reconstruct):

@@ -1,3 +1,4 @@
+import functools
 import json
 import tempfile
 from importlib import resources
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from historiographer.cli import main
 from historiographer.history import SearchHistory, save_histories
+from historiographer.planner import build_plan, bundled_wordlist
 
 
 @pytest.fixture
@@ -190,6 +192,14 @@ class TestEval:
             ({"seeds": "ab"}, "seeds: expected a list, got str"),
             ({"mass_fraction": True}, "mass_fraction: expected a number, got bool"),
             ([], "expected a JSON object, got list"),
+            ({"stats": {"2": 5}}, "stats.2: expected an object, got int"),
+            ({"selected": {"2": 5}}, "selected.2: expected a list of strings"),
+            ({"stats": {"x": {}}}, "stats.x: expected an integer key"),
+            ({"stats": {"2": {"ab": "5"}}}, "stats.2.ab: expected an integer, got str"),
+            ({"selected": {"three": []}}, "selected.three: expected an integer key"),
+            ({"selected": []}, "selected: expected an object, got list"),
+            ({"filter_extensions": "no"}, "filter_extensions: expected a boolean, got str"),
+            ({"seeds": ["ab", 5]}, "seeds: expected a list of strings"),
         ],
     )
     def test_malformed_plan_exit_2(self, tmp_path, capsys, plan_file, change, message):
@@ -278,6 +288,13 @@ class TestAudit:
             (2, {"default_scheme": None}, "[2].default_scheme: missing"),
             (0, {"default_scheme": 5}, "[0].default_scheme: expected a string, got int"),
             (1, {"uses_domain_cookie": 0}, "[1].uses_domain_cookie: expected a boolean, got int"),
+            (
+                5,
+                {"https_support": "required"},
+                "[5].https_support: expected one of no, optional, mandatory, got 'required'",
+            ),
+            (0, {"default_scheme": "ftp"}, "[0].default_scheme: expected one of http, https, got 'ftp'"),
+            (3, {"https_support": ""}, "[3].https_support: expected one of no, optional, mandatory, got ''"),
         ],
     )
     def test_malformed_catalog_exit_2(self, tmp_path, capsys, index, change, message):
@@ -383,6 +400,61 @@ class TestAuditExitCodes:
         record = {"time": "7", "scheme": "HTTP", "client_ip": "10.0.0.1", "host": "h",
                   "path": "/", "headers": {"Cookie": ["SID=a", "NID=b"]}, "body_flags": []}
         assert audit_exit_code(json.dumps(record) + "\n") == 0
+
+
+@functools.lru_cache(maxsize=None)
+def bundled_plan_text():
+    return json.dumps(build_plan(bundled_wordlist(), 0.9).to_dict())
+
+
+# the plan's fields, and the nested values the loader checks, as key paths
+PLAN_PATHS = [
+    ("seeds",), ("mass_fraction",), ("alphabet",), ("unigram_order",), ("stats",),
+    ("selected",), ("selection",), ("filter_extensions",),
+    ("seeds", 0), ("stats", "2"), ("stats", "3", "con"), ("selected", "3"), ("selected", "3", 0),
+]
+
+
+@st.composite
+def plan_objects(draw):
+    """The bundled plan with a field or nested value left out, replaced by
+    any JSON value, or added under any key; or any JSON value at all."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(JSON_VALUES)
+    plan = json.loads(bundled_plan_text())
+    *parents, key = draw(st.sampled_from(PLAN_PATHS))
+    owner = plan
+    for parent in parents:
+        owner = owner[parent]
+    action = draw(st.sampled_from(["drop", "replace", "add"]))
+    if action == "drop":
+        del owner[key]
+    elif action == "replace":
+        owner[key] = draw(JSON_VALUES)
+    elif type(owner) is dict:
+        owner[draw(st.text(max_size=4))] = draw(JSON_VALUES)
+    else:
+        owner.append(draw(JSON_VALUES))
+    return plan
+
+
+class TestPlanExitCodes:
+    """Whatever a plan file holds, eval and reconstruct on it succeed or
+    report an input error (exit 2); they never exit 3."""
+
+    @pytest.mark.parametrize("command", ["eval", "reconstruct"])
+    @given(plan=plan_objects())
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_any_plan(self, command, plan):
+        hist = SearchHistory(user_id="u")
+        for query in ["cobalt", "code", "coffee", "cool", "dog"]:
+            hist.insert_search(query, 1, "http://example.com")
+        with tempfile.TemporaryDirectory() as tmp:
+            data, plan_file = Path(tmp) / "data.jsonl", Path(tmp) / "plan.json"
+            save_histories([hist], data)
+            plan_file.write_text(json.dumps(plan))
+            args = [command, str(data), str(plan_file), "-o", str(Path(tmp) / "out.json")]
+            assert main(args) in (0, 2)
 
 
 class TestGen:

@@ -252,6 +252,18 @@ def test_load_catalog_names_entry_and_field(tmp_path, text, message):
     assert str(exc_info.value).startswith(f"{path}: {message}")
 
 
+def test_catalog_values_checked_in_any_case(tmp_path):
+    entry = {"service": "S", "default_scheme": "HTTP", "https_support": "Mandatory",
+             "uses_domain_cookie": False, "host_pattern": "h", "path_pattern": "/"}
+    path = tmp_path / "services.json"
+    path.write_text(json.dumps([entry]))
+    (loaded,) = load_catalog(path)
+    assert (loaded.default_scheme, loaded.https_support) == ("http", "mandatory")
+    path.write_text(json.dumps([{**entry, "https_support": "Required"}]))
+    with pytest.raises(CatalogError, match=r"\[0\]\.https_support: expected one of"):
+        load_catalog(path)
+
+
 def test_other_scheme_counts_but_is_not_harvested(tmp_path):
     """A scheme other than http/https keeps its cookies: they count as users
     and give an SID its capture address, but are not harvested."""

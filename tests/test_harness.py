@@ -143,12 +143,13 @@ class TestBruteForce:
 
 class TestRunBatch:
     def test_worker_count_invariance(self, wordlist):
+        # The batch runs serially whatever --workers says, so its output can
+        # depend only on the histories: not on their order, nor on a rerun.
         histories = gen_synthetic(8, (5, 30), 0.6, wordlist, seed=4)
-        plan = build_plan(wordlist, 0.9)
-        config = AttackConfig(plan=plan)
-        r1 = run_batch(histories, config, workers=1)
-        r8 = run_batch(histories, config, workers=8)
-        assert r1.to_json() == r8.to_json()
+        config = AttackConfig(plan=build_plan(wordlist, 0.9))
+        first = run_batch(histories, config).to_json()
+        assert run_batch(dict(reversed(histories.items())), config).to_json() == first
+        assert run_batch(histories, config).to_json() == first
 
     def test_empty_input(self):
         with pytest.raises(HarnessError):
@@ -288,10 +289,10 @@ class TestRecallCurve:
         histories = gen_synthetic(5, (5, 30), 0.6, wordlist, seed=13)
         doomed = histories["user0002"]
 
-        def index(hist, ranking):
+        def index(hist):
             if hist is doomed:
                 raise RuntimeError("broken history")
-            return SuggestIndex(hist, ranking)
+            return SuggestIndex(hist)
 
         monkeypatch.setattr(harness, "SuggestIndex", index)
         assert run_batch(histories, config).failures == {"user0002": "broken history"}

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -6,21 +7,11 @@ from hypothesis import strategies as st
 
 from historiographer.history import DEFAULT_ALPHABET, SearchHistory, normalize
 from historiographer.oracle import (
-    CustomizationMarker,
-    InvalidSessionError,
-    MapsHistoryEntry,
-    Origin,
     PrefixTooShortError,
-    Session,
-    Suggestion,
     SuggestIndex,
     SuggestionResponse,
     UnnormalizedPrefixError,
-    default_ranking,
-    maps_dump,
-    mobile_dump,
     suggest,
-    targeted_check,
 )
 
 
@@ -44,7 +35,7 @@ class TestSuggest:
         )
         resp = suggest(hist, "pr")
         assert resp.history_count == 2
-        assert set(resp.history_texts()) == {
+        assert set(resp.texts) == {
             "privacy",
             "privacy enhancing technologies symposium 2010",
         }
@@ -68,8 +59,8 @@ class TestSuggest:
         )[:3]
         resp = suggest(make_history(entries), "co")
         assert resp.history_count == 3
-        assert resp.history_texts() == [e[0] for e in expected]
-        assert resp.history_texts() == ["cobalt", "coffee", "code"]
+        assert resp.texts == [e[0] for e in expected]
+        assert resp.texts == ["cobalt", "coffee", "code"]
 
     def test_prefix_too_short(self):
         with pytest.raises(PrefixTooShortError):
@@ -82,7 +73,7 @@ class TestSuggest:
     def test_trailing_space_prefix_allowed(self):
         hist = make_history([("pets 2010", 1, 1, True)])
         resp = suggest(hist, "pets ")
-        assert resp.history_texts() == ["pets 2010"]
+        assert resp.texts == ["pets 2010"]
 
     def test_unclicked_never_served(self):
         hist = SearchHistory(user_id="u")
@@ -90,36 +81,18 @@ class TestSuggest:
         resp = suggest(hist, "pe")
         assert resp.history_count == 0
 
-    def test_generic_fill_and_dedup(self):
-        hist = make_history([("cobalt", 1, 1, True)])
-        corpus = ["cobalt", "code", "coffee", "cool", "dog"]
-        resp = suggest(hist, "co", generic_corpus=corpus)
-        texts = [s.text for s in resp.suggestions]
-        assert texts[0] == "cobalt"
-        assert texts.count("cobalt") == 1
-        assert [s.text for s in resp.suggestions if s.origin is Origin.GENERIC] == [
-            "code", "coffee", "cool",
-        ]
-
     def test_response_size_cap(self):
+        # five matches and three served: count and time tie, so by query
         hist = make_history([(f"co{c}", 1, 1, True) for c in "abcde"])
-        corpus = [f"co{c}{d}" for c in "abcdefgh" for d in "xyz"]
-        resp = suggest(hist, "co", generic_corpus=corpus)
-        assert len(resp.suggestions) == 10
+        resp = suggest(hist, "co")
+        assert resp.texts == ["coa", "cob", "coc"]
         assert resp.history_count == 3
-        origins = [s.origin for s in resp.suggestions]
-        assert origins == sorted(origins, key=lambda o: o is not Origin.HISTORY)
-
-    def test_horizon_cutoff(self):
-        hist = make_history([("cobalt", 1, 100, True), ("coffee", 1, 900, True)])
-        resp = suggest(hist, "co", horizon=500, now=1000)
-        assert resp.history_texts() == ["coffee"]
 
     def test_deterministic_serialization(self):
         hist = make_history([("cobalt", 2, 50, True), ("code", 1, 80, True)])
-        a = suggest(hist, "co", generic_corpus=["cool"]).to_json()
-        b = suggest(hist, "co", generic_corpus=["cool"]).to_json()
-        assert a == b
+        a = json.dumps(vars(suggest(hist, "co")))
+        assert a == json.dumps(vars(suggest(hist, "co")))
+        assert a == '{"prefix": "co", "texts": ["cobalt", "code"]}'
 
     @given(st.integers(0, 2**31))
     @settings(max_examples=50, deadline=None)
@@ -136,39 +109,29 @@ class TestSuggest:
                 for q, e in hist.entries.items()
                 if e.clicked and q.startswith(prefix)
             }
-            served = set(resp.history_texts())
-            # soundness: every history-flagged text is a clicked match
+            served = set(resp.texts)
+            # soundness: every served text is a clicked match
             assert served <= matching
-            assert resp.history_count <= 3
-            assert len(resp.suggestions) <= 10
+            assert resp.history_count == len(resp.texts) <= 3
             # completeness below the cap
             if len(matching) < 4:
                 assert served == matching
 
 
-def scan_suggest(history, prefix, ranking=default_ranking, horizon=None, now=None):
+def scan_suggest(history, prefix):
     """Linear-scan reference for SuggestIndex: every entry tested in history
-    order, matches ranked by a stable sort."""
+    order, matches ranked by count, then recency, then query, as the oracle
+    states its ranking."""
     if len(prefix) < 2:
         raise PrefixTooShortError(prefix)
     if normalize(prefix, history.alphabet) != prefix.rstrip(" ") or prefix.endswith("  "):
         raise UnnormalizedPrefixError(prefix)
     matches = []
     for entry in history.entries.values():
-        if not entry.clicked or not entry.query.startswith(prefix):
-            continue
-        if horizon is not None and entry.last_time < (now or 0) - horizon:
-            continue
-        matches.append(entry)
-    matches.sort(key=ranking)
-    return SuggestionResponse(
-        prefix, [Suggestion(e.query, Origin.HISTORY) for e in matches[:3]]
-    )
-
-
-def count_only_ranking(entry):
-    # Many ties: only the history order separates equal counts.
-    return -entry.count
+        if entry.clicked and entry.query.startswith(prefix):
+            matches.append(entry)
+    matches.sort(key=lambda e: (-e.count, -e.last_time, e.query))
+    return SuggestionResponse(prefix, [e.query for e in matches[:3]])
 
 
 SEARCHES = st.lists(
@@ -178,11 +141,6 @@ SEARCHES = st.lists(
         st.booleans(),
     ),
     max_size=30,
-)
-RANKINGS = st.sampled_from([default_ranking, count_only_ranking])
-WINDOWS = st.one_of(
-    st.tuples(st.none(), st.none()),
-    st.tuples(st.integers(0, 50), st.one_of(st.none(), st.integers(0, 60))),
 )
 
 
@@ -200,30 +158,21 @@ class TestSuggestIndex:
             response = fn(prefix)
         except Exception as exc:
             return type(exc)
-        return response.to_json()
+        return response
 
     @given(
         SEARCHES,
-        RANKINGS,
-        WINDOWS,
         st.lists(st.one_of(st.text(max_size=6), st.text("cdfoxe 2", max_size=7)), max_size=8),
     )
     @settings(max_examples=150, deadline=None)
-    def test_matches_linear_scan(self, searches, ranking, window, texts):
+    def test_matches_linear_scan(self, searches, texts):
         hist = self.build(searches)
-        horizon, now = window
-        index = SuggestIndex(hist, ranking, horizon, now)
+        index = SuggestIndex(hist)
         prefixes = [q[:k] for q in hist.entries for k in range(len(q) + 2)] + texts
         for prefix in prefixes:
-            expected = self.outcome(lambda p: scan_suggest(hist, p, ranking, horizon, now), prefix)
+            expected = self.outcome(lambda p: scan_suggest(hist, p), prefix)
             assert self.outcome(index, prefix) == expected
-            assert self.outcome(
-                lambda p: suggest(hist, p, ranking=ranking, horizon=horizon, now=now), prefix
-            ) == expected
-
-    def test_ties_keep_history_order(self):
-        hist = make_history([(q, 1, 10, True) for q in ["cod", "cob", "coa", "coz"]])
-        assert SuggestIndex(hist, count_only_ranking)("co").history_texts() == ["cod", "cob", "coa"]
+            assert self.outcome(lambda p: suggest(hist, p), prefix) == expected
 
     def test_top_code_point_in_prefix(self):
         top = chr(0x10FFFF)
@@ -232,8 +181,8 @@ class TestSuggestIndex:
             hist.insert_search(query, 1, "http://example.com")
         index = SuggestIndex(hist)
         expected = ["a" + top, "a" + top + "b", "a" + top + top]
-        assert sorted(index("a" + top).history_texts()) == sorted(expected)
-        assert index(top + top).history_texts() == []
+        assert sorted(index("a" + top).texts) == sorted(expected)
+        assert index(top + top).texts == []
 
     def test_run_ends(self):
         top = chr(0x10FFFF)
@@ -243,7 +192,7 @@ class TestSuggestIndex:
         index = SuggestIndex(hist)
 
         def served(prefix):
-            return sorted(index(prefix).history_texts())
+            return sorted(index(prefix).texts)
 
         # in sorted order: ab, abc, abx, bz, b<top>, b<top>a, xy, xyz
         assert served("xz") == []  # past the last query
@@ -257,8 +206,8 @@ class TestSuggestIndex:
 
     def test_fresh_response_each_call(self):
         index = SuggestIndex(make_history([("cobalt", 1, 1, True)]))
-        index("co").suggestions.append(Suggestion("x", Origin.GENERIC))
-        assert index("co").history_texts() == ["cobalt"]
+        index("co").texts.append("x")
+        assert index("co").texts == ["cobalt"]
 
 
 def old_prefix_check(prefix, alphabet):
@@ -301,82 +250,3 @@ class TestPrefixCheck:
                 index = SuggestIndex(SearchHistory("u", alphabet=alphabet))
                 got = [self.check(index, p) for p in prefixes]
                 assert got == [old_prefix_check(p, alphabet) for p in prefixes]
-
-
-class TestTargetedCheck:
-    def test_clicked_url_marked(self):
-        hist = SearchHistory(user_id="u")
-        hist.insert_search("pets 2010", 100, "http://petsymposium.org/2010/")
-        markers = targeted_check(hist, ["http://petsymposium.org/2010/"])
-        assert markers == [
-            CustomizationMarker("http://petsymposium.org/2010/", 1, 100)
-        ]
-
-    def test_empty_history(self):
-        assert targeted_check(SearchHistory(user_id="u"), ["http://x"]) == []
-
-    def test_partial_intersection(self):
-        hist = SearchHistory(user_id="u")
-        hist.insert_search("aa", 1, "http://a")
-        hist.insert_search("bb", 2, "http://b")
-        # hand-computed intersection: a and b clicked, c never
-        markers = targeted_check(hist, ["http://a", "http://b", "http://c"])
-        assert [m.url for m in markers] == ["http://a", "http://b"]
-
-    def test_visit_totals(self):
-        hist = SearchHistory(user_id="u")
-        hist.insert_search("aa", 10, "http://a")
-        hist.insert_search("aa", 30, "http://a")
-        hist.insert_search("ab", 20, "http://a")
-        (marker,) = targeted_check(hist, ["http://a"])
-        assert marker.visit_count == 3
-        assert marker.last_visit == 30
-
-
-class TestMapsDump:
-    SESSION = Session(sid="tok")
-
-    def test_example_entries(self):
-        entries = [
-            MapsHistoryEntry(19, "1600 Amphitheatre Parkway Mountain View", "", 1254038860, 13),
-            MapsHistoryEntry(20, "Piazza di Spagna, 00187 Roma, Italy", "", 1254251745, 2),
-            MapsHistoryEntry(21, "Newark, CA", "", 1255123644, 1),
-        ]
-        dumped = maps_dump(entries, self.SESSION, "tok")
-        assert len(dumped) == 3
-        assert {"id": 21, "address": "Newark, CA", "label": "", "created": 1255123644, "count": 1} in dumped
-
-    def test_empty(self):
-        assert maps_dump([], self.SESSION, "tok") == []
-
-    def test_single_request_completeness(self):
-        entries = [MapsHistoryEntry(i, f"place {i}", "", 1000 + i, 1) for i in range(22)]
-        assert len(maps_dump(entries, self.SESSION, "tok")) == 22
-
-    def test_invalid_session(self):
-        with pytest.raises(InvalidSessionError):
-            maps_dump([], self.SESSION, "wrong")
-
-
-class TestMobileDump:
-    SESSION = Session(sid="tok")
-
-    def test_iphone_gets_unclicked_too(self):
-        hist = SearchHistory(user_id="u")
-        hist.insert_search("pets 10", 100)
-        hist.insert_search("pets 2010", 110, "http://petsymposium.org/2010/")
-        out = mobile_dump(hist, "Mozilla/5.0 (iPhone; CPU iPhone OS)", self.SESSION, "tok")
-        assert out == ["pets 10", "pets 2010"]
-
-    def test_desktop_refused(self):
-        hist = SearchHistory(user_id="u")
-        out = mobile_dump(hist, "Mozilla/5.0 (X11; Linux)", self.SESSION, "tok")
-        assert out is None
-
-    def test_empty_history(self):
-        out = mobile_dump(SearchHistory(user_id="u"), "iPhone", self.SESSION, "tok")
-        assert out == []
-
-    def test_invalid_session(self):
-        with pytest.raises(InvalidSessionError):
-            mobile_dump(SearchHistory(user_id="u"), "iPhone", self.SESSION, None)

@@ -137,17 +137,25 @@ class TestExtend:
                 assert len(child) == len(prefix) + 1
 
 
-def reference_extend(plan, prefix):
-    """Scan every prefix one level down, as extend() did before its cache."""
+def reference_extend(plan, prefix, filter_extensions=True):
+    """Scan every prefix one level down, as extend() did before its cache.
+    Unfiltered, every child with a count is kept, as plans saved with
+    filter_extensions false extended."""
     child_len = len(prefix) + 1
     stats = plan.stats_by_length.get(child_len)
     if stats is None:
         return [prefix + c for c in plan.unigram_order if not (c == " " and prefix.endswith(" "))]
     children = [p for p in stats.counts if p.startswith(prefix) and stats.counts[p] > 0]
-    if plan.filter_extensions:
+    if filter_extensions:
         selected = plan.selected_by_length.get(child_len, set())
         children = [p for p in children if p in selected]
     return sorted(children, key=lambda p: (-stats.counts[p], p))
+
+
+def legacy_unfiltered(plan):
+    """The plan as older code saved it when asked for unfiltered children
+    and rank selection."""
+    return {**plan.to_dict(), "filter_extensions": False, "selection": "rank"}
 
 
 class TestExtendCache:
@@ -155,19 +163,29 @@ class TestExtendCache:
     @pytest.mark.parametrize("filter_extensions", [True, False])
     @pytest.mark.parametrize("lengths", [(2, 3), (2, 3, 4)])
     def test_matches_reference_scan(self, wordlist, lengths, filter_extensions, round_trip):
-        plan = build_plan(wordlist, 0.9, lengths=lengths, filter_extensions=filter_extensions)
+        # filter_extensions=False: a saved plan that says so still loads,
+        # and extends to every child with a count, saved again or not
+        plan = build_plan(wordlist, 0.9, lengths=lengths)
+        if not filter_extensions:
+            plan = PrefixPlan.from_dict(legacy_unfiltered(plan))
         if round_trip:
             plan = PrefixPlan.from_dict(json.loads(json.dumps(plan.to_dict())))
         prefixes = [a + b for a in LETTERS for b in LETTERS]
         prefixes += sorted(plan.stats_by_length[3].counts) + ["qjx", "zzz"]
         for prefix in prefixes:
-            assert plan.extend(prefix) == reference_extend(plan, prefix), prefix
+            expected = reference_extend(plan, prefix, filter_extensions)
+            assert plan.extend(prefix) == expected, prefix
 
     def test_filter_changes_children(self, wordlist):
         # Both settings are exercised above only if they can differ.
-        kept = build_plan(wordlist, 0.5).extend("co")
-        unfiltered = build_plan(wordlist, 0.5, filter_extensions=False).extend("co")
-        assert set(kept) < set(unfiltered)
+        plan = build_plan(wordlist, 0.5)
+        unfiltered = PrefixPlan.from_dict(legacy_unfiltered(plan)).extend("co")
+        assert set(plan.extend("co")) < set(unfiltered)
+
+    def test_saved_plan_keeps_fixed_fields(self, wordlist):
+        saved = build_plan(wordlist, 0.9).to_dict()
+        assert saved["selection"] == "mass"
+        assert saved["filter_extensions"] is True
 
     def test_fresh_list_each_call(self, wordlist):
         plan = build_plan(wordlist, 0.9)
