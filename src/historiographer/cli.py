@@ -111,7 +111,9 @@ def _load_dataset(path: str):
     with open(p, "rb") as fh:
         first = fh.readline()
     if first.startswith(b"AnonID\t"):
-        histories, _ = ingest_query_log_counted(p)
+        histories, skipped = ingest_query_log_counted(p)
+        if skipped:
+            print(f"{path}: skipped {skipped} malformed rows", file=sys.stderr)
         return histories
     return load_histories(p)
 

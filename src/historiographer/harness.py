@@ -6,8 +6,9 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field, replace
-from datetime import datetime, timezone
-from typing import Dict, List, Sequence, Set, Tuple, Union
+from datetime import date, datetime, timezone
+from functools import lru_cache
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .attack import (
     AttackConfig,
@@ -41,8 +42,37 @@ class HeaderMismatchError(HarnessError):
     pass
 
 
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+
+
+@lru_cache(maxsize=4096)
+def _epoch_day(ymd: str) -> Optional[int]:
+    """Days from 1970-01-01 to an ASCII "dddd-dd-dd" date, or None if the
+    string is not of that form or names no day of the calendar."""
+    if ymd[4] == "-" == ymd[7] and (ymd[:4] + ymd[5:7] + ymd[8:]).isdigit():
+        try:
+            return date(int(ymd[:4]), int(ymd[5:7]), int(ymd[8:])).toordinal() - _EPOCH_ORDINAL
+        except ValueError:
+            pass
+    return None
+
+
 def _parse_query_time(raw: str) -> int:
-    dt = datetime.strptime(raw.strip(), "%Y-%m-%d %H:%M:%S")
+    """Seconds since the epoch of a UTC time that strptime reads as
+    "%Y-%m-%d %H:%M:%S"; ValueError where it refuses one."""
+    s = raw.strip()
+    # The log's own form, "dddd-dd-dd dd:dd:dd" in ASCII with every field in
+    # range, is read directly. strptime also takes single-digit fields, other
+    # whitespace between date and time, and non-ASCII digits, so anything
+    # else goes to it, which keeps the accepted set and the values unchanged.
+    if len(s) == 19 and s.isascii() and s[10] == " " and s[13] == ":" == s[16]:
+        day = _epoch_day(s[:10])
+        hms = s[11:13] + s[14:16] + s[17:]
+        if day is not None and hms.isdigit():
+            h, m, sec = int(hms[:2]), int(hms[2:4]), int(hms[4:])
+            if h <= 23 and m <= 59 and sec <= 59:
+                return day * 86400 + h * 3600 + m * 60 + sec
+    dt = datetime.strptime(s, "%Y-%m-%d %H:%M:%S")
     return int(dt.replace(tzinfo=timezone.utc).timestamp())
 
 
@@ -50,26 +80,32 @@ def ingest_query_log_counted(path) -> Tuple[Dict[str, SearchHistory], int]:
     """Load an AOL-format TSV into per-user histories.
 
     Returns (histories, skipped_row_count). Malformed rows are skipped,
-    never fatal; a row with a click URL counts as clicked even without an
-    item rank.
+    never fatal: a row that is not UTF-8, has other than five columns, a
+    time strptime refuses, or a query that normalizes to nothing. A row
+    with a click URL counts as clicked even without an item rank. Rows end
+    at "\n"; trailing "\r" is dropped, so CRLF logs read the same.
     """
     histories: Dict[str, SearchHistory] = {}
     skipped = 0
     try:
-        fh = open(path, "r", encoding="utf-8")
+        fh = open(path, "rb", buffering=1 << 16)
     except OSError as exc:
         raise HarnessError(f"cannot read {path}: {exc}") from exc
     with fh:
-        header = fh.readline().rstrip("\n").split("\t")
+        header = fh.readline().decode("utf-8", "replace").rstrip("\r\n").split("\t")
         if header != AOL_COLUMNS:
             raise HeaderMismatchError(
                 f"expected columns {AOL_COLUMNS}, got {header}"
             )
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
+        for raw in fh:
+            raw = raw.rstrip(b"\r\n")
+            if not raw:
                 continue
-            fields = line.split("\t")
+            try:
+                fields = raw.decode("utf-8").split("\t")
+            except UnicodeDecodeError:
+                skipped += 1
+                continue
             if len(fields) != len(AOL_COLUMNS):
                 skipped += 1
                 continue
@@ -79,12 +115,14 @@ def ingest_query_log_counted(path) -> Tuple[Dict[str, SearchHistory], int]:
             except ValueError:
                 skipped += 1
                 continue
-            if not normalize(query):
+            query = normalize(query)
+            if not query:
                 skipped += 1
                 continue
             hist = histories.get(anon_id)
             if hist is None:
                 hist = histories[anon_id] = SearchHistory(user_id=anon_id)
+            # normalize is idempotent, so insert_search keeps the query as is
             hist.insert_search(query, time, click_url.strip() or None)
     return histories, skipped
 

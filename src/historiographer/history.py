@@ -3,14 +3,11 @@
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 DEFAULT_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789 "
-
-_WS_RUN = re.compile(r"\s+")
 
 
 class HistoryError(Exception):
@@ -52,18 +49,39 @@ def field_problem(
     return None
 
 
+class _AlphabetTable(dict):
+    """A ``str.translate`` table that restricts lowercased text to an
+    alphabet: an alphabet character maps to itself, other whitespace to " "
+    when the alphabet has a space, and any other character to nothing. Each
+    code point is worked out on its first lookup and kept."""
+
+    def __init__(self, alphabet: str):
+        super().__init__()
+        self.alphabet = alphabet
+        self.keep_space = " " in alphabet
+
+    def __missing__(self, code: int) -> Optional[str]:
+        c = chr(code)
+        out = c if c in self.alphabet else " " if self.keep_space and c.isspace() else None
+        self[code] = out
+        return out
+
+
+_TABLES: Dict[str, _AlphabetTable] = {}
+
+
 def normalize(raw: str, alphabet: str = DEFAULT_ALPHABET) -> str:
     """Canonicalize a query: lowercase, restrict to the alphabet, collapse whitespace.
 
     Returns "" for inputs that normalize to nothing; callers treat that as
     "no entry".
     """
-    lowered = raw.lower()
-    keep_space = " " in alphabet
-    kept = "".join(
-        c for c in lowered if c in alphabet or (keep_space and c.isspace())
-    )
-    return _WS_RUN.sub(" ", kept).strip()
+    table = _TABLES.get(alphabet)
+    if table is None:
+        table = _TABLES[alphabet] = _AlphabetTable(alphabet)
+    # the whole string is lowercased first: a capital sigma's lowercase
+    # depends on the letter after it
+    return " ".join(raw.lower().translate(table).split())
 
 
 @dataclass
@@ -170,7 +188,14 @@ class SearchHistory:
         problem = field_problem(d, _HISTORY_FIELDS, {"entries": list})
         if problem:
             raise HistoryError(problem)
-        hist = cls(d["user_id"], d["history_enabled"])
+        user_id = d["user_id"]
+        if not user_id.isascii():
+            # JSON can escape a lone surrogate, which no output file can hold
+            try:
+                user_id.encode("utf-8")
+            except UnicodeEncodeError:
+                raise HistoryError("user_id: holds a lone surrogate") from None
+        hist = cls(user_id, d["history_enabled"])
         for i, ed in enumerate(d.get("entries", [])):
             try:
                 entry = HistoryEntry.from_dict(ed)

@@ -5,7 +5,7 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from historiographer.cli import main
@@ -22,6 +22,9 @@ def plan_file(tmp_path):
 
 def run(args):
     return main([str(a) for a in args])
+
+
+AOL_HEADER_LINE = b"AnonID\tQuery\tQueryTime\tItemRank\tClickURL\n"
 
 
 class TestPlan:
@@ -158,6 +161,33 @@ class TestEval:
         report = json.loads(out.read_text())
         assert report["users"] == 2
 
+    def test_aol_row_not_utf8_skipped_and_reported(self, tmp_path, capsys):
+        dataset = tmp_path / "log.tsv"
+        dataset.write_bytes(
+            AOL_HEADER_LINE
+            + b"1\tprivacy\t2006-03-01 10:00:00\t1\thttp://privacy.org\n"
+            + b"1\tcaf\xe9\t2006-03-01 10:01:00\t\t\n"
+            + b"2\tmalformed row\n"
+        )
+        assert run(["eval", dataset, "-o", tmp_path / "rep.json"]) == 0
+        assert capsys.readouterr().err == f"{dataset}: skipped 2 malformed rows\n"
+        assert json.loads((tmp_path / "rep.json").read_text())["users"] == 1
+
+    def test_aol_crlf_same_outputs(self, tmp_path, capsys):
+        rows = (
+            b"1\tPrivacy\t2006-03-01 10:00:00\t1\thttp://privacy.org\n"
+            b"1\tpets 2010\t2006-03-01 10:05:00\t\thttp://petsymposium.org\n"
+            b"2\tmaps\t2006-03-02 09:00:00\t\t\n"
+        )
+        outputs = []
+        for name, newline in [("lf", b"\n"), ("crlf", b"\r\n")]:
+            dataset = tmp_path / f"{name}.tsv"
+            dataset.write_bytes((AOL_HEADER_LINE + rows).replace(b"\n", newline))
+            assert run(["eval", dataset, "-o", tmp_path / f"{name}.json"]) == 0
+            assert capsys.readouterr().err == ""
+            outputs.append([(tmp_path / f"{name}{suffix}").read_bytes() for suffix in (".json", ".per_user.csv")])
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0][0])["users"] == 2
 
     def test_bad_budget_exit_2(self, tmp_path, capsys):
         from importlib import resources
@@ -455,6 +485,85 @@ class TestPlanExitCodes:
             plan_file.write_text(json.dumps(plan))
             args = [command, str(data), str(plan_file), "-o", str(Path(tmp) / "out.json")]
             assert main(args) in (0, 2)
+
+
+def exit_code(command: str, data: bytes) -> int:
+    """The exit code of eval, or reconstruct with the bundled plan, on a
+    dataset holding these bytes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        dataset = Path(tmp) / "data"
+        dataset.write_bytes(data)
+        args = [command, str(dataset)]
+        if command == "reconstruct":
+            plan_file = Path(tmp) / "plan.json"
+            plan_file.write_text(bundled_plan_text())
+            args.append(str(plan_file))
+        return main([*args, "-o", str(Path(tmp) / "out.json")])
+
+
+AOL_FIELDS = st.one_of(
+    st.binary(max_size=6),
+    st.sampled_from([
+        b"1", b"2", b"Privacy", b"caf\xe9", b"!!!", b"", b"http://a.org",
+        b"2006-03-01 10:00:00", b"2006-02-30 00:00:00", b"2006-3-1 1:2:3",
+    ]),
+)
+AOL_ROWS = st.one_of(st.binary(max_size=30), st.lists(AOL_FIELDS, min_size=4, max_size=6).map(b"\t".join))
+AOL_BODIES = st.builds(bytes.join, st.sampled_from([b"\n", b"\r\n", b"\r"]), st.lists(AOL_ROWS, max_size=4))
+
+ENTRY_FIELDS = {
+    "query": st.one_of(st.sampled_from(["cobalt", "code", "coffee", "Co  ol", ""]), st.text(max_size=6)),
+    "clicked": st.booleans(),
+    "first_time": st.integers(),
+    "last_time": st.integers(),
+    "count": st.integers(),
+}
+HISTORY_FIELDS = {
+    "user_id": st.one_of(st.text(max_size=4), st.sampled_from(["\ud800", "a\udfff"])),
+    "history_enabled": st.booleans(),
+    "entries": st.lists(
+        st.fixed_dictionaries(ENTRY_FIELDS, optional={"clicked_urls": st.lists(st.text(max_size=4), max_size=2)}),
+        max_size=4,
+    ),
+}
+
+
+@st.composite
+def history_lines(draw):
+    """A history record (its user id sometimes holding a lone surrogate),
+    good or with one of its fields, or one of its first entry's, left out or
+    given any JSON value; any JSON value; or any bytes."""
+    kind = draw(st.integers(0, 9))
+    if kind == 0:
+        return draw(st.binary(max_size=20))
+    if kind == 1:
+        return json.dumps(draw(JSON_VALUES)).encode()
+    record = draw(st.fixed_dictionaries(HISTORY_FIELDS))
+    owner = record["entries"][0] if record["entries"] and draw(st.booleans()) else record
+    key = draw(st.sampled_from(sorted(owner)))
+    action = draw(st.sampled_from(["keep", "drop", "replace"]))
+    if action == "drop":
+        del owner[key]
+    elif action == "replace":
+        owner[key] = draw(JSON_VALUES)
+    return json.dumps(record).encode()
+
+
+class TestDatasetExitCodes:
+    """Whatever a dataset holds, eval (and reconstruct, on a history file)
+    succeeds or reports an input error (exit 2); it never exits 3."""
+
+    @given(st.one_of(st.binary(), AOL_BODIES))
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_aol_header_then_any_bytes(self, body):
+        assert exit_code("eval", AOL_HEADER_LINE + body) in (0, 2)
+
+    @pytest.mark.parametrize("command", ["eval", "reconstruct"])
+    @given(lines=st.lists(history_lines(), max_size=3))
+    @example(lines=[b'{"user_id": "\\ud800", "history_enabled": true}'])
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_any_history_lines(self, command, lines):
+        assert exit_code(command, b"".join(line + b"\n" for line in lines)) in (0, 2)
 
 
 class TestGen:

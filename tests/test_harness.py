@@ -1,7 +1,10 @@
 import dataclasses
 import json
+from datetime import datetime, timezone
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from historiographer import harness
 from historiographer.attack import AttackConfig, AttackError, ReconstructionAborted, reconstruct
@@ -72,6 +75,41 @@ class TestIngest:
         with pytest.raises(HarnessError):
             ingest_query_log_counted(tmp_path / "missing.tsv")[0]
 
+    def test_not_utf8_row_skipped_and_counted(self, tmp_path):
+        path = tmp_path / "log.tsv"
+        path.write_bytes(
+            AOL_HEADER.encode() + b"\n"
+            + b"1\tcaf\xe9\t2006-03-01 10:00:00\t\t\n"
+            + b"1\tprivacy\t2006-03-01 10:00:00\t\t\n"
+            + b"2\tmaps\t2006-03-02 09:00:00\t\thttp://\xff.org\n"
+        )
+        histories, skipped = ingest_query_log_counted(path)
+        assert skipped == 2
+        assert list(histories) == ["1"]
+        assert list(histories["1"].entries) == ["privacy"]
+
+    def test_crlf_log_reads_as_lf(self, tmp_path):
+        rows = [
+            "2\tMaps \t2006-03-02 09:00:00\t\t",
+            "1\tprivacy\t2006-03-01 10:00:00\t1\thttp://privacy.org",
+            "not\tenough",
+            "1\tPrivacy\t2006-03-01 11:00:00\t\thttp://privacy.org/2",
+            "",
+            "1\t!!!\t2006-03-01 10:00:00\t\t",
+        ]
+        lf, crlf = tmp_path / "lf.tsv", tmp_path / "crlf.tsv"
+        lf.write_bytes("\n".join([AOL_HEADER] + rows).encode() + b"\n")
+        crlf.write_bytes("\r\n".join([AOL_HEADER] + rows).encode() + b"\r\n")
+        (want, want_skipped), (got, got_skipped) = map(ingest_query_log_counted, (lf, crlf))
+        assert got_skipped == want_skipped == 2
+        assert list(got) == list(want) == ["2", "1"]
+        for user_id in want:
+            assert list(got[user_id].entries) == list(want[user_id].entries)
+            assert got[user_id].to_dict() == want[user_id].to_dict()
+        assert got["1"].entries["privacy"].clicked_urls == [
+            "http://privacy.org", "http://privacy.org/2"
+        ]
+
     def test_round_trip_lossless(self, tmp_path):
         path = write_log(tmp_path, [
             "1\tPrivacy\t2006-03-01 10:00:00\t1\thttp://privacy.org",
@@ -82,6 +120,80 @@ class TestIngest:
         save_histories(histories.values(), out)
         reloaded = load_histories(out)
         assert reloaded["1"].to_dict() == histories["1"].to_dict()
+
+
+def strptime_reference(raw):
+    """The reading the log's time column must keep: strptime of the
+    stripped text, taken as UTC."""
+    dt = datetime.strptime(raw.strip(), "%Y-%m-%d %H:%M:%S")
+    return int(dt.replace(tzinfo=timezone.utc).timestamp())
+
+
+# zero in Arabic-Indic, Extended Arabic-Indic, Devanagari and fullwidth digits
+OTHER_ZEROS = [0x660, 0x6F0, 0x966, 0xFF10]
+
+
+@st.composite
+def near_format_times(draw):
+    """Times in or near the log's "dddd-dd-dd dd:dd:dd" form: each field
+    in range or just out of it, padded or not, sometimes in non-ASCII
+    digits; other separators; whitespace around."""
+
+    def number(low, high, width):
+        n = draw(st.integers(low, high))
+        text = draw(st.sampled_from([f"{n:0{width}d}", str(n), f"{n:>{width}d}"]))
+        if draw(st.integers(0, 7)) == 0:
+            zero = draw(st.sampled_from(OTHER_ZEROS))
+            text = text.translate({0x30 + d: zero + d for d in range(10)})
+        return text
+
+    date = "-".join([number(0, 9999, 4), number(0, 13, 2), number(0, 32, 2)])
+    time = ":".join([number(0, 25, 2), number(0, 61, 2), number(0, 62, 2)])
+    sep = draw(st.sampled_from([" ", " ", " ", "  ", "\t", "T", ""]))
+    around = st.sampled_from(["", "", "", " ", "\t", "\u3000", "\r"])
+    return draw(around) + date + sep + time + draw(around)
+
+
+class TestParseQueryTime:
+    """The fast path for the log's own form gives strptime's value, and
+    everything else is read, or refused, exactly as strptime does."""
+
+    @given(
+        st.one_of(
+            near_format_times(),
+            st.text("0123456789-: ", min_size=17, max_size=21),
+            st.text(),
+        )
+    )
+    @example("2006-03-01 10:00:00")
+    @example("1969-12-31 23:59:59")
+    @example("0001-01-01 00:00:00")
+    @example("9999-12-31 23:59:59")
+    @example("2006-02-30 00:00:00")
+    @example("2004-02-29 12:00:00")
+    @example("0000-01-01 00:00:00")
+    @example("2006-03-01 24:00:00")
+    @example("2006-03-01 10:60:00")
+    @example("2006-03-01 10:00:60")
+    @example("2006-03-01 10:00:61")
+    @example("2006-3-1 1:2:3")
+    @example("2006-03- 1 10:00:00")
+    @example("2006-03-01\t10:00:00")
+    @example("\u0662\u0660\u0660\u0666-03-01 10:00:00")
+    @example(" 2006-03-01 10:00:00\u3000")
+    @example("2006-03-01T10:00:00")
+    @example("+006-03-01 10:00:00")
+    @example("2006-03-01 1_:00:00")
+    @example("2006-03-01 +1:00:00")
+    @example("2006-03-01 10:-1:00")
+    def test_matches_strptime(self, raw):
+        try:
+            expected = strptime_reference(raw)
+        except ValueError:
+            with pytest.raises(ValueError):
+                harness._parse_query_time(raw)
+        else:
+            assert harness._parse_query_time(raw) == expected
 
 
 class TestGenSynthetic:

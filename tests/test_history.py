@@ -1,8 +1,11 @@
+import re
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from historiographer.history import (
+    DEFAULT_ALPHABET,
     EmptyQueryError,
     HistoryDisabledError,
     HistoryError,
@@ -41,6 +44,38 @@ class TestNormalize:
         assert all(c in "abcdefghijklmnopqrstuvwxyz0123456789 " for c in out)
         assert "  " not in out
         assert out == out.strip()
+
+
+_WS_RUN = re.compile(r"\s+")
+
+
+def normalize_reference(raw, alphabet=DEFAULT_ALPHABET):
+    """normalize by its rules, one character at a time: lowercase, keep
+    alphabet characters and (if the alphabet has a space) whitespace,
+    collapse whitespace runs to one space, strip."""
+    keep_space = " " in alphabet
+    kept = "".join(c for c in raw.lower() if c in alphabet or (keep_space and c.isspace()))
+    return _WS_RUN.sub(" ", kept).strip()
+
+
+NORMALIZE_ALPHABETS = [
+    DEFAULT_ALPHABET,
+    "abcdefghijklmnopqrstuvwxyz",  # no space
+    "abci\u0307\u03c3\u03c2\t",  # a tab, no space; sigma and the dot of a lowered İ
+    "ab \u00df\u3000",  # a space and another whitespace character
+]
+# characters whose lowercase is long or depends on context, and whitespace
+TRICKY_CHARACTERS = st.sampled_from(
+    ["İ", "ß", "\u3000", "\t", "\n", "\x1c", "\x85", "\u00a0", " ", "Σ", "σ", "ς", "A", "b", "\u0307"]
+)
+
+
+@pytest.mark.parametrize("alphabet", NORMALIZE_ALPHABETS, ids=["default", "no-space", "tab", "ideographic-space"])
+@given(raw=st.text(st.one_of(st.characters(), TRICKY_CHARACTERS)))
+@example(raw="İstanbul \t ΑΣ  Straße\u3000x")
+@example(raw="\tA\u3000 \x1cΣ.")
+def test_normalize_matches_reference(alphabet, raw):
+    assert normalize(raw, alphabet) == normalize_reference(raw, alphabet)
 
 
 class TestInsertSearch:
