@@ -7,10 +7,11 @@ import csv
 import heapq
 import json
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Set, Tuple
+from itertools import groupby, repeat
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from .history import SearchHistory
-from .oracle import MAX_HISTORY_SUGGESTIONS, SuggestionResponse
+from .oracle import MAX_HISTORY_SUGGESTIONS, SuggestIndex, SuggestionResponse
 from .planner import PrefixPlan
 
 UNLIMITED = None
@@ -84,11 +85,15 @@ def reconstruct(oracle: SuggestFn, config: AttackConfig) -> ReconstructionResult
     prefixes first on ties, then lexicographic. A prefix serving at least
     descent_threshold history suggestions (by default the cap, i.e.
     saturated) is expanded one character deeper; no prefix is ever
-    requested twice.
+    requested twice. A SuggestIndex under a plan with a request_rank takes
+    _walk, which makes the same requests without the heap.
     """
     plan = config.plan
     if not plan.seeds:
         raise AttackError("plan has no seeds")
+    rank = plan.request_rank() if type(oracle) is SuggestIndex else None
+    if rank is not None:
+        return _walk(oracle, config, rank)
     budget = config.budget
     threshold = config.descent_threshold
     max_depth = config.max_depth
@@ -128,6 +133,52 @@ def reconstruct(oracle: SuggestFn, config: AttackConfig) -> ReconstructionResult
                 if child not in requested:
                     heapq.heappush(heap, priority(child))
     result.frontier_exhausted = True
+    return result
+
+
+def _walk(index: SuggestIndex, config: AttackConfig, rank: Dict[str, int]) -> ReconstructionResult:
+    """The frontier loop's run without its heap: under a ranked plan it asks
+    its requested set in sorted order, the stats levels by rank and then each
+    fallback level. Only prefixes that match something reach the index."""
+    plan, budget, max_depth = config.plan, config.budget, config.max_depth
+    ranked, fallback, nonempty = [], [], set()
+    level, n = plan.seeds, len(plan.seeds[0])
+    while level:
+        if n in plan.stats_by_length:  # contiguous from the seeds' length
+            ranked += level
+        elif budget is not None and len(ranked) + len(fallback) > budget:
+            break  # this level and every later one would be cut
+        else:
+            fallback += sorted(level)
+        matches = index.match_counts(n)
+        nonempty.update(matches.keys() & level)
+        if max_depth is not None and n >= max_depth:
+            break
+        saturated = [p for p in level if matches.get(p, 0) >= config.descent_threshold]
+        level = [c for p in saturated for c in plan.extend(p)]
+        n += 1
+    order = sorted(ranked, key=rank.__getitem__) + fallback
+    exhausted = budget is None or len(order) <= budget
+    del order[len(order) if exhausted else budget:]
+    answered, error = index.check_prefixes(order)
+    del order[answered:]
+
+    result = ReconstructionResult()
+    recovered, request_log, counts = result.recovered, result.request_log, result.recovered_counts
+    for served, run in groupby(order, nonempty.__contains__):
+        if served:
+            for prefix in run:
+                texts = index(prefix).texts
+                request_log.append((prefix, len(texts)))
+                recovered.update(texts)
+                counts.append(len(recovered))
+        else:
+            run = list(run)
+            request_log.extend(zip(run, repeat(0)))
+            counts.extend(repeat(len(recovered), len(run)))
+    if error is not None:
+        raise ReconstructionAborted(str(error), result) from error
+    result.frontier_exhausted = exhausted
     return result
 
 

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
+from operator import itemgetter
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .history import HistoryEntry, SearchHistory, normalize
 
@@ -88,6 +90,22 @@ class SuggestIndex:
             hi += 1
         ranked = sorted(self._entries[lo:hi], key=default_ranking)
         return SuggestionResponse(prefix, [e.query for e in ranked[:MAX_HISTORY_SUGGESTIONS]])
+
+    def match_counts(self, length: int) -> Counter:
+        """How many clicked queries start with each prefix of this length."""
+        return Counter(map(itemgetter(slice(length)), self._queries))
+
+    def check_prefixes(self, prefixes: Sequence[str]) -> Tuple[int, Optional[OracleError]]:
+        """How many of these prefixes, asked in order, calls would answer
+        before one refuses, and the error it raises (None if all answer)."""
+        for i, prefix in enumerate(prefixes):
+            if prefix not in self._checked:
+                try:
+                    _check_prefix(prefix, self._alphabet)
+                except OracleError as exc:
+                    return i, exc
+                self._checked.add(prefix)
+        return len(prefixes), None
 
 
 def suggest(history: SearchHistory, prefix: str) -> SuggestionResponse:

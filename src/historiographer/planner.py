@@ -142,6 +142,8 @@ class PrefixPlan:
     _children: Dict[int, Dict[str, List[str]]] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
+    # (seeds, request_rank for them), filled on the first request_rank.
+    _rank: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
     def extend(self, prefix: str) -> List[str]:
         """Children of a saturated prefix, one character longer, ordered by
@@ -168,6 +170,34 @@ class PrefixPlan:
             if stats.counts[p] > 0 and p in selected:
                 groups.setdefault(p[: child_len - 1], []).append(p)
         return groups
+
+    def request_rank(self) -> Optional[Dict[str, int]]:
+        """Each seed and stats-level prefix by its place in the attack's
+        request order (count descending, then shorter, then lexicographic).
+        None when the plan does not fix that order: when a child could sort
+        before its parent or one prefix be reached twice."""
+        seeds = tuple(self.seeds)
+        if self._rank is not None and self._rank[0] == seeds:
+            return self._rank[1]
+        lengths = sorted(self.stats_by_length)
+        rank = None
+        if (
+            lengths
+            and lengths == list(range(lengths[0], lengths[-1] + 1))
+            and len(set(seeds)) == len(seeds)
+            and all(len(s) == lengths[0] for s in seeds)
+            and len(set(self.unigram_order)) == len(self.unigram_order)
+            and all(
+                len(p) == n and 0 <= c and (n == lengths[0] or c <= self.seed_count(p[:-1]))
+                for n, stats in self.stats_by_length.items()
+                for p, c in stats.counts.items()
+            )
+        ):
+            prefixes = set(seeds).union(*(s.counts for s in self.stats_by_length.values()))
+            ranked = sorted(prefixes, key=lambda p: (-self.seed_count(p), len(p), p))
+            rank = {p: i for i, p in enumerate(ranked)}
+        self._rank = (seeds, rank)
+        return rank
 
     def seed_count(self, prefix: str) -> int:
         stats = self.stats_by_length.get(len(prefix))
@@ -281,9 +311,17 @@ def _normalized_items(lines) -> List[str]:
 
 
 def load_corpus(path) -> List[str]:
-    """Word-list corpus: one item per line, normalized on load."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return _normalized_items(fh)
+    """Word-list corpus: one item per line, normalized on load. As in text
+    mode, a lone carriage return also ends an item. A line that is not UTF-8
+    raises PlannerError naming the file and the line."""
+    lines: List[str] = []
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                lines.extend(raw.decode("utf-8").split("\r"))
+            except UnicodeDecodeError as exc:
+                raise PlannerError(f"{path}:{lineno}: not UTF-8: {exc}") from None
+    return _normalized_items(lines)
 
 
 def bundled_wordlist() -> List[str]:

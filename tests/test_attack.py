@@ -21,7 +21,7 @@ from historiographer.attack import (
 from historiographer.harness import brute_force_recoverable, gen_synthetic
 from historiographer.history import SearchHistory
 from historiographer.oracle import SuggestIndex, suggest
-from historiographer.planner import build_plan
+from historiographer.planner import PrefixPlan, build_plan
 
 FULL_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789 "
 
@@ -269,6 +269,166 @@ class TestAgainstReferenceLoop:
             assert outcomes[0] == outcomes[1]
             assert len(outcomes[0][0]) == fail_at
             assert outcomes[0][4].startswith("refused ")
+
+
+def bundled_plan_with(wordlist, extra_seeds):
+    plan = build_plan(wordlist, 0.9)
+    plan.seeds = plan.seeds + extra_seeds
+    return plan
+
+
+class TestFixedOrderWalk:
+    """reconstruct on a SuggestIndex under a plan with a fixed request order
+    walks that order; it must leave what the frontier loop leaves."""
+
+    @pytest.fixture(scope="class")
+    def histories(self, wordlist):
+        return list(gen_synthetic(6, (5, 400), 0.7, wordlist, seed=33).values())
+
+    @pytest.mark.parametrize(
+        "extra_seeds", [[], ["qz"], ["ZZ"], ["qz", "ZZ"]], ids=["bundled", "qz", "ZZ", "qz-ZZ"]
+    )
+    def test_same_run_as_reference_loop(self, wordlist, histories, monkeypatch, extra_seeds):
+        plan = bundled_plan_with(wordlist, extra_seeds)
+        assert plan.request_rank() is not None
+        calls = []
+        serve = SuggestIndex.__call__
+        monkeypatch.setattr(
+            SuggestIndex,
+            "__call__",
+            lambda index, prefix: calls.append(prefix) or serve(index, prefix),
+        )
+        n = len(plan.seeds)
+        seen = {"fallback": 0, "cut_short": 0, "aborted": 0}
+        for threshold, max_depth, budget in itertools.product(
+            [1, 2, 3], [None, 2, 3, 5], [None, 1, n - 1, n, n + 1]
+        ):
+            config = AttackConfig(
+                plan=plan, budget=budget, max_depth=max_depth, descent_threshold=threshold
+            )
+            for hist in histories:
+                index = SuggestIndex(hist)
+                want = run_outcome(reference_reconstruct, index, config)
+                calls.clear()
+                got = run_outcome(reconstruct, index, config)
+                assert got == want
+                request_log, _, _, exhausted, error = got
+                # only the requests that serve something reach __call__
+                assert calls == [p for p, served in request_log if served]
+                seen["fallback"] += any(len(p) > 3 for p, _ in request_log)
+                seen["cut_short"] += not exhausted and error is None
+                seen["aborted"] += error is not None
+        assert seen["cut_short"]
+        # ZZ (count 0) sorts before every fallback prefix, and the oracle
+        # refuses it: those runs abort before the fallback levels
+        assert bool(seen["aborted"]) == ("ZZ" in extra_seeds) != bool(seen["fallback"])
+
+    @pytest.mark.parametrize("threshold", [1, 3])
+    def test_budget_at_each_level_change(self, wordlist, histories, threshold):
+        # a budget just before, at and after the end of the stats levels and
+        # of each fallback level
+        plan = bundled_plan_with(wordlist, ["qz"])
+        deepest = 0
+        for hist in histories:
+            index = SuggestIndex(hist)
+            config = AttackConfig(plan=plan, max_depth=6, descent_threshold=threshold)
+            run = reconstruct(index, config)
+            lengths = [len(p) for p, _ in run.request_log]
+            deepest = max(deepest, *lengths)
+            changes = [i for i in range(1, len(lengths)) if lengths[i] > lengths[i - 1] >= 3]
+            budgets = {b for i in changes + [len(lengths)] for b in (i - 1, i, i + 1) if b >= 1}
+            for budget in budgets:
+                config = AttackConfig(
+                    plan=plan, budget=budget, max_depth=6, descent_threshold=threshold
+                )
+                assert run_outcome(reconstruct, index, config) == run_outcome(
+                    reference_reconstruct, index, config
+                )
+        assert deepest > 4
+
+    def test_new_seeds_are_served(self, wordlist, histories):
+        plan = build_plan(wordlist, 0.9)
+        config = AttackConfig(plan=plan, descent_threshold=2)
+        index = SuggestIndex(histories[-1])
+        reconstruct(index, config)
+        for change in (
+            lambda: setattr(plan, "seeds", plan.seeds[::2]),  # reassigned
+            lambda: plan.seeds.append("qz"),  # changed in place
+            lambda: setattr(plan, "seeds", ["th", "qz"]),
+            lambda: setattr(plan, "seeds", ["th", "th"]),  # no fixed order now
+        ):
+            change()
+            got = run_outcome(reconstruct, index, config)
+            assert got == run_outcome(reference_reconstruct, index, config)
+            assert [p for p, _ in got[0] if len(p) == 2] == sorted(
+                set(plan.seeds), key=lambda p: (-plan.seed_count(p), p)
+            )
+        assert plan.request_rank() is None
+
+
+def with_count_above_parent(d):
+    stats2, stats3 = d["stats"]["2"], d["stats"]["3"]
+    child = max(stats3, key=stats3.get)
+    stats3[child] = stats2[child[:2]] + 1
+
+
+def heap_loop_plans(wordlist):
+    """Saved plans whose request order is not fixed, each with what makes it so."""
+    base = build_plan(wordlist, 0.9).to_dict()
+
+    def changed(change):
+        d = copy.deepcopy(base)
+        change(d)
+        return d
+
+    return {
+        "count-above-parent": changed(with_count_above_parent),
+        "mixed-seed-lengths": changed(lambda d: d["seeds"].append("the")),
+        "duplicate-seed": changed(lambda d: d["seeds"].append(d["seeds"][3])),
+        "repeated-unigram": changed(lambda d: d.update(unigram_order=d["unigram_order"] + "e")),
+        "lengths-2-4": build_plan(wordlist, 0.9, lengths=(2, 4)).to_dict(),
+        "negative-count": changed(lambda d: d["stats"]["2"].update(qz=-1)),
+        "key-longer-than-level": changed(lambda d: d["stats"]["2"].update(abc=0)),
+    }
+
+
+class TestHeapLoopPlans:
+    @pytest.fixture(scope="class")
+    def histories(self, wordlist):
+        return list(gen_synthetic(4, (5, 200), 0.7, wordlist, seed=34).values())
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "count-above-parent",
+            "mixed-seed-lengths",
+            "duplicate-seed",
+            "repeated-unigram",
+            "lengths-2-4",
+            "negative-count",
+            "key-longer-than-level",
+        ],
+    )
+    def test_no_fixed_order_and_same_run(self, wordlist, histories, name):
+        plan = PrefixPlan.from_dict(heap_loop_plans(wordlist)[name])
+        assert plan.request_rank() is None
+        for threshold, max_depth, budget in itertools.product([1, 3], [None, 3], [None, 60]):
+            config = AttackConfig(
+                plan=plan, budget=budget, max_depth=max_depth, descent_threshold=threshold
+            )
+            for hist in histories:
+                index = SuggestIndex(hist)
+                assert run_outcome(reconstruct, index, config) == run_outcome(
+                    reference_reconstruct, index, config
+                )
+
+    def test_the_bundled_plan_has_a_fixed_order(self, wordlist):
+        plan = PrefixPlan.from_dict(build_plan(wordlist, 0.9).to_dict())
+        rank = plan.request_rank()
+        assert sorted(rank, key=rank.get) == sorted(
+            rank, key=lambda p: (-plan.seed_count(p), len(p), p)
+        )
+        assert set(plan.seeds) <= set(rank)
 
 
 class TestProperties:

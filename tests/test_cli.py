@@ -366,6 +366,22 @@ def test_not_utf8_exit_2_naming_the_line(tmp_path, capsys, plan_file, command, l
     assert capsys.readouterr().err.startswith(f"error: {data}:{lineno}: not UTF-8: ")
 
 
+@pytest.mark.parametrize("command", ["plan", "gen"])
+@pytest.mark.parametrize(
+    "data, lineno",
+    [(b"caf\xe9\nhello\n", 1), (b"hello\r\nworld\n\xff\n", 3)],
+    ids=["first-line", "third-line"],
+)
+def test_corpus_not_utf8_exit_2_naming_the_line(tmp_path, capsys, command, data, lineno):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_bytes(data)
+    out = tmp_path / "out.json"
+    args = ["plan", corpus] if command == "plan" else ["gen", "--users", 2, "--vocab", corpus]
+    assert run([*args, "-o", out]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {corpus}:{lineno}: not UTF-8: ")
+    assert not out.exists()
+
+
 def audit_exit_code(text):
     with tempfile.TemporaryDirectory() as tmp:
         trace = Path(tmp) / "trace.jsonl"

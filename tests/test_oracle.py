@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from historiographer import oracle
 from historiographer.history import DEFAULT_ALPHABET, SearchHistory, normalize
 from historiographer.oracle import (
     PrefixTooShortError,
@@ -209,6 +210,18 @@ class TestSuggestIndex:
         index("co").texts.append("x")
         assert index("co").texts == ["cobalt"]
 
+    @given(SEARCHES, st.lists(st.text("cdfoxe 2", max_size=7), max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_match_counts(self, searches, texts):
+        hist = self.build(searches)
+        index = SuggestIndex(hist)
+        clicked = [e.query for e in hist.entries.values() if e.clicked]
+        for n in range(8):
+            counts = index.match_counts(n)
+            for prefix in {q[:n] for q in hist.entries if len(q) >= n} | set(texts):
+                if len(prefix) == n:
+                    assert counts[prefix] == sum(q.startswith(prefix) for q in clicked)
+
 
 def old_prefix_check(prefix, alphabet):
     """The check every request made before checked prefixes were
@@ -241,6 +254,30 @@ class TestPrefixCheck:
             for prefix in texts:
                 for alphabet, index in zip(ALPHABETS, indexes):
                     assert self.check(index, prefix) == old_prefix_check(prefix, alphabet)
+
+    @given(st.lists(st.one_of(st.text(max_size=6), st.text("abzq1 C", max_size=5)), max_size=10))
+    @settings(max_examples=200, deadline=None)
+    def test_check_prefixes_stops_where_a_call_refuses(self, texts):
+        for alphabet in ALPHABETS:
+            errors = [old_prefix_check(p, alphabet) for p in texts] + [None]
+            stop = next(i for i, error in enumerate(errors) if error or i == len(texts))
+            index = SuggestIndex(SearchHistory("u", alphabet=alphabet))
+            answered, error = index.check_prefixes(texts)
+            assert (answered, type(error) if error else None) == (stop, errors[stop])
+
+    def test_check_prefixes_checks_each_prefix_once(self, monkeypatch):
+        checked = []
+        check = oracle._check_prefix
+        monkeypatch.setattr(oracle, "_check_prefix", lambda p, a: checked.append(p) or check(p, a))
+        index = SuggestIndex(SearchHistory("u", alphabet="mnop"))
+        answered, error = index.check_prefixes(["mn", "op", "Mn", "po"])
+        assert answered == 2 and type(error) is UnnormalizedPrefixError
+        assert str(error) == "prefix 'Mn' is not normalized"
+        assert checked == ["mn", "op", "Mn"]
+        # a passed prefix is not checked again, by this index or another
+        assert index.check_prefixes(["mn", "op", "po"]) == (3, None)
+        SuggestIndex(SearchHistory("v", alphabet="mnop"))("mn")
+        assert checked == ["mn", "op", "Mn", "po"]
 
     @pytest.mark.parametrize("order", [ALPHABETS, ALPHABETS[::-1]])
     def test_checked_prefixes_kept_per_alphabet(self, order):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from historiographer.history import normalize
 from historiographer.planner import (
     EmptyCorpusError,
     PlannerError,
@@ -241,6 +242,24 @@ def test_stats_csv(tmp_path, wordlist):
     lines = path.read_text().splitlines()
     assert lines[0] == "prefix,count"
     assert len(lines) == 1 + len(stats.counts)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"",
+        b"one\ntwo",
+        b"one\r\ntwo\r\n",
+        b"one\rtwo\r\rthree\n",
+        b"Caf\xc3\xa9 Bar\r\n\n  x\t y \r",
+        "a\x85b\u2028c\x1cd\n".encode(),
+    ],
+)
+def test_load_corpus_splits_as_text_mode(tmp_path, data):
+    path = tmp_path / "corpus.txt"
+    path.write_bytes(data)
+    with open(path, encoding="utf-8") as fh:
+        assert load_corpus(path) == [normalize(line) for line in fh if normalize(line)]
 
 
 def test_load_corpus_normalizes(tmp_path):
