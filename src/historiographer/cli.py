@@ -12,13 +12,14 @@ from . import __version__
 from .attack import AttackConfig, AttackError, reconstruct, score, write_reports_csv
 from .cookies import (
     CookieError,
-    audit_trace,
+    TraceTally,
     bundled_catalog,
-    count_users,
+    iter_trace,
     load_catalog,
-    load_trace,
     write_audit_csv,
 )
+# unused here, but perfbench/tracing.py looks these up on this module to patch them
+from .cookies import audit_trace, count_users, load_trace  # noqa: F401
 from .harness import HarnessError, gen_synthetic, ingest_query_log_counted, run_batch
 from .history import HistoryError, load_histories, save_histories
 from .oracle import SuggestIndex
@@ -135,21 +136,18 @@ def cmd_eval(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    trace = load_trace(_input_file(args.trace_file, "trace file"))
+    # the whole trace is read, and any bad record reported, before the catalog
+    tally = TraceTally(iter_trace(_input_file(args.trace_file, "trace file")))
     if args.catalog_file is not None:
         catalog = load_catalog(_input_file(args.catalog_file, "catalog file"))
     else:
         catalog = bundled_catalog()
-    counts = count_users(trace)
-    reports = audit_trace(
-        trace,
-        catalog,
-        enforce_ip_binding=args.enforce_ip_binding,
-        replay_ip=args.replay_ip,
+    reports = tally.reports(
+        catalog, enforce_ip_binding=args.enforce_ip_binding, replay_ip=args.replay_ip
     )
     out = Path(args.output)
     # an account is every field of its HijackReport
-    audit = {"user_counts": counts, "accounts": [vars(r) for r in reports]}
+    audit = {"user_counts": tally.user_counts(), "accounts": [vars(r) for r in reports]}
     out.write_text(json.dumps(audit, sort_keys=True) + "\n")
     stem = out.with_suffix("")
     write_audit_csv(reports, catalog, Path(f"{stem}.services.csv"))

@@ -7,7 +7,7 @@ import csv
 from dataclasses import dataclass, field
 from email.utils import parsedate_to_datetime
 from importlib import resources
-from typing import Dict, List, Optional, Sequence, Set, get_type_hints
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, get_type_hints
 
 from .history import field_problem, json_lines, read_json
 
@@ -90,22 +90,20 @@ def parse_cookie_header(header_value: str) -> Dict[str, str]:
     """Split a request Cookie header into name -> value."""
     out: Dict[str, str] = {}
     for crumb in header_value.split(";"):
-        crumb = crumb.strip()
-        if not crumb or "=" not in crumb:
-            continue
-        name, _, value = crumb.partition("=")
-        out[name.strip()] = value.strip()
+        name, eq, value = crumb.partition("=")
+        if eq:
+            out[name.strip()] = value.strip()
     return out
 
 
-@dataclass
+@dataclass(slots=True)
 class TrafficRecord:
     time: int
     scheme: str  # "http" or "https"
     client_ip: str
     host: str
     path: str
-    # crumbs of the request's Cookie headers, name -> value; load_trace
+    # crumbs of the request's Cookie headers, name -> value; iter_trace
     # leaves them out of HTTPS records, which an eavesdropper cannot read
     cookies: Dict[str, str] = field(default_factory=dict)
     body_flags: Set[str] = field(default_factory=set)
@@ -128,7 +126,7 @@ _TRACE_STRINGS = ("scheme", "client_ip", "host", "path")
 
 
 def _bad_trace_field(record) -> str:
-    """What is wrong with a trace record that load_trace could not build:
+    """What is wrong with a trace record that iter_trace could not build:
     its first field that is missing or of the wrong type."""
     if not isinstance(record, dict):
         return "record: expected an object"
@@ -153,14 +151,14 @@ def _bad_trace_field(record) -> str:
     return "body_flags: expected a list of strings"
 
 
-def load_trace(path) -> List[TrafficRecord]:
-    """Read a JSON-lines trace, parsing each record's Cookie headers once; an
-    HTTPS record keeps no cookies, because an eavesdropper never sees them.
+def iter_trace(path) -> Iterator[TrafficRecord]:
+    """Read a JSON-lines trace record by record, parsing each record's Cookie
+    headers once; an HTTPS record keeps no cookies, because an eavesdropper
+    never sees them.
 
     A bad line (not UTF-8, not JSON) or a record with a missing or ill-typed
     field raises TraceError naming the file, the line and the field.
     """
-    records: List[TrafficRecord] = []
     for lineno, d in json_lines(path, TraceError):
         try:
             scheme = d["scheme"].lower()
@@ -177,49 +175,27 @@ def load_trace(path) -> List[TrafficRecord]:
             client_ip, host, req_path = d["client_ip"], d["host"], d["path"]
             if type(client_ip) is not str or type(host) is not str or type(req_path) is not str:
                 raise TypeError
-            records.append(
-                TrafficRecord(
-                    time=int(d["time"]),
-                    scheme=scheme,
-                    client_ip=client_ip,
-                    host=host,
-                    path=req_path,
-                    cookies=crumbs,
-                    body_flags=set(d.get("body_flags", [])),
-                )
+            flags = d.get("body_flags", [])
+            # a list of strings; most records have no flags to look at
+            if type(flags) is not list or flags and any(type(f) is not str for f in flags):
+                raise TypeError
+            record = TrafficRecord(
+                int(d["time"]), scheme, client_ip, host, req_path, crumbs, set(flags)
             )
         except (AttributeError, KeyError, TypeError, ValueError, OverflowError):
             # which field, worked out only on this rare path
             raise TraceError(f"{path}:{lineno}: {_bad_trace_field(d)}") from None
-    return records
+        yield record
 
 
-def count_users(trace: Sequence[TrafficRecord]) -> Dict[str, int]:
-    """Distinct signed-in users (SID), anonymous users (NID with no SID from
-    the same client) and history-enabled users (SID seen on a record flagged
-    with the history link)."""
-    sids: Set[str] = set()
-    nid_clients: Dict[str, Set[str]] = {}
-    clients_with_sid: Set[str] = set()
-    history_sids: Set[str] = set()
-    for record in trace:
-        sid = record.cookies.get("SID")
-        if sid:
-            sids.add(sid)
-            clients_with_sid.add(record.client_ip)
-            if HISTORY_LINK_FLAG in record.body_flags:
-                history_sids.add(sid)
-        nid = record.cookies.get("NID")
-        if nid:
-            nid_clients.setdefault(nid, set()).add(record.client_ip)
-    anonymous = sum(
-        1 for clients in nid_clients.values() if not clients & clients_with_sid
-    )
-    return {
-        "signed_in": len(sids),
-        "anonymous": anonymous,
-        "history_enabled": len(history_sids),
-    }
+def load_trace(path) -> List[TrafficRecord]:
+    """Every record of a trace file, as iter_trace reads them."""
+    return list(iter_trace(path))
+
+
+def count_users(trace: Iterable[TrafficRecord]) -> Dict[str, int]:
+    """TraceTally.user_counts of a trace."""
+    return TraceTally(trace).user_counts()
 
 
 @dataclass
@@ -329,54 +305,99 @@ def audit_services(
     )
 
 
-def harvest_accounts(trace: Sequence[TrafficRecord]) -> Dict[str, List[Cookie]]:
-    """Group cookies observable in cleartext by the SID they travel with.
+class TraceTally:
+    """What the audit keeps of a trace, folded in one record at a time: each
+    SID's first client, the SIDs seen with the history link, the clients
+    that sent a SID, each NID's clients and, from HTTP records only, the
+    cookies each SID travels with (the first value of each name)."""
 
-    Only HTTP records contribute (HTTPS records carry no cookies).
-    """
-    accounts: Dict[str, Dict[str, Cookie]] = {}
-    for record in trace:
-        if record.scheme != "http":
-            continue
-        sid = record.cookies.get("SID")
-        if not sid:
-            continue
-        jar = accounts.setdefault(sid, {})
-        for name, value in record.cookies.items():
-            jar.setdefault(
-                name, Cookie(name=name, value=value, domain="google.com")
+    def __init__(self, records: Iterable[TrafficRecord] = ()):
+        self.capture_ips: Dict[str, str] = {}
+        self.history_sids: Set[str] = set()
+        self.clients_with_sid: Set[str] = set()
+        self.nid_clients: Dict[str, Set[str]] = {}
+        self.jars: Dict[str, Dict[str, Cookie]] = {}
+        for record in records:
+            self.add(record)
+
+    def add(self, record: TrafficRecord) -> None:
+        cookies = record.cookies
+        if not cookies:
+            return
+        sid = cookies.get("SID")
+        if sid:
+            if sid not in self.capture_ips:
+                self.capture_ips[sid] = record.client_ip
+            self.clients_with_sid.add(record.client_ip)
+            if HISTORY_LINK_FLAG in record.body_flags:
+                self.history_sids.add(sid)
+            if record.scheme == "http":
+                jar = self.jars.get(sid)
+                if jar is None:
+                    jar = self.jars[sid] = {}
+                for name, value in cookies.items():
+                    if name not in jar:
+                        jar[name] = Cookie(name, value, "google.com")
+        nid = cookies.get("NID")
+        if nid:
+            clients = self.nid_clients.get(nid)
+            if clients is None:
+                clients = self.nid_clients[nid] = set()
+            clients.add(record.client_ip)
+
+    def user_counts(self) -> Dict[str, int]:
+        """Distinct signed-in users (SID), anonymous users (NID with no SID
+        from the same client) and history-enabled users (SID seen on a record
+        flagged with the history link)."""
+        anonymous = sum(
+            1 for clients in self.nid_clients.values() if not clients & self.clients_with_sid
+        )
+        return {
+            "signed_in": len(self.capture_ips),
+            "anonymous": anonymous,
+            "history_enabled": len(self.history_sids),
+        }
+
+    def accounts(self) -> Dict[str, List[Cookie]]:
+        """The cookies observable in cleartext, grouped by the SID they travel with."""
+        return {sid: list(jar.values()) for sid, jar in self.jars.items()}
+
+    def reports(
+        self,
+        catalog: Sequence[ServiceCatalogEntry],
+        enforce_ip_binding: bool = False,
+        replay_ip: str = "",
+    ) -> List[HijackReport]:
+        """One HijackReport per pseudo-account (distinct SID), by SID."""
+        # every harvested SID has a capture address: it came from a record
+        return [
+            audit_services(
+                cookies,
+                catalog,
+                enforce_ip_binding=enforce_ip_binding,
+                capture_ip=self.capture_ips[sid],
+                replay_ip=replay_ip or self.capture_ips[sid],
+                sid=sid,
+                history_enabled=sid in self.history_sids,
             )
-    return {sid: list(jar.values()) for sid, jar in accounts.items()}
+            for sid, cookies in sorted(self.accounts().items())
+        ]
+
+
+def harvest_accounts(trace: Iterable[TrafficRecord]) -> Dict[str, List[Cookie]]:
+    """TraceTally.accounts of a trace: only HTTP records contribute (HTTPS
+    records carry no cookies)."""
+    return TraceTally(trace).accounts()
 
 
 def audit_trace(
-    trace: Sequence[TrafficRecord],
+    trace: Iterable[TrafficRecord],
     catalog: Sequence[ServiceCatalogEntry],
     enforce_ip_binding: bool = False,
     replay_ip: str = "",
 ) -> List[HijackReport]:
     """One HijackReport per pseudo-account (distinct SID) seen in the trace."""
-    history_sids: Set[str] = set()
-    capture_ips: Dict[str, str] = {}  # an SID's first client
-    for record in trace:
-        sid = record.cookies.get("SID")
-        if sid:
-            capture_ips.setdefault(sid, record.client_ip)
-            if HISTORY_LINK_FLAG in record.body_flags:
-                history_sids.add(sid)
-    # every harvested SID has a capture address: it came from a record
-    return [
-        audit_services(
-            cookies,
-            catalog,
-            enforce_ip_binding=enforce_ip_binding,
-            capture_ip=capture_ips[sid],
-            replay_ip=replay_ip or capture_ips[sid],
-            sid=sid,
-            history_enabled=sid in history_sids,
-        )
-        for sid, cookies in sorted(harvest_accounts(trace).items())
-    ]
+    return TraceTally(trace).reports(catalog, enforce_ip_binding, replay_ip)
 
 
 def write_audit_csv(reports: Sequence[HijackReport], catalog: Sequence[ServiceCatalogEntry], path) -> None:

@@ -227,6 +227,11 @@ def read_json(path, error: type):
         raise error(f"{path}: invalid JSON: {exc}") from None
 
 
+# json.loads(s) is this call plus whitespace scans at both ends and a
+# trailing-data check; a stripped line has no whitespace to scan
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def json_lines(path, error: type) -> Iterator[Tuple[int, object]]:
     """(line number, value) for each non-blank line of a JSON-lines file.
     Each line is decoded on its own, so a line that is not UTF-8, or JSON
@@ -241,10 +246,17 @@ def json_lines(path, error: type) -> Iterator[Tuple[int, object]]:
             if not line:
                 continue
             try:
-                value = json.loads(line)
-            except (ValueError, RecursionError) as exc:
-                # ValueError also covers an integer too long to convert
-                raise error(f"{path}:{lineno}: invalid JSON: {exc}") from None
+                value, end = _raw_decode(line)
+            except (ValueError, RecursionError):
+                end = -1
+            if end != len(line):
+                # refused, or trailing data: json.loads gives the value or
+                # error it always gave, a leading BOM's message included
+                try:
+                    value = json.loads(line)
+                except (ValueError, RecursionError) as exc:
+                    # ValueError also covers an integer too long to convert
+                    raise error(f"{path}:{lineno}: invalid JSON: {exc}") from None
             yield lineno, value
 
 

@@ -1,6 +1,8 @@
 import functools
 import json
+import random
 import tempfile
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from historiographer import cli, cookies
 from historiographer.cli import main
 from historiographer.history import SearchHistory, save_histories
 from historiographer.planner import build_plan, bundled_wordlist
@@ -293,6 +296,8 @@ class TestAudit:
             ({"time": "x"}, "time: expected an integer, got str"),
             ({"headers": []}, "headers: expected an object, got list"),
             ({"body_flags": 5}, "body_flags: expected a list of strings"),
+            ({"body_flags": "has_history_link"}, "body_flags: expected a list of strings"),
+            ({"body_flags": [1]}, "body_flags: expected a list of strings"),
             ({"client_ip": ["10.0.0.1"]}, "client_ip: expected a string, got list"),
             ({"headers": {"Cookie": [5]}}, "headers.Cookie: expected a string or a list of strings"),
             ({"time": 1e400}, "time: expected an integer, got float"),
@@ -311,6 +316,53 @@ class TestAudit:
         trace.write_text(json.dumps(good) + "\n" + bad + "\n")
         assert run(["audit", trace, "-o", tmp_path / "a.json"]) == 2
         assert capsys.readouterr().err == f"error: {trace}:2: {message}\n"
+
+    def test_bad_trace_reported_before_missing_catalog(self, tmp_path, capsys):
+        trace = self._write_trace(tmp_path, [
+            {"time": 1, "client_ip": "10.0.0.1", "host": "www.google.com", "path": "/"},
+        ])
+        out = tmp_path / "a.json"
+        assert run(["audit", trace, tmp_path / "no-catalog.json", "-o", out]) == 2
+        assert capsys.readouterr().err == f"error: {trace}:1: scheme: missing\n"
+
+    def test_bad_last_line_writes_nothing(self, tmp_path, capsys):
+        good = {"time": 1, "scheme": "http", "client_ip": "10.0.0.1", "host": "www.google.com",
+                "path": "/search", "headers": {"Cookie": "SID=s1"}}
+        trace = self._write_trace(tmp_path, [good, good, {**good, "time": None}])
+        assert run(["audit", trace, "-o", tmp_path / "a.json"]) == 2
+        assert capsys.readouterr().err == f"error: {trace}:3: time: expected an integer, got NoneType\n"
+        assert list(tmp_path.iterdir()) == [trace]
+
+    def test_audit_memory_does_not_grow_with_the_trace(self, tmp_path):
+        """The audit keeps per-SID state, not the records: its peak is under
+        a quarter of what holding the loaded trace takes."""
+        rng = random.Random(5)
+        rows = []
+        for t in range(20_000):
+            client = rng.randrange(800)
+            crumbs = f"NID=n{client}" + (f"; SID=s{client}; HSID=h{client}" if client % 2 else "")
+            rows.append({
+                "time": t, "scheme": rng.choice(["http", "https"]), "client_ip": f"10.0.{client >> 8}.{client & 255}",
+                "host": "www.google.com", "path": "/search", "headers": {"Cookie": crumbs},
+                "body_flags": ["has_history_link"] if rng.random() < 0.1 else [],
+            })
+        trace = self._write_trace(tmp_path, rows)
+        tracemalloc.start()
+        try:
+            cookies.load_trace(trace)
+            loaded_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            assert run(["audit", trace, "-o", tmp_path / "a.json"]) == 0
+            audit_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert audit_peak < loaded_peak / 4
+
+    def test_cli_keeps_the_names_the_benchmark_tracer_patches(self):
+        # perfbench/tracing.py wraps these on the cli module by name
+        assert cli.load_trace is cookies.load_trace
+        assert cli.count_users is cookies.count_users
+        assert cli.audit_trace is cookies.audit_trace
 
     @pytest.mark.parametrize(
         "index, change, message",

@@ -8,10 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from historiographer import cli
 from historiographer.cookies import (
     CatalogError,
     Cookie,
     MalformedHeaderError,
+    TraceError,
+    TraceTally,
     TrafficRecord,
     audit_services,
     audit_trace,
@@ -19,6 +22,7 @@ from historiographer.cookies import (
     cookie_applies,
     count_users,
     harvest_accounts,
+    iter_trace,
     load_catalog,
     load_trace,
     parse_set_cookie,
@@ -391,3 +395,59 @@ def test_cookies_parsed_at_load_match_header_rules(raws):
         assert audit_trace(trace, catalog, binding, replay_ip) == reference_audit(
             raws, catalog, binding, replay_ip
         )
+
+
+AUDIT_FLAGS = st.sampled_from([
+    (), ("--enforce-ip-binding",), ("--enforce-ip-binding", "--replay-ip", "10.0.0.1"),
+    ("--enforce-ip-binding", "--replay-ip", "10.0.0.2"), ("--replay-ip", "10.0.0.3"),
+])
+
+
+@given(st.lists(RAW_RECORDS, max_size=12), AUDIT_FLAGS)
+@settings(max_examples=150, deadline=None)
+def test_streaming_audit_matches_the_loaded_trace(raws, flags):
+    """The CLI folds each record into a TraceTally as it reads it; its JSON is
+    what the library functions give over the whole loaded trace."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.jsonl"
+        path.write_text("".join(json.dumps(raw) + "\n" for raw in raws), encoding="utf-8")
+        out = Path(tmp) / "audit.json"
+        assert cli.main(["audit", str(path), *flags, "-o", str(out)]) == 0
+        trace = load_trace(path)
+        binding = "--enforce-ip-binding" in flags
+        replay_ip = flags[-1] if "--replay-ip" in flags else ""
+        expected = {
+            "user_counts": count_users(trace),
+            "accounts": [vars(r) for r in audit_trace(trace, bundled_catalog(), binding, replay_ip)],
+        }
+        assert out.read_text() == json.dumps(expected, sort_keys=True) + "\n"
+
+
+def test_iter_trace_reads_record_by_record(tmp_path, trace_file):
+    path = tmp_path / "bad-third-line.jsonl"
+    path.write_text("".join(json.dumps(row) + "\n" for row in trace_fixture()[:2]) + "{bad\n")
+    records = iter_trace(path)
+    tally = TraceTally()
+    tally.add(next(records))  # the bad third line is not read yet
+    assert tally.user_counts() == {"signed_in": 1, "anonymous": 0, "history_enabled": 1}
+    with pytest.raises(TraceError, match=r":3: invalid JSON"):
+        list(records)
+    assert load_trace(trace_file) == list(iter_trace(trace_file))
+
+
+def test_tally_builds_one_cookie_per_name(monkeypatch):
+    """An SID's jar keeps the first value of each name; a name already in
+    the jar builds no Cookie."""
+    built = []
+
+    class CountingCookie(Cookie):
+        def __init__(self, *args, **kwargs):
+            built.append(args[0] if args else kwargs["name"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr("historiographer.cookies.Cookie", CountingCookie)
+    tally = TraceTally(
+        record(cookies={"SID": "s", "NID": f"n{i}"}) for i in range(50)
+    )
+    assert built == ["SID", "NID"]
+    assert [(c.name, c.value) for c in tally.accounts()["s"]] == [("SID", "s"), ("NID", "n0")]

@@ -1,7 +1,10 @@
+import json
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from historiographer.history import (
@@ -10,6 +13,7 @@ from historiographer.history import (
     HistoryDisabledError,
     HistoryError,
     SearchHistory,
+    json_lines,
     load_histories,
     normalize,
     save_histories,
@@ -233,3 +237,65 @@ def test_bundled_volunteers_is_the_fixture_file():
     assert [h.to_dict() for h in loaded.values()] == [
         SearchHistory.from_dict(record).to_dict() for record in expected
     ]
+
+
+def json_lines_reference(path, error):
+    """json_lines as it read files before its raw_decode fast path: each
+    stripped, non-blank line through json.loads."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise error(f"{path}:{lineno}: not UTF-8: {exc}") from None
+            if not line:
+                continue
+            try:
+                value = json.loads(line)
+            except (ValueError, RecursionError) as exc:
+                raise error(f"{path}:{lineno}: invalid JSON: {exc}") from None
+            yield lineno, value
+
+
+def read_all(lines):
+    """The (line number, value) pairs a reader yields, by repr so that NaN
+    and -0.0 compare exactly, and the text of the error that stopped it."""
+    pairs = []
+    try:
+        for pair in lines:
+            pairs.append(repr(pair))
+    except HistoryError as exc:
+        return pairs, str(exc)
+    return pairs, None
+
+
+ODD_LINES = st.sampled_from([
+    b"", b"   ", b"\t \r", b"\xc2\xa0", b"\xef\xbb\xbf{}", b"\xef\xbb\xbf", b" \xef\xbb\xbf1",
+    b"1 2", b"{} x", b"[]]", b'"a" "b"', b"{", b"NaN", b"-Infinity", b"-0.0", b"1e400",
+    b"[" * 50 + b"]" * 50, b"[" * 100_000 + b"]" * 100_000, b'{"a":' * 50_000,
+    b"1" * 5000, b"-" + b"2" * 4301, b'{"n": ' + b"9" * 4400 + b"}",
+    b"\xff", b'"caf\xe9"', b"\xed\xa0\x80", b"{}\r",
+])
+LINES = st.lists(
+    st.one_of(
+        ODD_LINES,
+        st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+            lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+            max_leaves=6,
+        ).map(lambda v: json.dumps(v).encode()),
+        st.text(st.characters(blacklist_categories=("Cs",)), max_size=8).map(str.encode),
+        st.binary(max_size=6),
+    ),
+    max_size=6,
+)
+
+
+@given(LINES)
+@settings(max_examples=300, deadline=None)
+def test_json_lines_matches_json_loads_per_line(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.jsonl"
+        path.write_bytes(b"\n".join(lines))
+        expected = read_all(json_lines_reference(path, HistoryError))
+        assert read_all(json_lines(path, HistoryError)) == expected
