@@ -296,11 +296,11 @@ class TestAudit:
             ({"time": "x"}, "time: expected an integer, got str"),
             ({"headers": []}, "headers: expected an object, got list"),
             ({"body_flags": 5}, "body_flags: expected a list of strings"),
-            ({"body_flags": "has_history_link"}, "body_flags: expected a list of strings"),
-            ({"body_flags": [1]}, "body_flags: expected a list of strings"),
             ({"client_ip": ["10.0.0.1"]}, "client_ip: expected a string, got list"),
             ({"headers": {"Cookie": [5]}}, "headers.Cookie: expected a string or a list of strings"),
             ({"time": 1e400}, "time: expected an integer, got float"),
+            ({"body_flags": "has_history_link"}, "body_flags: expected a list of strings"),
+            ({"body_flags": [1]}, "body_flags: expected a list of strings"),
             ("[1,2]", "record: expected an object"),
         ],
     )
