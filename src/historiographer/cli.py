@@ -119,10 +119,20 @@ def _load_dataset(path: str):
     return load_histories(p)
 
 
+def _at_least_one(flag: str, value: int) -> None:
+    if value < 1:
+        raise InputError(f"{flag} must be >= 1, got {value}")
+
+
 def cmd_eval(args) -> int:
+    _at_least_one("--workers", args.workers)
     histories = _load_dataset(args.dataset)
     if args.plan_file is not None:
         plan = PrefixPlan.load(_input_file(args.plan_file, "plan file"))
+        if not plan.seeds:
+            # reconstruct would refuse it for every user, and eval would
+            # write a report of failures only
+            raise InputError(f"{args.plan_file}: seeds: empty")
     else:
         plan = build_plan(bundled_wordlist(), mass_fraction=0.9)
     config = AttackConfig(plan=plan, budget=args.budget)
@@ -169,6 +179,7 @@ def _parse_entries(raw: str):
 
 
 def cmd_gen(args) -> int:
+    _at_least_one("--users", args.users)
     if args.vocab is not None:
         vocabulary = _load_corpus_arg(args.vocab)
     else:
@@ -217,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=None)
     p.add_argument(
         "--workers", type=int, default=1,
-        help="recorded in the manifest; the batch runs serially at any value",
+        help="at least 1; recorded in the manifest; the batch runs serially at any value",
     )
     p.add_argument(
         "--seed", type=int, default=0,

@@ -49,12 +49,18 @@ _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 def _epoch_day(ymd: str) -> Optional[int]:
     """Days from 1970-01-01 to an ASCII "dddd-dd-dd" date, or None if the
     string is not of that form or names no day of the calendar."""
-    if ymd[4] == "-" == ymd[7] and (ymd[:4] + ymd[5:7] + ymd[8:]).isdigit():
+    if ymd.isascii() and ymd[4] == "-" == ymd[7] and (ymd[:4] + ymd[5:7] + ymd[8:]).isdigit():
         try:
             return date(int(ymd[:4]), int(ymd[5:7]), int(ymd[8:])).toordinal() - _EPOCH_ORDINAL
         except ValueError:
             pass
     return None
+
+
+# seconds for each two-digit ASCII hour, minute and second in range
+_HOURS = {f"{h:02d}": h * 3600 for h in range(24)}
+_MINUTES = {f"{m:02d}": m * 60 for m in range(60)}
+_SECONDS = {f"{s:02d}": s for s in range(60)}
 
 
 def _parse_query_time(raw: str) -> int:
@@ -65,13 +71,13 @@ def _parse_query_time(raw: str) -> int:
     # range, is read directly. strptime also takes single-digit fields, other
     # whitespace between date and time, and non-ASCII digits, so anything
     # else goes to it, which keeps the accepted set and the values unchanged.
-    if len(s) == 19 and s.isascii() and s[10] == " " and s[13] == ":" == s[16]:
+    if len(s) == 19 and s[10] == " " and s[13] == ":" == s[16]:
         day = _epoch_day(s[:10])
-        hms = s[11:13] + s[14:16] + s[17:]
-        if day is not None and hms.isdigit():
-            h, m, sec = int(hms[:2]), int(hms[2:4]), int(hms[4:])
-            if h <= 23 and m <= 59 and sec <= 59:
-                return day * 86400 + h * 3600 + m * 60 + sec
+        if day is not None:
+            try:
+                return day * 86400 + _HOURS[s[11:13]] + _MINUTES[s[14:16]] + _SECONDS[s[17:]]
+            except KeyError:
+                pass
     dt = datetime.strptime(s, "%Y-%m-%d %H:%M:%S")
     return int(dt.replace(tzinfo=timezone.utc).timestamp())
 
@@ -122,8 +128,9 @@ def ingest_query_log_counted(path) -> Tuple[Dict[str, SearchHistory], int]:
             hist = histories.get(anon_id)
             if hist is None:
                 hist = histories[anon_id] = SearchHistory(user_id=anon_id)
-            # normalize is idempotent, so insert_search keeps the query as is
-            hist.insert_search(query, time, click_url.strip() or None)
+            # the query is normalized and non-empty, and the history enabled:
+            # what insert_search checks is already done
+            hist._merge(query, time, click_url.strip() or None)
     return histories, skipped
 
 

@@ -155,6 +155,11 @@ class SearchHistory:
         query = normalize(raw_query, self.alphabet)
         if not query:
             raise EmptyQueryError(f"query {raw_query!r} normalizes to nothing")
+        self._merge(query, time, clicked_url)
+
+    def _merge(self, query: str, time: int, clicked_url: Optional[str]) -> None:
+        """Record one search of a query that is already normalized and
+        non-empty, in a history that is enabled."""
         entry = self.entries.get(query)
         if entry is None:
             self.entries[query] = HistoryEntry(
@@ -167,8 +172,10 @@ class SearchHistory:
             )
         else:
             entry.count += 1
-            entry.first_time = min(entry.first_time, time)
-            entry.last_time = max(entry.last_time, time)
+            if time < entry.first_time:
+                entry.first_time = time
+            if time > entry.last_time:
+                entry.last_time = time
             if clicked_url is not None:
                 entry.clicked = True
                 if clicked_url not in entry.clicked_urls:

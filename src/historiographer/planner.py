@@ -291,6 +291,11 @@ def build_plan(
 
     seed_len = min(lengths)
     seeds = select_mass(stats_by_length[seed_len], mass_fraction)
+    if not seeds:
+        raise PlannerError(
+            f"no corpus item has a length-{seed_len} prefix in the alphabet {alphabet!r}: "
+            "the plan would have no seeds"
+        )
     return PrefixPlan(
         seeds=seeds,
         mass_fraction=mass_fraction,

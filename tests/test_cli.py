@@ -51,11 +51,15 @@ class TestPlan:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", [["--mass", "0"], ["--length", "1"]])
+    @pytest.mark.parametrize(
+        "flag",
+        [["--mass", "0"], ["--length", "1"], ["--alphabet", "ABC"], ["--alphabet", ""]],
+    )
     def test_bad_plan_value_exit_2(self, tmp_path, capsys, flag):
         rc = run(["plan", "bundled", *flag, "-o", tmp_path / "p.json"])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "p.json").exists()
 
 
 class TestReconstruct:
@@ -200,6 +204,14 @@ class TestEval:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: budget")
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_bad_workers_exit_2(self, tmp_path, capsys, workers):
+        fixture = resources.files("historiographer.data").joinpath("volunteers.jsonl")
+        out = tmp_path / "r.json"
+        assert run(["eval", str(fixture), f"--workers={workers}", "-o", out]) == 2
+        assert capsys.readouterr().err == f"error: --workers must be >= 1, got {workers}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_history_missing_field_exit_2(self, tmp_path, capsys):
         dataset = tmp_path / "d.jsonl"
         dataset.write_text(json.dumps({"user_id": "u", "entries": []}) + "\n")
@@ -233,6 +245,7 @@ class TestEval:
             ({"selected": []}, "selected: expected an object, got list"),
             ({"filter_extensions": "no"}, "filter_extensions: expected a boolean, got str"),
             ({"seeds": ["ab", 5]}, "seeds: expected a list of strings"),
+            ({"seeds": []}, "seeds: empty"),
         ],
     )
     def test_malformed_plan_exit_2(self, tmp_path, capsys, plan_file, change, message):
@@ -665,6 +678,13 @@ class TestGen:
         err = capsys.readouterr().err
         assert err.startswith("error: --entries") and repr(entries) in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("users", ["0", "-1"])
+    def test_bad_users_exit_2(self, tmp_path, capsys, users):
+        out = tmp_path / "d.jsonl"
+        assert run(["gen", f"--users={users}", "-o", out]) == 2
+        assert capsys.readouterr().err == f"error: --users must be >= 1, got {users}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_entries_range_bounds_inclusive(self, tmp_path):
         from historiographer.history import load_histories

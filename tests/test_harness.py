@@ -1,9 +1,11 @@
 import dataclasses
 import json
+import tempfile
 from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from historiographer import harness
@@ -18,7 +20,7 @@ from historiographer.harness import (
     recall_curve,
     run_batch,
 )
-from historiographer.history import SearchHistory, load_histories, save_histories
+from historiographer.history import EmptyQueryError, SearchHistory, load_histories, save_histories
 from historiographer.oracle import SuggestIndex
 from historiographer.planner import build_plan, bundled_wordlist
 
@@ -186,6 +188,13 @@ class TestParseQueryTime:
     @example("2006-03-01 1_:00:00")
     @example("2006-03-01 +1:00:00")
     @example("2006-03-01 10:-1:00")
+    @example("2006-12-31 00:00:00")
+    @example("2006-12-31 23:59:59")
+    @example("2006-12-31 24:00:00")
+    @example("2006-12-31 23:60:00")
+    @example("2006-12-31 23:59:60")
+    @example("2006-03-01 1\u0660:00:00")
+    @example("2006-03-\u0660\u0661 10:00:00")
     def test_matches_strptime(self, raw):
         try:
             expected = strptime_reference(raw)
@@ -194,6 +203,108 @@ class TestParseQueryTime:
                 harness._parse_query_time(raw)
         else:
             assert harness._parse_query_time(raw) == expected
+
+
+def reference_ingest(path):
+    """Ingestion row by row, each good row merged by insert_search from its
+    raw query: what ingest_query_log_counted must give."""
+    histories, skipped = {}, 0
+    with open(path, "rb") as fh:
+        fh.readline()
+        for raw in fh:
+            raw = raw.rstrip(b"\r\n")
+            if not raw:
+                continue
+            try:
+                fields = raw.decode("utf-8").split("\t")
+            except UnicodeDecodeError:
+                skipped += 1
+                continue
+            if len(fields) != 5:
+                skipped += 1
+                continue
+            anon_id, query, query_time, _item_rank, click_url = fields
+            try:
+                time = strptime_reference(query_time)
+            except ValueError:
+                skipped += 1
+                continue
+            hist = histories.get(anon_id, SearchHistory(user_id=anon_id))
+            try:
+                hist.insert_search(query, time, click_url.strip() or None)
+            except EmptyQueryError:
+                skipped += 1
+                continue
+            histories.setdefault(anon_id, hist)
+    return histories, skipped
+
+
+WORDS = ["privacy", "pets 2010", "pets 10", "maps", "caf\u00e9 au lait", "co op"]
+
+
+@st.composite
+def noisy_queries(draw):
+    """A word from WORDS with random case, other whitespace or punctuation
+    between its words, and punctuation or spaces around it."""
+    chars = []
+    for c in draw(st.sampled_from(WORDS)):
+        if c == " ":
+            c = draw(st.sampled_from([" ", "  ", "\u3000", " - ", "\x0c", "."]))
+        elif draw(st.booleans()):
+            c = c.upper()
+        chars.append(c)
+    edges = st.sampled_from(["", "", " ", "\"", "?", "!!", " .", "\u00bf"])
+    return draw(edges) + "".join(chars) + draw(edges)
+
+
+@st.composite
+def aol_rows(draw):
+    """One log row as bytes: good, with repeated queries and times in any
+    order, or blank, or malformed in one of the ways ingestion skips."""
+    n = draw(st.integers(0, 7200))
+    stamp = draw(st.sampled_from([
+        datetime.fromtimestamp(1141171200 + n, timezone.utc).strftime("%Y-%m-%d %H:%M:%S"),
+        "2006-3-1 1:2:%d" % (n % 60),
+        " 2006-03-01 10:00:%02d " % (n % 60),
+    ]))
+    fields = [
+        draw(st.sampled_from(["1", "2", "10"])),
+        draw(noisy_queries()),
+        stamp,
+        draw(st.sampled_from(["", "1", "7"])),
+        draw(st.sampled_from(["", "", "http://a.org", " http://a.org ", "http://b.org/2"])),
+    ]
+    kind = draw(st.integers(0, 9))
+    if kind == 0:
+        return b""
+    if kind == 1:
+        del fields[draw(st.integers(0, 4))]
+    elif kind == 2:
+        fields.append("extra")
+    elif kind == 3:
+        fields[2] = draw(st.sampled_from(["2006-02-30 00:00:00", "not-a-date", "2006-03-01 24:00:00"]))
+    elif kind == 4:
+        fields[1] = draw(st.sampled_from(["", "!!!", " \u3000 "]))
+    row = "\t".join(fields).encode()
+    if kind == 5:
+        row += b"\xe9"
+    return row
+
+
+class TestIngestMatchesInsertSearch:
+    @given(st.lists(aol_rows(), max_size=40), st.sampled_from([b"\n", b"\r\n"]))
+    @settings(max_examples=150, deadline=None)
+    def test_same_histories_order_and_skipped(self, rows, newline):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "log.tsv"
+            path.write_bytes(b"".join(row + newline for row in [AOL_HEADER.encode(), *rows]))
+            got, got_skipped = ingest_query_log_counted(path)
+            want, want_skipped = reference_ingest(path)
+        assert got_skipped == want_skipped
+        assert list(got) == list(want)
+        for user_id, hist in want.items():
+            assert list(got[user_id].entries) == list(hist.entries)
+            assert got[user_id].to_dict() == hist.to_dict()
 
 
 class TestGenSynthetic:

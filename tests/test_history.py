@@ -94,6 +94,13 @@ class TestInsertSearch:
         assert entry.first_time == 100
         assert entry.last_time == 200
 
+    def test_time_range_widens_both_ways(self):
+        hist = SearchHistory(user_id="u")
+        for time in [200, 100, 150, 300, 250]:
+            hist.insert_search("privacy", time)
+        entry = hist.entries["privacy"]
+        assert (entry.first_time, entry.last_time, entry.count) == (100, 300, 5)
+
     def test_disabled_history_rejects(self):
         hist = SearchHistory(user_id="u", history_enabled=False)
         with pytest.raises(HistoryDisabledError):

@@ -107,6 +107,22 @@ class TestBruteForcePlanBounds:
         assert len(select_mass(stats3, 1.0)) <= 26**3
 
 
+@pytest.mark.parametrize(
+    "corpus, alphabet, lengths",
+    [
+        (["cobalt", "code"], "ABC", (2, 3)),
+        (["cobalt", "code"], "", (2, 3)),
+        (["a", "b"], "ab", (2, 3)),
+        (["cobalt", "code"], "abcdefghijklmnopqrstuvwxyz", (7, 8)),
+    ],
+)
+def test_seedless_plan_refused(corpus, alphabet, lengths):
+    with pytest.raises(PlannerError) as exc_info:
+        build_plan(corpus, 0.9, lengths=lengths, alphabet=alphabet)
+    message = str(exc_info.value)
+    assert repr(alphabet) in message and f"length-{lengths[0]} prefix" in message
+
+
 class TestExtend:
     def test_children_follow_three_letter_frequency(self, wordlist):
         plan = build_plan(wordlist, 0.9)
