@@ -8,10 +8,10 @@ import heapq
 import json
 from dataclasses import dataclass, field
 from itertools import groupby, repeat
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from .history import SearchHistory
-from .oracle import MAX_HISTORY_SUGGESTIONS, SuggestIndex, SuggestionResponse
+from .oracle import MAX_HISTORY_SUGGESTIONS, MIN_PREFIX_LEN, SuggestIndex, SuggestionResponse
 from .planner import PrefixPlan
 
 UNLIMITED = None
@@ -50,7 +50,10 @@ class AttackConfig:
                 f"{MAX_HISTORY_SUGGESTIONS}-suggestion cap"
             )
         if self.budget is not None and self.budget < 1:
-            raise AttackError("budget must be >= 1")
+            raise AttackError(f"budget must be >= 1, got {self.budget}")
+        # no prefix shorter than the oracle's minimum is ever requested
+        if self.max_depth is not None and self.max_depth < MIN_PREFIX_LEN:
+            raise AttackError(f"max_depth must be >= {MIN_PREFIX_LEN}, got {self.max_depth}")
 
 
 @dataclass
@@ -86,7 +89,8 @@ def reconstruct(oracle: SuggestFn, config: AttackConfig) -> ReconstructionResult
     descent_threshold history suggestions (by default the cap, i.e.
     saturated) is expanded one character deeper; no prefix is ever
     requested twice. A SuggestIndex under a plan with a request_rank takes
-    _walk, which makes the same requests without the heap.
+    _walk, which makes the same requests without the heap and serves each
+    level from one pass over the user's clicked queries, ranked once.
     """
     plan = config.plan
     if not plan.seeds:
@@ -139,10 +143,13 @@ def reconstruct(oracle: SuggestFn, config: AttackConfig) -> ReconstructionResult
 def _walk(index: SuggestIndex, config: AttackConfig, rank: Dict[str, int]) -> ReconstructionResult:
     """The frontier loop's run without its heap: under a ranked plan it asks
     its requested set in sorted order, the stats levels by rank and then each
-    fallback level. Only prefixes that match something reach the index."""
+    fallback level. Each level is served from one pass over the user's
+    clicked queries in ranked order, and only the queries under a saturated
+    prefix go on to the next level."""
     plan, budget, max_depth = config.plan, config.budget, config.max_depth
-    ranked, fallback, nonempty = [], [], set()
+    ranked, fallback, served = [], [], {}
     level, n = plan.seeds, len(plan.seeds[0])
+    candidates = index.ranked_queries()
     while level:
         if n in plan.stats_by_length:  # contiguous from the seeds' length
             ranked += level
@@ -150,11 +157,16 @@ def _walk(index: SuggestIndex, config: AttackConfig, rank: Dict[str, int]) -> Re
             break  # this level and every later one would be cut
         else:
             fallback += sorted(level)
-        matches = index.match_counts(n)
-        nonempty.update(matches.keys() & level)
+        tops = _tops(candidates, n)
+        hits = tops.keys() & level
+        served.update((p, tops[p]) for p in hits)
         if max_depth is not None and n >= max_depth:
             break
-        saturated = [p for p in level if matches.get(p, 0) >= config.descent_threshold]
+        # descent_threshold is at most the cap, so a kept list this long
+        # means as many matches
+        saturated = {p for p in hits if len(tops[p]) >= config.descent_threshold}
+        # every next-level prefix extends a saturated one
+        candidates = [q for q in candidates if len(q) > n and q[:n] in saturated]
         level = [c for p in saturated for c in plan.extend(p)]
         n += 1
     order = sorted(ranked, key=rank.__getitem__) + fallback
@@ -165,10 +177,10 @@ def _walk(index: SuggestIndex, config: AttackConfig, rank: Dict[str, int]) -> Re
 
     result = ReconstructionResult()
     recovered, request_log, counts = result.recovered, result.request_log, result.recovered_counts
-    for served, run in groupby(order, nonempty.__contains__):
-        if served:
+    for hit, run in groupby(order, served.__contains__):
+        if hit:
             for prefix in run:
-                texts = index(prefix).texts
+                texts = served[prefix]
                 request_log.append((prefix, len(texts)))
                 recovered.update(texts)
                 counts.append(len(recovered))
@@ -180,6 +192,22 @@ def _walk(index: SuggestIndex, config: AttackConfig, rank: Dict[str, int]) -> Re
         raise ReconstructionAborted(str(error), result) from error
     result.frontier_exhausted = exhausted
     return result
+
+
+def _tops(ranked: Iterable[str], n: int) -> Dict[str, List[str]]:
+    """The first MAX_HISTORY_SUGGESTIONS queries under each q[:n], in the
+    order given: over ranked_queries, what the index serves each prefix of
+    length n. A query shorter than n sits under itself, which no prefix of
+    length n equals."""
+    tops: Dict[str, List[str]] = {}
+    for q in ranked:
+        key = q[:n]
+        top = tops.get(key)
+        if top is None:
+            tops[key] = [q]
+        elif len(top) < MAX_HISTORY_SUGGESTIONS:
+            top.append(q)
+    return tops
 
 
 @dataclass

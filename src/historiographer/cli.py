@@ -22,7 +22,7 @@ from .cookies import (
 from .cookies import audit_trace, count_users, load_trace  # noqa: F401
 from .harness import HarnessError, gen_synthetic, ingest_query_log_counted, run_batch
 from .history import HistoryError, load_histories, save_histories
-from .oracle import SuggestIndex
+from .oracle import MIN_PREFIX_LEN, SuggestIndex
 from .planner import PlannerError, PrefixPlan, build_plan, bundled_wordlist, load_corpus
 
 EXIT_OK = 0
@@ -90,6 +90,8 @@ def _load_single_history(path: str, user: str | None):
 
 
 def cmd_reconstruct(args) -> int:
+    _at_least("--budget", args.budget)
+    _at_least("--max-depth", args.max_depth, MIN_PREFIX_LEN)
     hist = _load_single_history(args.history_file, args.user)
     plan = PrefixPlan.load(_input_file(args.plan_file, "plan file"))
     config = AttackConfig(
@@ -119,13 +121,15 @@ def _load_dataset(path: str):
     return load_histories(p)
 
 
-def _at_least_one(flag: str, value: int) -> None:
-    if value < 1:
-        raise InputError(f"{flag} must be >= 1, got {value}")
+def _at_least(flag: str, value: int | None, low: int = 1) -> None:
+    """A flag's integer value, when given, is at least low."""
+    if value is not None and value < low:
+        raise InputError(f"{flag} must be >= {low}, got {value}")
 
 
 def cmd_eval(args) -> int:
-    _at_least_one("--workers", args.workers)
+    _at_least("--workers", args.workers)
+    _at_least("--budget", args.budget)
     histories = _load_dataset(args.dataset)
     if args.plan_file is not None:
         plan = PrefixPlan.load(_input_file(args.plan_file, "plan file"))
@@ -179,7 +183,7 @@ def _parse_entries(raw: str):
 
 
 def cmd_gen(args) -> int:
-    _at_least_one("--users", args.users)
+    _at_least("--users", args.users)
     if args.vocab is not None:
         vocabulary = _load_corpus_arg(args.vocab)
     else:

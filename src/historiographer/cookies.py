@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from email.utils import parsedate_to_datetime
 from importlib import resources
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, get_type_hints
 
@@ -47,6 +46,10 @@ def _parse_expires(raw: str) -> Optional[int]:
         return int(raw)
     except ValueError:
         pass
+    # imported here: it costs a tenth of the CLI's import time, and only
+    # Set-Cookie parsing reaches it
+    from email.utils import parsedate_to_datetime
+
     try:
         return int(parsedate_to_datetime(raw).timestamp())
     except (TypeError, ValueError):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -271,13 +272,22 @@ def load_histories(path) -> Dict[str, SearchHistory]:
     """Read one SearchHistory per non-blank JSON line, keyed by user id.
 
     A bad line (not UTF-8, not JSON) or a record with a missing or ill-typed
-    field raises HistoryError naming the file, the line and the field.
+    field raises HistoryError naming the file, the line and the field. The
+    cyclic collector is paused while the file loads and left as it was found.
     """
     out: Dict[str, SearchHistory] = {}
-    for lineno, d in json_lines(path, HistoryError):
-        try:
-            hist = SearchHistory.from_dict(d)
-        except HistoryError as exc:
-            raise HistoryError(f"{path}:{lineno}: {exc}") from exc
-        out[hist.user_id] = hist
+    # Everything the load allocates is kept, so a collector pass would walk
+    # a growing heap and free nothing; it is paused until the load ends.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for lineno, d in json_lines(path, HistoryError):
+            try:
+                hist = SearchHistory.from_dict(d)
+            except HistoryError as exc:
+                raise HistoryError(f"{path}:{lineno}: {exc}") from exc
+            out[hist.user_id] = hist
+    finally:
+        if enabled:
+            gc.enable()
     return out

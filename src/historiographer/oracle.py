@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .history import HistoryEntry, SearchHistory, normalize
@@ -91,13 +89,15 @@ class SuggestIndex:
         ranked = sorted(self._entries[lo:hi], key=default_ranking)
         return SuggestionResponse(prefix, [e.query for e in ranked[:MAX_HISTORY_SUGGESTIONS]])
 
-    def match_counts(self, length: int) -> Counter:
-        """How many clicked queries start with each prefix of this length."""
-        return Counter(map(itemgetter(slice(length)), self._queries))
+    def ranked_queries(self) -> List[str]:
+        """Every clicked query, best first under default_ranking."""
+        return [e.query for e in sorted(self._entries, key=default_ranking)]
 
     def check_prefixes(self, prefixes: Sequence[str]) -> Tuple[int, Optional[OracleError]]:
         """How many of these prefixes, asked in order, calls would answer
         before one refuses, and the error it raises (None if all answer)."""
+        if self._checked.issuperset(prefixes):
+            return len(prefixes), None
         for i, prefix in enumerate(prefixes):
             if prefix not in self._checked:
                 try:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_history
+from historiographer import attack
 from historiographer.attack import (
     AttackConfig,
     AttackError,
@@ -104,6 +105,15 @@ class TestDescent:
         plan = build_plan(wordlist, 0.9)
         with pytest.raises(AttackError):
             AttackConfig(plan=plan, descent_threshold=0)
+
+    @pytest.mark.parametrize("max_depth", [1, 0, -1])
+    def test_max_depth_below_two_rejected(self, wordlist, max_depth):
+        # no prefix shorter than 2 is ever requested, so a depth below it
+        # would still request the seeds
+        plan = build_plan(wordlist, 0.9)
+        with pytest.raises(AttackError, match=f"^max_depth must be >= 2, got {max_depth}$"):
+            AttackConfig(plan=plan, max_depth=max_depth)
+        assert AttackConfig(plan=plan, max_depth=2).max_depth == 2
 
     def test_threshold_descends_at_or_above(self, wordlist):
         hist = random_history(random.Random(7), wordlist, max_entries=200, clicked_fraction=0.8)
@@ -291,12 +301,10 @@ class TestFixedOrderWalk:
     def test_same_run_as_reference_loop(self, wordlist, histories, monkeypatch, extra_seeds):
         plan = bundled_plan_with(wordlist, extra_seeds)
         assert plan.request_rank() is not None
-        calls = []
-        serve = SuggestIndex.__call__
+        passes = []
+        level_pass = attack._tops
         monkeypatch.setattr(
-            SuggestIndex,
-            "__call__",
-            lambda index, prefix: calls.append(prefix) or serve(index, prefix),
+            attack, "_tops", lambda ranked, n: passes.append(level_pass(ranked, n)) or passes[-1]
         )
         n = len(plan.seeds)
         seen = {"fallback": 0, "cut_short": 0, "aborted": 0}
@@ -309,12 +317,14 @@ class TestFixedOrderWalk:
             for hist in histories:
                 index = SuggestIndex(hist)
                 want = run_outcome(reference_reconstruct, index, config)
-                calls.clear()
+                passes.clear()
                 got = run_outcome(reconstruct, index, config)
                 assert got == want
                 request_log, _, _, exhausted, error = got
-                # only the requests that serve something reach __call__
-                assert calls == [p for p, served in request_log if served]
+                # the per-level passes serve exactly the requests that serve
+                # something, as many texts as the index does
+                served = {p: top for tops in passes for p, top in tops.items()}
+                assert [(p, len(served.get(p, ()))) for p, _ in request_log] == request_log
                 seen["fallback"] += any(len(p) > 3 for p, _ in request_log)
                 seen["cut_short"] += not exhausted and error is None
                 seen["aborted"] += error is not None

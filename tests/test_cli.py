@@ -125,6 +125,31 @@ class TestReconstruct:
         rc = run(["reconstruct", hist_file, tmp_path / "no.json", "-o", tmp_path / "r.json"])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "flag, value, low",
+        [("--max-depth", "0", 2), ("--max-depth", "-1", 2), ("--max-depth", "1", 2),
+         ("--budget", "0", 1), ("--budget", "-2", 1)],
+    )
+    def test_bad_depth_or_budget_exit_2(self, tmp_path, capsys, plan_file, flag, value, low):
+        hist_file = tmp_path / "hist.jsonl"
+        save_histories([SearchHistory(user_id="u")], hist_file)
+        out = tmp_path / "r.json"
+        assert run(["reconstruct", hist_file, plan_file, f"{flag}={value}", "-o", out]) == 2
+        assert capsys.readouterr().err == f"error: {flag} must be >= {low}, got {value}\n"
+        assert not out.exists()
+
+    def test_max_depth_two_requests_only_seeds(self, tmp_path, plan_file, wordlist):
+        from historiographer.harness import gen_synthetic
+
+        hist_file = tmp_path / "hist.jsonl"
+        save_histories(gen_synthetic(1, 200, 0.8, wordlist, seed=11).values(), hist_file)
+        depths = {}
+        for flags in ([], ["--max-depth", "2"]):
+            out = tmp_path / "r.json"
+            assert run(["reconstruct", hist_file, plan_file, *flags, "-o", out]) == 0
+            depths[len(flags)] = {len(p) for p, _ in json.loads(out.read_text())["request_log"]}
+        assert max(depths[0]) > 2 and depths[2] == {2}
+
 
 class TestEval:
     def test_calibrated_fixture_default_config(self, tmp_path):
@@ -202,7 +227,8 @@ class TestEval:
         fixture = resources.files("historiographer.data").joinpath("volunteers.jsonl")
         rc = run(["eval", str(fixture), "--budget", "0", "-o", tmp_path / "r.json"])
         assert rc == 2
-        assert capsys.readouterr().err.startswith("error: budget")
+        assert capsys.readouterr().err == "error: --budget must be >= 1, got 0\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_bad_workers_exit_2(self, tmp_path, capsys, workers):
@@ -698,3 +724,18 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc_info:
         main(["--version"])
     assert exc_info.value.code == 0
+
+
+def test_cli_import_leaves_email_utils_unloaded():
+    # only Set-Cookie Expires parsing needs it, and the CLI never parses one
+    import historiographer
+    import subprocess
+    import sys
+
+    src = str(Path(historiographer.__file__).resolve().parent.parent)
+    code = "import sys, historiographer.cli; print('email.utils' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={"PYTHONPATH": src}, capture_output=True, text=True,
+        check=True,
+    )
+    assert done.stdout == "False\n"

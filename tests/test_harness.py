@@ -22,7 +22,7 @@ from historiographer.harness import (
 )
 from historiographer.history import EmptyQueryError, SearchHistory, load_histories, save_histories
 from historiographer.oracle import SuggestIndex
-from historiographer.planner import build_plan, bundled_wordlist
+from historiographer.planner import PrefixPlan, build_plan, bundled_wordlist
 
 AOL_HEADER = "AnonID\tQuery\tQueryTime\tItemRank\tClickURL"
 
@@ -388,6 +388,24 @@ class TestRunBatch:
         assert report.mean_recall == pytest.approx(
             sum(r.recall for r in scored) / len(scored)
         )
+
+    @pytest.mark.parametrize("dataset", ["volunteers", "synthetic"])
+    def test_walk_and_heap_loop_write_the_same_report(self, wordlist, monkeypatch, dataset):
+        if dataset == "volunteers":
+            histories = bundled_volunteers()
+        else:
+            histories = gen_synthetic(12, (5, 300), 0.7, wordlist, seed=21)
+        plan = build_plan(bundled_wordlist(), 0.9)
+        assert plan.request_rank() is not None
+        budgets = [None, len(plan.seeds) + 30]
+        walked = [run_batch(histories, AttackConfig(plan=plan, budget=b)) for b in budgets]
+        # the budget cuts some users short and not others
+        requests = {r.requests for r in walked[1].per_user}
+        assert budgets[1] in requests and min(requests) < budgets[1]
+        monkeypatch.setattr(PrefixPlan, "request_rank", lambda plan: None)
+        for budget, report in zip(budgets, walked):
+            heap = run_batch(histories, AttackConfig(plan=plan, budget=budget))
+            assert heap.to_json() == report.to_json()
 
     def test_per_user_failures_recorded(self, wordlist):
         histories = gen_synthetic(2, 5, 0.5, wordlist, seed=7)

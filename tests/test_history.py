@@ -1,3 +1,4 @@
+import gc
 import json
 import re
 import tempfile
@@ -219,6 +220,36 @@ def test_load_rejects_malformed_lines(tmp_path, line, message):
     with pytest.raises(HistoryError) as exc_info:
         load_histories(path)
     assert str(exc_info.value).startswith(f"{path}:1: {message}")
+
+
+@pytest.mark.parametrize(
+    "enabled, bad_line", [(True, False), (False, False), (True, True)],
+    ids=["enabled", "disabled", "raised"],
+)
+def test_load_leaves_the_collector_as_found(tmp_path, monkeypatch, enabled, bad_line):
+    path = tmp_path / "hist.jsonl"
+    save_histories([SearchHistory(user_id="u1"), SearchHistory(user_id="u2")], path)
+    if bad_line:
+        with open(path, "a") as fh:
+            fh.write("{not json\n")
+    during = []
+    from_dict = SearchHistory.from_dict
+    monkeypatch.setattr(
+        SearchHistory, "from_dict", lambda d: during.append(gc.isenabled()) or from_dict(d)
+    )
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if bad_line:
+            with pytest.raises(HistoryError, match=":3: invalid JSON"):
+                load_histories(path)
+        else:
+            assert set(load_histories(path)) == {"u1", "u2"}
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    # paused while the records load
+    assert during == [False, False]
 
 
 def test_optional_fields_default(tmp_path):

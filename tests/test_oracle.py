@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from historiographer import oracle
+from historiographer.attack import _tops
 from historiographer.history import DEFAULT_ALPHABET, SearchHistory, normalize
 from historiographer.oracle import (
     PrefixTooShortError,
@@ -210,17 +211,27 @@ class TestSuggestIndex:
         index("co").texts.append("x")
         assert index("co").texts == ["cobalt"]
 
-    @given(SEARCHES, st.lists(st.text("cdfoxe 2", max_size=7), max_size=8))
-    @settings(max_examples=100, deadline=None)
-    def test_match_counts(self, searches, texts):
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["co", "cob", "code", "code x", "coffee", "cool", "cot", "do"]),
+                st.integers(0, 3),  # few times, so counts and recencies tie
+                st.booleans(),
+            ),
+            max_size=30,
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_level_pass_matches_linear_scan(self, searches):
         hist = self.build(searches)
-        index = SuggestIndex(hist)
-        clicked = [e.query for e in hist.entries.values() if e.clicked]
-        for n in range(8):
-            counts = index.match_counts(n)
-            for prefix in {q[:n] for q in hist.entries if len(q) >= n} | set(texts):
-                if len(prefix) == n:
-                    assert counts[prefix] == sum(q.startswith(prefix) for q in clicked)
+        ranked = SuggestIndex(hist).ranked_queries()
+        assert sorted(ranked) == sorted(hist.clicked_queries())
+        for n in range(2, 8):
+            tops = _tops(ranked, n)
+            # a query shorter than n is served under no prefix of length n
+            assert {p for p in tops if len(p) == n} == {q[:n] for q in ranked if len(q) >= n}
+            for prefix in {q[:n] for q in hist.entries if len(q) >= n}:
+                assert tops.get(prefix, []) == scan_suggest(hist, prefix).texts
 
 
 def old_prefix_check(prefix, alphabet):
