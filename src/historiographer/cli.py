@@ -14,7 +14,6 @@ from .cookies import (
     CookieError,
     TraceTally,
     bundled_catalog,
-    iter_trace,
     load_catalog,
     write_audit_csv,
 )
@@ -151,7 +150,7 @@ def cmd_eval(args) -> int:
 
 def cmd_audit(args) -> int:
     # the whole trace is read, and any bad record reported, before the catalog
-    tally = TraceTally(iter_trace(_input_file(args.trace_file, "trace file")))
+    tally = TraceTally.read(_input_file(args.trace_file, "trace file"))
     if args.catalog_file is not None:
         catalog = load_catalog(_input_file(args.catalog_file, "catalog file"))
     else:

@@ -48,10 +48,15 @@ def _parse_expires(raw: str) -> Optional[int]:
         pass
     # imported here: it costs a tenth of the CLI's import time, and only
     # Set-Cookie parsing reaches it
+    from datetime import timezone
     from email.utils import parsedate_to_datetime
 
     try:
-        return int(parsedate_to_datetime(raw).timestamp())
+        when = parsedate_to_datetime(raw)
+        if when.tzinfo is None:
+            # RFC 6265 dates are GMT: a date with no zone, or "-0000", is too
+            when = when.replace(tzinfo=timezone.utc)
+        return int(when.timestamp())
     except (TypeError, ValueError):
         return None
 
@@ -113,8 +118,11 @@ class TrafficRecord:
 
 
 def cookie_applies(cookie: Cookie, record: TrafficRecord) -> bool:
-    """Would a browser attach this cookie to this request?"""
-    if record.host != cookie.domain and not record.host.endswith("." + cookie.domain):
+    """Would a browser attach this cookie to this request? A host-only
+    cookie goes to its own host alone, a domain cookie to its subdomains too."""
+    if record.host != cookie.domain and (
+        cookie.host_only or not record.host.endswith("." + cookie.domain)
+    ):
         return False
     if not record.path.startswith(cookie.path):
         return False
@@ -154,10 +162,11 @@ def _bad_trace_field(record) -> str:
     return "body_flags: expected a list of strings"
 
 
-def iter_trace(path) -> Iterator[TrafficRecord]:
-    """Read a JSON-lines trace record by record, parsing each record's Cookie
-    headers once; an HTTPS record keeps no cookies, because an eavesdropper
-    never sees them.
+def _trace_fields(path) -> Iterator[tuple]:
+    """Each valid record of a JSON-lines trace as the plain tuple (time,
+    scheme, client_ip, host, path, crumbs, flags), its Cookie headers parsed
+    once into crumbs, which an HTTPS record leaves empty; flags is the
+    record's body_flags list.
 
     A bad line (not UTF-8, not JSON) or a record with a missing or ill-typed
     field raises TraceError naming the file, the line and the field.
@@ -182,13 +191,24 @@ def iter_trace(path) -> Iterator[TrafficRecord]:
             # a list of strings; most records have no flags to look at
             if type(flags) is not list or flags and any(type(f) is not str for f in flags):
                 raise TypeError
-            record = TrafficRecord(
-                int(d["time"]), scheme, client_ip, host, req_path, crumbs, set(flags)
-            )
+            fields = (int(d["time"]), scheme, client_ip, host, req_path, crumbs, flags)
         except (AttributeError, KeyError, TypeError, ValueError, OverflowError):
             # which field, worked out only on this rare path
             raise TraceError(f"{path}:{lineno}: {_bad_trace_field(d)}") from None
-        yield record
+        yield fields
+
+
+def iter_trace(path) -> Iterator[TrafficRecord]:
+    """Read a JSON-lines trace lazily, record by record, each record's Cookie
+    headers parsed once; an HTTPS record keeps no cookies, because an
+    eavesdropper never sees them.
+
+    A bad line (not UTF-8, not JSON) or a record with a missing or ill-typed
+    field raises TraceError naming the file, the line and the field, the
+    same error TraceTally.read raises.
+    """
+    for *head, flags in _trace_fields(path):
+        yield TrafficRecord(*head, set(flags))
 
 
 def load_trace(path) -> List[TrafficRecord]:
@@ -299,6 +319,12 @@ def audit_services(
             ):
                 continue
             accessible.append(entry.service)
+    return _report(sid, captured, accessible, history_enabled)
+
+
+def _report(
+    sid: str, captured: Sequence[Cookie], accessible: List[str], history_enabled: bool
+) -> HijackReport:
     return HijackReport(
         sid=sid,
         services_accessible=accessible,
@@ -312,7 +338,11 @@ class TraceTally:
     """What the audit keeps of a trace, folded in one record at a time: each
     SID's first client, the SIDs seen with the history link, the clients
     that sent a SID, each NID's clients and, from HTTP records only, the
-    cookies each SID travels with (the first value of each name)."""
+    cookies each SID travels with (the first value of each name).
+
+    TraceTally(records) folds TrafficRecords; TraceTally.read(path) folds a
+    trace file's records as they are checked, builds no TrafficRecord and
+    passes over every record without cookies, which adds nothing."""
 
     def __init__(self, records: Iterable[TrafficRecord] = ()):
         self.capture_ips: Dict[str, str] = {}
@@ -323,18 +353,30 @@ class TraceTally:
         for record in records:
             self.add(record)
 
+    @classmethod
+    def read(cls, path) -> "TraceTally":
+        """The tally of a trace file, read once; a bad record raises the
+        TraceError that iter_trace gives."""
+        tally = cls()
+        fold = tally._fold
+        for _, scheme, client_ip, _, _, crumbs, flags in _trace_fields(path):
+            if crumbs:
+                fold(scheme, client_ip, crumbs, flags)
+        return tally
+
     def add(self, record: TrafficRecord) -> None:
-        cookies = record.cookies
-        if not cookies:
-            return
+        if record.cookies:
+            self._fold(record.scheme, record.client_ip, record.cookies, record.body_flags)
+
+    def _fold(self, scheme: str, client_ip: str, cookies: Dict[str, str], flags) -> None:
         sid = cookies.get("SID")
         if sid:
             if sid not in self.capture_ips:
-                self.capture_ips[sid] = record.client_ip
-            self.clients_with_sid.add(record.client_ip)
-            if HISTORY_LINK_FLAG in record.body_flags:
+                self.capture_ips[sid] = client_ip
+            self.clients_with_sid.add(client_ip)
+            if HISTORY_LINK_FLAG in flags:
                 self.history_sids.add(sid)
-            if record.scheme == "http":
+            if scheme == "http":
                 jar = self.jars.get(sid)
                 if jar is None:
                     jar = self.jars[sid] = {}
@@ -346,7 +388,7 @@ class TraceTally:
             clients = self.nid_clients.get(nid)
             if clients is None:
                 clients = self.nid_clients[nid] = set()
-            clients.add(record.client_ip)
+            clients.add(client_ip)
 
     def user_counts(self) -> Dict[str, int]:
         """Distinct signed-in users (SID), anonymous users (NID with no SID
@@ -371,20 +413,32 @@ class TraceTally:
         enforce_ip_binding: bool = False,
         replay_ip: str = "",
     ) -> List[HijackReport]:
-        """One HijackReport per pseudo-account (distinct SID), by SID."""
-        # every harvested SID has a capture address: it came from a record
-        return [
-            audit_services(
-                cookies,
-                catalog,
-                enforce_ip_binding=enforce_ip_binding,
-                capture_ip=self.capture_ips[sid],
-                replay_ip=replay_ip or self.capture_ips[sid],
-                sid=sid,
-                history_enabled=sid in self.history_sids,
+        """One HijackReport per pseudo-account (distinct SID), by SID.
+
+        Which services a jar opens depends only on whether IP binding closes
+        the account and on the cookie attributes audit_services reads, so it
+        runs once per distinct such key; each report gets its own list."""
+        opened: Dict[tuple, List[str]] = {}
+        out = []
+        for sid, cookies in sorted(self.accounts().items()):
+            # every harvested SID has a capture address: it came from a record
+            capture_ip = self.capture_ips[sid]
+            replay = replay_ip or capture_ip
+            key = (
+                enforce_ip_binding and replay != capture_ip,
+                frozenset((c.domain, c.path, c.secure, c.expiry, c.host_only) for c in cookies),
             )
-            for sid, cookies in sorted(self.accounts().items())
-        ]
+            services = opened.get(key)
+            if services is None:
+                services = opened[key] = audit_services(
+                    cookies,
+                    catalog,
+                    enforce_ip_binding=enforce_ip_binding,
+                    capture_ip=capture_ip,
+                    replay_ip=replay,
+                ).services_accessible
+            out.append(_report(sid, cookies, list(services), sid in self.history_sids))
+        return out
 
 
 def harvest_accounts(trace: Iterable[TrafficRecord]) -> Dict[str, List[Cookie]]:

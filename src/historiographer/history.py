@@ -235,15 +235,20 @@ def read_json(path, error: type):
         raise error(f"{path}: invalid JSON: {exc}") from None
 
 
-# json.loads(s) is this call plus whitespace scans at both ends and a
-# trailing-data check; a stripped line has no whitespace to scan
-_raw_decode = json.JSONDecoder().raw_decode
+# json.loads(s) is this call from index 0, reached through raw_decode, plus
+# whitespace scans at both ends and a trailing-data check; a stripped line
+# has no whitespace to scan. The decoder's C scanner gives (value, end), and
+# StopIteration when no JSON value starts at the index.
+_scan_once = json.JSONDecoder().scan_once
 
 
 def json_lines(path, error: type) -> Iterator[Tuple[int, object]]:
     """(line number, value) for each non-blank line of a JSON-lines file.
     Each line is decoded on its own, so a line that is not UTF-8, or JSON
-    that the decoder refuses, raises error naming the file and that line."""
+    that the decoder refuses, raises error naming the file and that line.
+    The decoder's C scanner reads each stripped line in one call; only a
+    line it refuses or does not consume whole goes to json.loads, for the
+    value or the message json.loads gives."""
     # a larger buffer reads long lines (a whole history each) faster
     with open(path, "rb", buffering=1 << 16) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -254,8 +259,8 @@ def json_lines(path, error: type) -> Iterator[Tuple[int, object]]:
             if not line:
                 continue
             try:
-                value, end = _raw_decode(line)
-            except (ValueError, RecursionError):
+                value, end = _scan_once(line, 0)
+            except (ValueError, RecursionError, StopIteration):
                 end = -1
             if end != len(line):
                 # refused, or trailing data: json.loads gives the value or

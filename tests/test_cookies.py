@@ -1,5 +1,7 @@
 import json
 import random
+import subprocess
+import sys
 import tempfile
 from importlib import resources
 from pathlib import Path
@@ -71,6 +73,28 @@ class TestParseSetCookie:
         cookie = parse_set_cookie("SID=a; Domain=google.com; Expires=12345")
         assert cookie.expiry == 12345
 
+    def test_expires_without_a_zone_is_gmt(self):
+        """RFC 6265 dates are GMT: a date with no zone, or "-0000", is read
+        as GMT, never in the machine's local time."""
+        import historiographer
+
+        src = str(Path(historiographer.__file__).resolve().parent.parent)
+        code = (
+            "import time\n"
+            "from historiographer.cookies import parse_set_cookie\n"
+            "print(time.timezone)\n"
+            "for zone in ('', ' -0000', ' GMT'):\n"
+            "    print(parse_set_cookie('SID=a; Expires=Wed, 21 Oct 2015 07:28:00' + zone).expiry)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], env={"PYTHONPATH": src, "TZ": "Asia/Tokyo"},
+            capture_output=True, text=True, check=True,
+        )
+        offset, *expiries = done.stdout.split()
+        if offset == "0":
+            pytest.skip("no time zone database to read Asia/Tokyo from")
+        assert expiries == ["1445412480"] * 3
+
 
 class TestCookieApplies:
     def test_sid_on_http_subdomain(self):
@@ -92,6 +116,26 @@ class TestCookieApplies:
         stale = Cookie(name="SID", value="a", domain="google.com", expiry=100)
         assert cookie_applies(stale, record(time=100))
         assert not cookie_applies(stale, record(time=101))
+
+    def test_host_only_cookie_stays_on_its_host(self):
+        pref = parse_set_cookie("PREF=x; Path=/", request_host="www.google.com")
+        assert cookie_applies(pref, record(host="www.google.com"))
+        assert not cookie_applies(pref, record(host="maps.www.google.com"))
+        assert not cookie_applies(pref, record(host="google.com"))
+
+    def test_domain_cookie_of_the_same_host_reaches_subdomains(self):
+        pref = parse_set_cookie("PREF=x; Domain=www.google.com", request_host="www.google.com")
+        assert cookie_applies(pref, record(host="www.google.com"))
+        assert cookie_applies(pref, record(host="maps.www.google.com"))
+        assert not cookie_applies(pref, record(host="google.com"))
+
+    def test_host_only_cookie_keeps_the_other_rules(self):
+        host = Cookie(name="A", value="b", domain="www.google.com", path="/accounts",
+                      secure=True, expiry=5, host_only=True)
+        assert cookie_applies(host, record(scheme="https", path="/accounts/x", time=5))
+        assert not cookie_applies(host, record(scheme="http", path="/accounts/x", time=5))
+        assert not cookie_applies(host, record(scheme="https", path="/search", time=5))
+        assert not cookie_applies(host, record(scheme="https", path="/accounts/x", time=6))
 
     def test_scheme_monotone(self):
         # anything applying over http also applies over https
@@ -451,3 +495,164 @@ def test_tally_builds_one_cookie_per_name(monkeypatch):
     )
     assert built == ["SID", "NID"]
     assert [(c.name, c.value) for c in tally.accounts()["s"]] == [("SID", "s"), ("NID", "n0")]
+
+
+@given(st.lists(RAW_RECORDS, max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_tally_read_matches_the_tally_of_iter_trace(raws):
+    """TraceTally.read folds the checked fields straight from the file; it is
+    the tally of the records iter_trace builds from the same file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.jsonl"
+        path.write_text("".join(json.dumps(raw) + "\n" for raw in raws), encoding="utf-8")
+        read = TraceTally.read(path)
+        folded = TraceTally(iter_trace(path))
+    assert read.user_counts() == folded.user_counts()
+    assert read.accounts() == folded.accounts()
+    catalog = bundled_catalog()
+    for binding, replay_ip in [(False, ""), (True, ""), (True, "10.0.0.1"), (True, "10.0.0.2")]:
+        assert read.reports(catalog, binding, replay_ip) == folded.reports(
+            catalog, binding, replay_ip
+        )
+
+
+def test_tally_read_builds_no_record(monkeypatch, trace_file):
+    monkeypatch.setattr("historiographer.cookies.TrafficRecord", None)
+    assert TraceTally.read(trace_file).user_counts() == {
+        "signed_in": 3, "anonymous": 2, "history_enabled": 2,
+    }
+
+
+# the malformed records CLI audit refuses, each with its message
+GOOD_RECORD = {"time": 1, "scheme": "http", "client_ip": "10.0.0.1",
+               "host": "www.google.com", "path": "/search"}
+MALFORMED_RECORDS = [
+    ({"client_ip": None}, "client_ip: missing"),
+    ({"time": "x"}, "time: expected an integer, got str"),
+    ({"headers": []}, "headers: expected an object, got list"),
+    ({"body_flags": 5}, "body_flags: expected a list of strings"),
+    ({"client_ip": ["10.0.0.1"]}, "client_ip: expected a string, got list"),
+    ({"headers": {"Cookie": [5]}}, "headers.Cookie: expected a string or a list of strings"),
+    ({"time": 1e400}, "time: expected an integer, got float"),
+    ({"body_flags": "has_history_link"}, "body_flags: expected a list of strings"),
+    ({"body_flags": [1]}, "body_flags: expected a list of strings"),
+    ("[1,2]", "record: expected an object"),
+]
+
+
+@pytest.mark.parametrize("change, message", MALFORMED_RECORDS)
+def test_both_trace_readers_refuse_a_bad_record_alike(tmp_path, change, message):
+    if isinstance(change, str):
+        bad = change
+    else:
+        bad = json.dumps({k: v for k, v in {**GOOD_RECORD, **change}.items() if v is not None})
+    path = tmp_path / "trace.jsonl"
+    path.write_text(json.dumps(GOOD_RECORD) + "\n" + bad + "\n")
+    with pytest.raises(TraceError) as by_records:
+        list(iter_trace(path))
+    with pytest.raises(TraceError) as by_tally:
+        TraceTally.read(path)
+    assert str(by_records.value) == str(by_tally.value) == f"{path}:2: {message}"
+
+
+# jars of cookies whose every attribute audit_services reads varies: secure,
+# limited to a path, set for docs.google.com, expired at the probes' time 0,
+# host-only
+JAR_COOKIES = st.builds(
+    Cookie,
+    name=st.sampled_from(["SID", "NID", "HSID", "SSID", "PREF"]),
+    value=st.sampled_from(["a", "b"]),
+    domain=st.sampled_from(["google.com", "docs.google.com", "www.google.com"]),
+    path=st.sampled_from(["/", "/accounts", "/search"]),
+    secure=st.booleans(),
+    expiry=st.sampled_from([None, -1, 10]),
+    host_only=st.booleans(),
+)
+JARS = st.dictionaries(
+    st.sampled_from(["s1", "s2", "s3", "s4", "s5", "s6"]),
+    st.lists(JAR_COOKIES, min_size=1, max_size=4, unique_by=lambda c: c.name),
+    max_size=6,
+)
+
+
+def hand_built_tally(jars) -> TraceTally:
+    tally = TraceTally()
+    for i, (sid, cookies) in enumerate(sorted(jars.items())):
+        tally.jars[sid] = {c.name: c for c in cookies}
+        tally.capture_ips[sid] = f"10.0.0.{i % 2 + 1}"
+        if i % 3 == 0:
+            tally.history_sids.add(sid)
+    return tally
+
+
+@given(JARS)
+@settings(max_examples=200, deadline=None)
+def test_reports_are_one_audit_per_account(jars):
+    tally = hand_built_tally(jars)
+    catalog = bundled_catalog()
+    for binding, replay_ip in [
+        (False, ""), (True, ""), (True, "10.0.0.1"), (True, "10.0.0.9"), (False, "10.0.0.9"),
+    ]:
+        want = [
+            audit_services(
+                cookies, catalog,
+                enforce_ip_binding=binding,
+                capture_ip=tally.capture_ips[sid],
+                replay_ip=replay_ip or tally.capture_ips[sid],
+                sid=sid,
+                history_enabled=sid in tally.history_sids,
+            )
+            for sid, cookies in sorted(tally.accounts().items())
+        ]
+        got = tally.reports(catalog, binding, replay_ip)
+        assert got == want
+        # each report owns its list
+        assert len({id(r.services_accessible) for r in got}) == len(got)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"domain": "docs.google.com"}, {"path": "/accounts"}, {"secure": True}, {"expiry": -1},
+     {"host_only": True}],
+    ids=lambda change: next(iter(change)),
+)
+def test_jars_that_differ_in_one_attribute_are_audited_apart(change):
+    base = {"name": "SID", "value": "a", "domain": "google.com"}
+    jars = {"s1": [Cookie(**base)], "s2": [Cookie(**{**base, **change})]}
+    catalog = bundled_catalog()
+    want = [audit_services(jars[sid], catalog).services_accessible for sid in ("s1", "s2")]
+    assert want[0] != want[1]
+    got = hand_built_tally(jars).reports(catalog)
+    assert [r.services_accessible for r in got] == want
+
+
+def test_reports_audit_each_distinct_jar_once(monkeypatch):
+    """Jars with the same cookie attributes, names and values aside, open the
+    same services: audit_services runs once per distinct jar and binding
+    outcome."""
+    calls = []
+    real = audit_services
+
+    def counting(captured, *args, **kwargs):
+        calls.append(frozenset((c.domain, c.path, c.secure, c.expiry, c.host_only) for c in captured))
+        return real(captured, *args, **kwargs)
+
+    monkeypatch.setattr("historiographer.cookies.audit_services", counting)
+    plain = [("SID", "/", False), ("NID", "/", False)]
+    limited = [("SID", "/accounts", False), ("SSID", "/", True)]
+    jars = {
+        f"s{i}": [Cookie(name, f"v{i}", "google.com", path, secure) for name, path, secure in kind]
+        for i, kind in enumerate([plain, limited, plain, plain, limited, plain])
+    }
+    tally = hand_built_tally(jars)
+    catalog = bundled_catalog()
+    reports = tally.reports(catalog)
+    assert len(calls) == len(set(calls)) == 2
+    assert [r.services_accessible for r in reports] == [
+        real(cookies, catalog).services_accessible for _, cookies in sorted(jars.items())
+    ]
+    # replayed from 10.0.0.1, binding closes the accounts captured from
+    # 10.0.0.2 and leaves the others open: 2 jars x 2 outcomes
+    calls.clear()
+    tally.reports(catalog, enforce_ip_binding=True, replay_ip="10.0.0.1")
+    assert len(calls) == 4
