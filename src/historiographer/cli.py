@@ -22,7 +22,9 @@ from .cookies import audit_trace, count_users, load_trace  # noqa: F401
 from .harness import HarnessError, gen_synthetic, ingest_query_log_counted, run_batch
 from .history import HistoryError, load_histories, save_histories
 from .oracle import MIN_PREFIX_LEN, SuggestIndex
-from .planner import PlannerError, PrefixPlan, build_plan, bundled_wordlist, load_corpus
+from .planner import (
+    PLANNER_ALPHABET, PlannerError, PrefixPlan, build_plan, bundled_wordlist, load_corpus,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -212,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus", help="word-list path, or 'bundled'")
     p.add_argument("--mass", type=float, default=0.9)
     p.add_argument("--length", type=int, default=2)
-    p.add_argument("--alphabet", default="abcdefghijklmnopqrstuvwxyz")
+    p.add_argument("--alphabet", default=PLANNER_ALPHABET)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_plan)
 

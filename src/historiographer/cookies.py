@@ -118,13 +118,16 @@ class TrafficRecord:
 
 
 def cookie_applies(cookie: Cookie, record: TrafficRecord) -> bool:
-    """Would a browser attach this cookie to this request? A host-only
-    cookie goes to its own host alone, a domain cookie to its subdomains too."""
-    if record.host != cookie.domain and (
-        cookie.host_only or not record.host.endswith("." + cookie.domain)
-    ):
+    """Would a browser attach this cookie to this request? Hosts compare in
+    any case. A host-only cookie goes to its own host alone, a domain cookie
+    to its subdomains too. A cookie's path covers itself and the paths below
+    it, ending at a "/" (RFC 6265 section 5.1.4): /acc covers /acc/x but not
+    /accounts."""
+    host, domain = record.host.lower(), cookie.domain.lower()
+    if host != domain and (cookie.host_only or not host.endswith("." + domain)):
         return False
-    if not record.path.startswith(cookie.path):
+    below = cookie.path if cookie.path.endswith("/") else cookie.path + "/"
+    if record.path != cookie.path and not record.path.startswith(below):
         return False
     if cookie.secure and record.scheme != "https":
         return False
@@ -287,7 +290,6 @@ def audit_services(
     replay_ip: str = "",
     sid: str = "",
     history_enabled: bool = False,
-    time: int = 0,
 ) -> HijackReport:
     """Which catalog services a replayed capture can reach.
 
@@ -295,7 +297,7 @@ def audit_services(
     eavesdropper never captures; domain-cookie services need their own
     cookie, which is set only over secure connections. Both stay closed to
     a captured SID. IP binding closes everything when the replay address
-    differs from the capture address.
+    differs from the capture address. Each service is probed at time 0.
     """
     accessible: List[str] = []
     if not (enforce_ip_binding and replay_ip != capture_ip):
@@ -303,7 +305,7 @@ def audit_services(
             if entry.https_support == "mandatory":
                 continue
             probe = TrafficRecord(
-                time=time,
+                time=0,
                 scheme=entry.default_scheme,
                 client_ip=replay_ip,
                 host=entry.host_pattern,
@@ -314,9 +316,8 @@ def audit_services(
             ]
             if not usable:
                 continue
-            if entry.uses_domain_cookie and not any(
-                c.domain == entry.host_pattern for c in usable
-            ):
+            host = entry.host_pattern.lower()
+            if entry.uses_domain_cookie and not any(c.domain.lower() == host for c in usable):
                 continue
             accessible.append(entry.service)
     return _report(sid, captured, accessible, history_enabled)
@@ -458,13 +459,13 @@ def audit_trace(
 
 
 def write_audit_csv(reports: Sequence[HijackReport], catalog: Sequence[ServiceCatalogEntry], path) -> None:
-    """Aggregate per-service exposure counts (entry volumes are not modeled)."""
+    """How many audited accounts open each catalog service, in catalog order."""
     counts = {entry.service: 0 for entry in catalog}
     for report in reports:
         for service in report.services_accessible:
             counts[service] += 1
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["information_type", "service", "accounts_accessible", "mean_entries"])
+        writer.writerow(["service", "accounts_accessible"])
         for entry in catalog:
-            writer.writerow([entry.service, entry.service, counts[entry.service], ""])
+            writer.writerow([entry.service, counts[entry.service]])

@@ -140,10 +140,10 @@ def gen_synthetic(
     clicked_fraction: float,
     vocabulary: Sequence[str],
     seed: int,
-    time_range: Tuple[int, int] = (1_000_000, 2_000_000),
 ) -> Dict[str, SearchHistory]:
     """Reproducible synthetic datasets: queries drawn from the vocabulary
-    with Zipf-like weights (1/rank)."""
+    with Zipf-like weights (1/rank), each searched at a time in
+    [1_000_000, 2_000_000]."""
     if not 0 <= clicked_fraction <= 1:
         raise HarnessError(f"clicked_fraction must be in [0, 1], got {clicked_fraction}")
     rng = random.Random(seed)
@@ -159,7 +159,7 @@ def gen_synthetic(
         n_entries = rng.randint(low, high)
         queries = rng.choices(vocabulary, weights=weights, k=n_entries)
         for query in queries:
-            time = rng.randint(*time_range)
+            time = rng.randint(1_000_000, 2_000_000)
             clicked = rng.random() < clicked_fraction
             url = f"http://example.com/{query.replace(' ', '-')}" if clicked else None
             hist.insert_search(query, time, url)

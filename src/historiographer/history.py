@@ -137,7 +137,6 @@ class SearchHistory:
     user_id: str
     history_enabled: bool = True
     entries: Dict[str, HistoryEntry] = field(default_factory=dict)
-    alphabet: str = DEFAULT_ALPHABET
 
     @property
     def n_h(self) -> int:
@@ -153,7 +152,7 @@ class SearchHistory:
     def insert_search(self, raw_query: str, time: int, clicked_url: Optional[str] = None) -> None:
         if not self.history_enabled:
             raise HistoryDisabledError(f"history disabled for user {self.user_id!r}")
-        query = normalize(raw_query, self.alphabet)
+        query = normalize(raw_query)
         if not query:
             raise EmptyQueryError(f"query {raw_query!r} normalizes to nothing")
         self._merge(query, time, clicked_url)

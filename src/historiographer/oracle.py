@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from .history import HistoryEntry, SearchHistory, normalize
 
@@ -41,18 +41,18 @@ def default_ranking(entry: HistoryEntry) -> Tuple:
     return (-entry.count, -entry.last_time, entry.query)
 
 
-# Prefixes that passed _check_prefix, per alphabet. The check depends on
-# nothing else, and an attack asks every user the same plan prefixes, so each
-# is checked once per process. A prefix that fails is never added.
-_CHECKED: Dict[str, Set[str]] = {}
+# Prefixes that passed _check_prefix. The check depends on nothing else, and
+# an attack asks every user the same plan prefixes, so each is checked once
+# per process. A prefix that fails is never added.
+_CHECKED: Set[str] = set()
 
 
-def _check_prefix(prefix: str, alphabet: str) -> None:
+def _check_prefix(prefix: str) -> None:
     if len(prefix) < MIN_PREFIX_LEN:
         raise PrefixTooShortError(f"prefix {prefix!r} shorter than {MIN_PREFIX_LEN}")
     # A valid prefix is any leading slice of a normalized query, so a
     # single trailing space is legal mid-word-boundary.
-    if normalize(prefix, alphabet) != prefix.rstrip(" ") or prefix.endswith("  "):
+    if normalize(prefix) != prefix.rstrip(" ") or prefix.endswith("  "):
         raise UnnormalizedPrefixError(f"prefix {prefix!r} is not normalized")
 
 
@@ -70,15 +70,13 @@ class SuggestIndex:
             (e for e in history.entries.values() if e.clicked), key=lambda e: e.query
         )
         self._queries = [e.query for e in self._entries]
-        self._alphabet = history.alphabet
-        self._checked = _CHECKED.setdefault(history.alphabet, set())
 
     def __call__(self, prefix: str) -> SuggestionResponse:
         """The top-3 clicked entries whose query starts with the prefix,
         under default_ranking."""
-        if prefix not in self._checked:
-            _check_prefix(prefix, self._alphabet)
-            self._checked.add(prefix)
+        if prefix not in _CHECKED:
+            _check_prefix(prefix)
+            _CHECKED.add(prefix)
         queries = self._queries
         lo = bisect_left(queries, prefix)
         if lo == len(queries) or not queries[lo].startswith(prefix):
@@ -96,15 +94,15 @@ class SuggestIndex:
     def check_prefixes(self, prefixes: Sequence[str]) -> Tuple[int, Optional[OracleError]]:
         """How many of these prefixes, asked in order, calls would answer
         before one refuses, and the error it raises (None if all answer)."""
-        if self._checked.issuperset(prefixes):
+        if _CHECKED.issuperset(prefixes):
             return len(prefixes), None
         for i, prefix in enumerate(prefixes):
-            if prefix not in self._checked:
+            if prefix not in _CHECKED:
                 try:
-                    _check_prefix(prefix, self._alphabet)
+                    _check_prefix(prefix)
                 except OracleError as exc:
                     return i, exc
-                self._checked.add(prefix)
+                _CHECKED.add(prefix)
         return len(prefixes), None
 
 

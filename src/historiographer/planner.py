@@ -5,6 +5,7 @@ extension for tree descent."""
 from __future__ import annotations
 
 import csv
+import io
 import json
 from collections import Counter
 from dataclasses import dataclass, field
@@ -26,9 +27,7 @@ class EmptyCorpusError(PlannerError):
 
 @dataclass
 class PrefixStats:
-    length: int
     counts: Dict[str, int]
-    alphabet: str
 
     def total(self) -> int:
         return sum(self.counts.values())
@@ -63,7 +62,7 @@ def build_stats(corpus: Sequence[str], length: int, alphabet: str = PLANNER_ALPH
         prefix = item[:length]
         if all(c in allowed for c in prefix):
             counts[prefix] += 1
-    return PrefixStats(length=length, counts=dict(counts), alphabet=alphabet)
+    return PrefixStats(dict(counts))
 
 
 def select_mass(stats: PrefixStats, mass_fraction: float) -> List[str]:
@@ -233,11 +232,7 @@ class PrefixPlan:
     def from_dict(cls, d: dict) -> "PrefixPlan":
         """The plan to_dict gave. A plan saved with filter_extensions false
         extended a prefix to every child with a count, so it selects those."""
-        alphabet = d["alphabet"]
-        stats_by_length = {
-            int(n): PrefixStats(length=int(n), counts=dict(counts), alphabet=alphabet)
-            for n, counts in d["stats"].items()
-        }
+        stats_by_length = {int(n): PrefixStats(dict(counts)) for n, counts in d["stats"].items()}
         if d.get("filter_extensions", True):
             selected = {int(n): set(sel) for n, sel in d.get("selected", {}).items()}
         else:
@@ -249,7 +244,7 @@ class PrefixPlan:
             seeds=list(d["seeds"]),
             mass_fraction=d["mass_fraction"],
             stats_by_length=stats_by_length,
-            alphabet=alphabet,
+            alphabet=d["alphabet"],
             unigram_order=d["unigram_order"],
             selected_by_length=selected,
         )
@@ -306,29 +301,29 @@ def build_plan(
     )
 
 
-def _normalized_items(lines) -> List[str]:
-    items = []
-    for line in lines:
-        item = normalize(line)
-        if item:
-            items.append(item)
-    return items
-
-
 def load_corpus(path) -> List[str]:
     """Word-list corpus: one item per line, normalized on load. As in text
     mode, a lone carriage return also ends an item. A line that is not UTF-8
     raises PlannerError naming the file and the line."""
-    lines: List[str] = []
     with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, 1):
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        # a line break is never part of a UTF-8 sequence, so a line fails on
+        # its own too: name the first, with its own message
+        for lineno, raw in enumerate(io.BytesIO(data), 1):
             try:
-                lines.extend(raw.decode("utf-8").split("\r"))
+                raw.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise PlannerError(f"{path}:{lineno}: not UTF-8: {exc}") from None
-    return _normalized_items(lines)
+        raise
+    # an item that normalizes to nothing is dropped
+    return list(filter(None, map(normalize, text.replace("\r", "\n").split("\n"))))
 
 
 def bundled_wordlist() -> List[str]:
-    text = resources.files("historiographer.data").joinpath("wordlist.txt").read_text()
-    return _normalized_items(text.splitlines())
+    """The word list shipped with the package, read by load_corpus."""
+    ref = resources.files("historiographer.data").joinpath("wordlist.txt")
+    with resources.as_file(ref) as path:
+        return load_corpus(path)

@@ -1,4 +1,5 @@
 import functools
+import importlib.util
 import json
 import random
 import tempfile
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from historiographer import cli, cookies
+from historiographer import cookies
 from historiographer.cli import main
 from historiographer.history import SearchHistory, save_histories
 from historiographer.planner import build_plan, bundled_wordlist
@@ -397,11 +398,22 @@ class TestAudit:
             tracemalloc.stop()
         assert audit_peak < loaded_peak / 4
 
-    def test_cli_keeps_the_names_the_benchmark_tracer_patches(self):
-        # perfbench/tracing.py wraps these on the cli module by name
-        assert cli.load_trace is cookies.load_trace
-        assert cli.count_users is cookies.count_users
-        assert cli.audit_trace is cookies.audit_trace
+    def test_every_name_the_benchmark_tracer_patches_exists(self):
+        # perfbench/tracing.py swaps each of its targets for a wrapper by
+        # name, so a target that is renamed or deleted breaks a traced run
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        assert tracing.TARGETS
+        missing = [
+            f"{getattr(owner, '__name__', owner)}.{attr}"
+            for owner, attr, _, _ in tracing.TARGETS
+            if not hasattr(owner, attr)
+        ]
+        assert missing == []
+        # installed() also patches this one outside TARGETS
+        assert hasattr(tracing.harness, "reconstruct")
 
     @pytest.mark.parametrize(
         "index, change, message",

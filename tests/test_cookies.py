@@ -107,6 +107,41 @@ class TestCookieApplies:
     def test_path_prefix_rule(self):
         assert not cookie_applies(LSID, record(scheme="https", path="/search"))
         assert cookie_applies(LSID, record(scheme="https", path="/accounts/login"))
+        # RFC 6265 section 5.1.4: a cookie path covers a request path only
+        # up to a "/" boundary
+        acc = parse_set_cookie("LSID=x; Domain=google.com; Path=/acc")
+        assert cookie_applies(acc, record(path="/acc"))
+        assert cookie_applies(acc, record(path="/acc/x"))
+        assert cookie_applies(acc, record(path="/acc/"))
+        assert not cookie_applies(acc, record(path="/accounts"))
+        assert not cookie_applies(acc, record(path="/ac"))
+        slash = parse_set_cookie("LSID=x; Domain=google.com; Path=/acc/")
+        assert cookie_applies(slash, record(path="/acc/x"))
+        assert not cookie_applies(slash, record(path="/acc"))
+
+    @given(st.text("/ab", min_size=1, max_size=5), st.text("/ab", max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_path_match_is_rfc_6265(self, cookie_path, request_path):
+        # section 5.1.4, clause by clause
+        prefix = request_path.startswith(cookie_path)
+        want = (
+            request_path == cookie_path
+            or prefix and cookie_path.endswith("/")
+            or prefix and request_path[len(cookie_path):].startswith("/")
+        )
+        cookie = Cookie(name="A", value="b", domain="google.com", path=cookie_path)
+        assert cookie_applies(cookie, record(path=request_path)) == want
+
+    def test_hosts_compare_in_any_case(self):
+        cookie = parse_set_cookie("LSID=x; Domain=google.com")
+        assert cookie_applies(cookie, record(host="WWW.Google.com"))
+        assert cookie_applies(cookie, record(host="GOOGLE.COM"))
+        assert not cookie_applies(cookie, record(host="NotGoogle.com"))
+        upper = parse_set_cookie("LSID=x; Domain=Google.COM")
+        assert cookie_applies(upper, record(host="www.google.com"))
+        host = parse_set_cookie("PREF=x", request_host="WWW.google.com")
+        assert cookie_applies(host, record(host="www.GOOGLE.com"))
+        assert not cookie_applies(host, record(host="maps.www.google.com"))
 
     def test_domain_mismatch(self):
         assert not cookie_applies(SID, record(host="example.com"))
@@ -241,6 +276,13 @@ class TestAudit:
         )
         assert "Search" in report.services_accessible
 
+    @pytest.mark.parametrize("domain", ["docs.google.com", "Docs.Google.COM"])
+    def test_domain_cookie_service_matches_its_host_in_any_case(self, domain):
+        docs = parse_set_cookie(f"SID=a; Domain={domain}")
+        report = audit_services([docs], bundled_catalog())
+        assert "Docs" in report.services_accessible
+        assert "Calendar" not in report.services_accessible
+
     def test_secure_only_capture_useless(self):
         catalog = bundled_catalog()
         report = audit_services([SSID], catalog)
@@ -268,8 +310,9 @@ class TestAudit:
         out = tmp_path / "audit.csv"
         write_audit_csv(reports, catalog, out)
         lines = out.read_text().splitlines()
-        assert lines[0] == "information_type,service,accounts_accessible,mean_entries"
-        rows = {line.split(",")[1]: line.split(",")[2] for line in lines[1:]}
+        assert lines[0] == "service,accounts_accessible"
+        rows = dict(line.split(",") for line in lines[1:])
+        assert list(rows) == [entry.service for entry in catalog]
         assert rows["Search"] == "3"
         assert rows["Gmail"] == "0"
 

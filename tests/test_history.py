@@ -146,8 +146,9 @@ def test_jsonl_round_trip(tmp_path):
     save_histories([h1, h2], path)
     loaded = load_histories(path)
     assert set(loaded) == {"u1", "u2"}
-    assert loaded["u1"].to_dict() == h1.to_dict()
-    assert loaded["u2"].entries == {}
+    # whole histories: a field that to_dict leaves out fails here
+    assert loaded["u1"] == h1
+    assert loaded["u2"] == h2
 
 
 def test_jsonl_field_names(tmp_path):

@@ -126,7 +126,7 @@ def scan_suggest(history, prefix):
     states its ranking."""
     if len(prefix) < 2:
         raise PrefixTooShortError(prefix)
-    if normalize(prefix, history.alphabet) != prefix.rstrip(" ") or prefix.endswith("  "):
+    if normalize(prefix) != prefix.rstrip(" ") or prefix.endswith("  "):
         raise UnnormalizedPrefixError(prefix)
     matches = []
     for entry in history.entries.values():
@@ -177,26 +177,30 @@ class TestSuggestIndex:
             assert self.outcome(lambda p: suggest(hist, p), prefix) == expected
 
     def test_top_code_point_in_prefix(self):
-        top = chr(0x10FFFF)
-        hist = SearchHistory(user_id="u", alphabet="ab" + top)
+        # the alphabet's highest character, so no bound above it exists
+        top = max(DEFAULT_ALPHABET)
+        hist = SearchHistory(user_id="u")
         for query in ["a" + top, "a" + top + "b", "b", "a" + top + top]:
             hist.insert_search(query, 1, "http://example.com")
         index = SuggestIndex(hist)
         expected = ["a" + top, "a" + top + "b", "a" + top + top]
         assert sorted(index("a" + top).texts) == sorted(expected)
         assert index(top + top).texts == []
+        # a character past the alphabet is refused before any bisection
+        with pytest.raises(UnnormalizedPrefixError):
+            index("a" + chr(0x10FFFF))
 
     def test_run_ends(self):
-        top = chr(0x10FFFF)
-        hist = SearchHistory(user_id="u", alphabet="abcxyz " + top)
-        for query in ["ab", "abc", "abx", "b" + top, "b" + top + "a", "bz", "xy", "xyz"]:
+        top = max(DEFAULT_ALPHABET)
+        hist = SearchHistory(user_id="u")
+        for query in ["ab", "abc", "abx", "by", "b" + top, "b" + top + "a", "xy", "xyz"]:
             hist.insert_search(query, 1, "http://example.com")
         index = SuggestIndex(hist)
 
         def served(prefix):
             return sorted(index(prefix).texts)
 
-        # in sorted order: ab, abc, abx, bz, b<top>, b<top>a, xy, xyz
+        # in sorted order: ab, abc, abx, by, b<top>, b<top>a, xy, xyz
         assert served("xz") == []  # past the last query
         assert served("ac") == []  # between two queries
         assert served("abc") == ["abc"]  # a whole query, run of one
@@ -234,7 +238,7 @@ class TestSuggestIndex:
                 assert tops.get(prefix, []) == scan_suggest(hist, prefix).texts
 
 
-def old_prefix_check(prefix, alphabet):
+def old_prefix_check(prefix, alphabet=DEFAULT_ALPHABET):
     """The check every request made before checked prefixes were
     remembered: the error type it raises, or None."""
     if len(prefix) < 2:
@@ -242,10 +246,6 @@ def old_prefix_check(prefix, alphabet):
     if normalize(prefix, alphabet) != prefix.rstrip(" ") or prefix.endswith("  "):
         return UnnormalizedPrefixError
     return None
-
-
-# "zq" and "a1" pass under the first alphabet only; "ab c" under both.
-ALPHABETS = (DEFAULT_ALPHABET, "abcxy ")
 
 
 class TestPrefixCheck:
@@ -260,41 +260,55 @@ class TestPrefixCheck:
     @given(st.lists(st.one_of(st.text(max_size=6), st.text("abzq1 C", max_size=5)), max_size=10))
     @settings(max_examples=200, deadline=None)
     def test_accepts_what_normalize_accepts(self, texts):
-        indexes = [SuggestIndex(SearchHistory("u", alphabet=a)) for a in ALPHABETS]
+        index = SuggestIndex(SearchHistory("u"))
         for _ in range(2):
             for prefix in texts:
-                for alphabet, index in zip(ALPHABETS, indexes):
-                    assert self.check(index, prefix) == old_prefix_check(prefix, alphabet)
+                assert self.check(index, prefix) == old_prefix_check(prefix)
+
+    @pytest.mark.parametrize(
+        "prefix, alphabet, normalized, error",
+        [
+            ("zq", DEFAULT_ALPHABET, "zq", None),
+            ("a1", DEFAULT_ALPHABET, "a1", None),
+            ("ab c", DEFAULT_ALPHABET, "ab c", None),
+            ("ab ", DEFAULT_ALPHABET, "ab", None),
+            ("zq", "abcxy ", "", UnnormalizedPrefixError),
+            ("a1", "abcxy ", "a", UnnormalizedPrefixError),
+            ("ab c", "abcxy ", "ab c", None),
+            ("ab c", "abc", "abc", UnnormalizedPrefixError),
+            ("Ab", "abcxy ", "ab", UnnormalizedPrefixError),
+            ("ab  ", "abcxy ", "ab", UnnormalizedPrefixError),
+            ("a", "abcxy ", "a", PrefixTooShortError),
+        ],
+    )
+    def test_normalize_decides_each_alphabet(self, prefix, alphabet, normalized, error):
+        # the oracle serves DEFAULT_ALPHABET alone; under another alphabet,
+        # normalize still tells a normalized prefix from one that is not
+        assert normalize(prefix, alphabet) == normalized
+        assert old_prefix_check(prefix, alphabet) is error
+        if alphabet == DEFAULT_ALPHABET:
+            assert self.check(SuggestIndex(SearchHistory("u")), prefix) is error
 
     @given(st.lists(st.one_of(st.text(max_size=6), st.text("abzq1 C", max_size=5)), max_size=10))
     @settings(max_examples=200, deadline=None)
     def test_check_prefixes_stops_where_a_call_refuses(self, texts):
-        for alphabet in ALPHABETS:
-            errors = [old_prefix_check(p, alphabet) for p in texts] + [None]
-            stop = next(i for i, error in enumerate(errors) if error or i == len(texts))
-            index = SuggestIndex(SearchHistory("u", alphabet=alphabet))
-            answered, error = index.check_prefixes(texts)
-            assert (answered, type(error) if error else None) == (stop, errors[stop])
+        errors = [old_prefix_check(p) for p in texts] + [None]
+        stop = next(i for i, error in enumerate(errors) if error or i == len(texts))
+        index = SuggestIndex(SearchHistory("u"))
+        answered, error = index.check_prefixes(texts)
+        assert (answered, type(error) if error else None) == (stop, errors[stop])
 
     def test_check_prefixes_checks_each_prefix_once(self, monkeypatch):
         checked = []
         check = oracle._check_prefix
-        monkeypatch.setattr(oracle, "_check_prefix", lambda p, a: checked.append(p) or check(p, a))
-        index = SuggestIndex(SearchHistory("u", alphabet="mnop"))
+        monkeypatch.setattr(oracle, "_CHECKED", set())
+        monkeypatch.setattr(oracle, "_check_prefix", lambda p: checked.append(p) or check(p))
+        index = SuggestIndex(SearchHistory("u"))
         answered, error = index.check_prefixes(["mn", "op", "Mn", "po"])
         assert answered == 2 and type(error) is UnnormalizedPrefixError
         assert str(error) == "prefix 'Mn' is not normalized"
         assert checked == ["mn", "op", "Mn"]
         # a passed prefix is not checked again, by this index or another
         assert index.check_prefixes(["mn", "op", "po"]) == (3, None)
-        SuggestIndex(SearchHistory("v", alphabet="mnop"))("mn")
+        SuggestIndex(SearchHistory("v"))("mn")
         assert checked == ["mn", "op", "Mn", "po"]
-
-    @pytest.mark.parametrize("order", [ALPHABETS, ALPHABETS[::-1]])
-    def test_checked_prefixes_kept_per_alphabet(self, order):
-        prefixes = ["zq", "a1", "ab c", "Ab", "a", "ab  "]
-        for _ in range(2):
-            for alphabet in order:
-                index = SuggestIndex(SearchHistory("u", alphabet=alphabet))
-                got = [self.check(index, p) for p in prefixes]
-                assert got == [old_prefix_check(p, alphabet) for p in prefixes]
