@@ -7,7 +7,6 @@ import csv
 import heapq
 import json
 from dataclasses import dataclass, field
-from itertools import groupby, repeat
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from .history import SearchHistory
@@ -58,16 +57,30 @@ class AttackConfig:
 
 @dataclass
 class ReconstructionResult:
+    # the prefixes asked, in order
+    requested: List[str] = field(default_factory=list)
+    # the texts served to each asked prefix that was served at least one
+    served: Dict[str, List[str]] = field(default_factory=dict)
     recovered: Set[str] = field(default_factory=set)
-    request_log: List[Tuple[str, int]] = field(default_factory=list)
     frontier_exhausted: bool = False
-    # len(recovered) after each request: entry i is what a budget of i + 1
-    # would have recovered. Not part of to_json.
-    recovered_counts: List[int] = field(default_factory=list)
 
     @property
     def requests_used(self) -> int:
-        return len(self.request_log)
+        return len(self.requested)
+
+    @property
+    def request_log(self) -> List[Tuple[str, int]]:
+        """(prefix, texts served) for each request, in order."""
+        served = self.served
+        return [(p, len(served.get(p, ()))) for p in self.requested]
+
+    def recovered_after(self, k: int) -> int:
+        """How many distinct texts the first k requests served: what a run
+        cut at budget k recovers. Not part of to_json."""
+        if k >= len(self.requested):
+            return len(self.recovered)
+        served = self.served
+        return len(set().union(*(served[p] for p in self.requested[:k] if p in served)))
 
     def to_json(self) -> str:
         return json.dumps(
@@ -111,30 +124,29 @@ def reconstruct(oracle: SuggestFn, config: AttackConfig) -> ReconstructionResult
     # priorities alone.
     heap: List[Tuple] = [priority(p) for p in plan.seeds]
     heapq.heapify(heap)
-    requested: Set[str] = set()
     result = ReconstructionResult()
-    recovered = result.recovered
-    request_log = result.request_log
-    recovered_counts = result.recovered_counts
+    requested, served, recovered = result.requested, result.served, result.recovered
+    asked: Set[str] = set()
 
     while heap:
-        if budget is not None and len(request_log) >= budget:
+        if budget is not None and len(requested) >= budget:
             return result
         prefix = heapq.heappop(heap)[-1]
-        if prefix in requested:
+        if prefix in asked:
             continue
-        requested.add(prefix)
+        asked.add(prefix)
         try:
             response = oracle(prefix)
         except Exception as exc:
             raise ReconstructionAborted(str(exc), result) from exc
         texts = response.texts
-        request_log.append((prefix, len(texts)))
-        recovered.update(texts)
-        recovered_counts.append(len(recovered))
+        requested.append(prefix)
+        if texts:
+            served[prefix] = texts
+            recovered.update(texts)
         if len(texts) >= threshold and (max_depth is None or len(prefix) < max_depth):
             for child in plan.extend(prefix):
-                if child not in requested:
+                if child not in asked:
                     heapq.heappush(heap, priority(child))
     result.frontier_exhausted = True
     return result
@@ -174,20 +186,13 @@ def _walk(index: SuggestIndex, config: AttackConfig, rank: Dict[str, int]) -> Re
     del order[len(order) if exhausted else budget:]
     answered, error = index.check_prefixes(order)
     del order[answered:]
-
-    result = ReconstructionResult()
-    recovered, request_log, counts = result.recovered, result.request_log, result.recovered_counts
-    for hit, run in groupby(order, served.__contains__):
-        if hit:
-            for prefix in run:
-                texts = served[prefix]
-                request_log.append((prefix, len(texts)))
-                recovered.update(texts)
-                counts.append(len(recovered))
-        else:
-            run = list(run)
-            request_log.extend(zip(run, repeat(0)))
-            counts.extend(repeat(len(recovered), len(run)))
+    if not exhausted or error is not None:
+        # the levels served prefixes past the cut too
+        asked = set(order)
+        served = {p: texts for p, texts in served.items() if p in asked}
+    result = ReconstructionResult(
+        requested=order, served=served, recovered=set().union(*served.values())
+    )
     if error is not None:
         raise ReconstructionAborted(str(error), result) from error
     result.frontier_exhausted = exhausted

@@ -265,7 +265,7 @@ def recall_curve(
     Each user is attacked once, at the largest budget. The budget only cuts
     the frontier loop short and never changes its order, so a run at budget
     b is that run's first b requests: its recovered count is read from
-    ``recovered_counts``. A user whose run aborts after k requests counts at
+    ``recovered_after(b)``. A user whose run aborts after k requests counts at
     every budget up to k and is dropped above it; any other failure drops
     the user at every budget. Points average over sorted user ids, as
     ``run_batch`` does, and come back in the order of ``budgets``. Each
@@ -279,8 +279,8 @@ def recall_curve(
     if not histories:
         raise HarnessError("no histories to evaluate")
     run_config = replace(config, budget=max(budgets))
-    # per user: (truth, its n_c, recovered count after each request,
-    # requests made before an abort or None)
+    # per user: (truth, its n_c, recovered count at each budget, requests
+    # made, requests made before an abort or None)
     runs = []
     for user_id in sorted(histories):
         hist = histories[user_id]
@@ -291,15 +291,15 @@ def recall_curve(
             result, aborted_at = exc.partial, exc.partial.requests_used
         except Exception:
             continue
-        runs.append((hist, hist.n_c, result.recovered_counts, aborted_at))
+        n_s_at = [result.recovered_after(b) for b in budgets]
+        runs.append((hist, hist.n_c, n_s_at, result.requests_used, aborted_at))
     points = []
-    for budget in budgets:
+    for i, budget in enumerate(budgets):
         per_user = []
-        for hist, n_c, counts, aborted_at in runs:
+        for hist, n_c, n_s_at, used, aborted_at in runs:
             if aborted_at is not None and budget > aborted_at:
                 continue
-            n = min(budget, len(counts))
-            n_s = counts[n - 1] if n else 0
+            n, n_s = min(budget, used), n_s_at[i]
             per_user.append(
                 RecallReport(hist.user_id, hist.n_h, n_c, n_s, compute_recall(n_c, n_s), n)
             )

@@ -85,7 +85,7 @@ def normalize(raw: str, alphabet: str = DEFAULT_ALPHABET) -> str:
     return " ".join(raw.lower().translate(table).split())
 
 
-@dataclass
+@dataclass(slots=True)
 class HistoryEntry:
     query: str
     clicked: bool
@@ -111,8 +111,10 @@ class HistoryEntry:
         try:
             query, clicked, first_time, last_time, count = _entry_values(d)
             urls = d.get("clicked_urls", [])
+            # join refuses an item that is not a string, faster than a loop
+            "".join(urls)
         except (AttributeError, KeyError, TypeError):
-            raise HistoryError(field_problem(d, _ENTRY_FIELDS, _ENTRY_OPTIONAL)) from None
+            raise HistoryError(_entry_problem(d)) from None
         # exact types, as _ENTRY_FIELDS names them: a boolean is not a count
         if (
             type(query) is not str
@@ -122,8 +124,16 @@ class HistoryEntry:
             or type(count) is not int
             or type(urls) is not list
         ):
-            raise HistoryError(field_problem(d, _ENTRY_FIELDS, _ENTRY_OPTIONAL))
+            raise HistoryError(_entry_problem(d))
         return cls(query, clicked, first_time, last_time, count, list(urls))
+
+
+def _entry_problem(d, where: str = "") -> str:
+    """What HistoryEntry.from_dict refuses in d, as "where.field: ..."."""
+    return (
+        field_problem(d, _ENTRY_FIELDS, _ENTRY_OPTIONAL, where)
+        or f"{where}clicked_urls: expected a list of strings"
+    )
 
 
 @dataclass
@@ -208,8 +218,7 @@ class SearchHistory:
                 entry = HistoryEntry.from_dict(ed)
             except HistoryError:
                 # named again with its place, only on this rare path
-                problem = field_problem(ed, _ENTRY_FIELDS, _ENTRY_OPTIONAL, f"entries[{i}].")
-                raise HistoryError(problem) from None
+                raise HistoryError(_entry_problem(ed, f"entries[{i}].")) from None
             hist.entries[entry.query] = entry
         return hist
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import List, Optional, Sequence, Set, Tuple
 
 from .history import HistoryEntry, SearchHistory, normalize
@@ -67,7 +68,7 @@ class SuggestIndex:
 
     def __init__(self, history: SearchHistory):
         self._entries = sorted(
-            (e for e in history.entries.values() if e.clicked), key=lambda e: e.query
+            (e for e in history.entries.values() if e.clicked), key=attrgetter("query")
         )
         self._queries = [e.query for e in self._entries]
 
@@ -89,7 +90,11 @@ class SuggestIndex:
 
     def ranked_queries(self) -> List[str]:
         """Every clicked query, best first under default_ranking."""
-        return [e.query for e in sorted(self._entries, key=default_ranking)]
+        # Stable sorts from the last key to the first over entries already in
+        # query order; queries are unique, so no tie is left to break.
+        ranked = sorted(self._entries, key=attrgetter("last_time"), reverse=True)
+        ranked.sort(key=attrgetter("count"), reverse=True)
+        return [e.query for e in ranked]
 
     def check_prefixes(self, prefixes: Sequence[str]) -> Tuple[int, Optional[OracleError]]:
         """How many of these prefixes, asked in order, calls would answer

@@ -14,7 +14,6 @@ from historiographer.attack import (
     AttackConfig,
     AttackError,
     ReconstructionAborted,
-    ReconstructionResult,
     compute_recall,
     reconstruct,
     score,
@@ -135,10 +134,15 @@ class TestDescent:
 
 class TestRecoveredCounts:
     def check(self, result):
-        counts = result.recovered_counts
-        assert len(counts) == result.requests_used
-        assert counts == sorted(counts)
-        assert counts[-1:] == ([len(result.recovered)] if counts else [])
+        counts = [result.recovered_after(k) for k in range(result.requests_used + 1)]
+        # what each prefix of the requests served, counted directly
+        seen, direct = set(), [0]
+        for prefix in result.requested:
+            seen.update(result.served.get(prefix, ()))
+            direct.append(len(seen))
+        assert counts == direct
+        assert counts[-1] == len(result.recovered)
+        assert result.recovered_after(result.requests_used + 5) == len(result.recovered)
 
     @pytest.mark.parametrize("budget", [None, 1, 40])
     def test_cumulative_recovered(self, wordlist, budget):
@@ -148,7 +152,10 @@ class TestRecoveredCounts:
         # a run at another budget makes the same requests up to its end
         other = reconstruct(make_oracle(hist), AttackConfig(plan=build_plan(wordlist, 0.9), budget=10))
         n = min(other.requests_used, result.requests_used)
-        assert other.recovered_counts[:n] == result.recovered_counts[:n]
+        assert other.requested[:n] == result.requested[:n]
+        assert [other.recovered_after(k) for k in range(n + 1)] == [
+            result.recovered_after(k) for k in range(n + 1)
+        ]
 
     def test_partial_result_of_an_abort(self, wordlist):
         hist = random_history(random.Random(8), wordlist, max_entries=80)
@@ -161,16 +168,28 @@ class TestRecoveredCounts:
     def test_left_out_of_json(self, wordlist):
         hist = random_history(random.Random(9), wordlist, max_entries=40)
         result = reconstruct(make_oracle(hist), AttackConfig(plan=build_plan(wordlist, 0.9)))
-        assert result.recovered_counts
+        assert result.recovered_after(result.requests_used)
         assert result.to_json() == json.dumps(
             {
                 "recovered": sorted(result.recovered),
                 "requests_used": result.requests_used,
-                "request_log": [[p, c] for p, c in result.request_log],
+                "request_log": [[p, len(result.served.get(p, ()))] for p in result.requested],
                 "frontier_exhausted": result.frontier_exhausted,
             },
             sort_keys=True,
         )
+
+
+class ReferenceRun:
+    """What reference_reconstruct leaves: plain fields, added to on every
+    request."""
+
+    def __init__(self):
+        self.request_log = []  # (prefix, texts served)
+        self.served = {}  # prefix -> texts, for each request that served any
+        self.recovered = set()
+        self.recovered_counts = [0]  # len(recovered) after k requests, k = 0, 1, ...
+        self.frontier_exhausted = False
 
 
 def reference_reconstruct(oracle, config):
@@ -188,10 +207,10 @@ def reference_reconstruct(oracle, config):
     heap = [(priority(p), p) for p in plan.seeds]
     heapq.heapify(heap)
     requested = set()
-    result = ReconstructionResult()
+    run = ReferenceRun()
     while heap:
-        if config.budget is not None and result.requests_used >= config.budget:
-            return result
+        if config.budget is not None and len(run.request_log) >= config.budget:
+            return run
         _, prefix = heapq.heappop(heap)
         if prefix in requested:
             continue
@@ -199,31 +218,49 @@ def reference_reconstruct(oracle, config):
         try:
             response = oracle(prefix)
         except Exception as exc:
-            raise ReconstructionAborted(str(exc), result) from exc
+            raise ReconstructionAborted(str(exc), run) from exc
         served = response.history_count
-        result.request_log.append((prefix, served))
-        result.recovered.update(response.texts)
-        result.recovered_counts.append(len(result.recovered))
+        run.request_log.append((prefix, served))
+        if served:
+            run.served[prefix] = list(response.texts)
+        run.recovered.update(response.texts)
+        run.recovered_counts.append(len(run.recovered))
         if served >= config.descent_threshold and (
             config.max_depth is None or len(prefix) < config.max_depth
         ):
             for child in plan.extend(prefix):
                 if child not in requested:
                     heapq.heappush(heap, (priority(child), child))
-    result.frontier_exhausted = True
-    return result
+    run.frontier_exhausted = True
+    return run
 
 
 def run_outcome(fn, oracle, config):
-    """What a run leaves: its result's fields, and the abort message if any."""
+    """What a run leaves: its request log, the texts served to each prefix,
+    its recovered set, how many texts its first k requests recovered at
+    some k from 0 to all, whether the frontier ran out, and the abort
+    message if any."""
     try:
         result, error = fn(oracle, config), None
     except ReconstructionAborted as exc:
         result, error = exc.partial, str(exc)
+    n = len(result.request_log)
+    # recovered_after(k) takes O(k); TestRecoveredCounts checks every k
+    ks = [*range(0, n, max(1, n // 16)), n]
+    if isinstance(result, ReferenceRun):
+        counts = [result.recovered_counts[k] for k in ks]
+    else:
+        # after a cut by the budget or an abort too, only asked prefixes
+        # are served, each at least one text
+        assert result.served.keys() <= set(result.requested)
+        assert all(result.served.values())
+        assert result.recovered == set().union(*result.served.values())
+        counts = [result.recovered_after(k) for k in ks]
     return (
         result.request_log,
+        result.served,
         result.recovered,
-        result.recovered_counts,
+        counts,
         result.frontier_exhausted,
         error,
     )
@@ -256,7 +293,7 @@ class TestAgainstReferenceLoop:
                 index = SuggestIndex(hist)
                 got = run_outcome(reconstruct, index, config)
                 assert got == run_outcome(reference_reconstruct, index, config)
-                request_log, _, _, exhausted, _ = got
+                request_log, _, _, _, exhausted, _ = got
                 descended += any(len(p) > 2 for p, _ in request_log)
                 cut_short += not exhausted
         assert descended and cut_short
@@ -278,7 +315,7 @@ class TestAgainstReferenceLoop:
                 outcomes.append(run_outcome(fn, aborting, config))
             assert outcomes[0] == outcomes[1]
             assert len(outcomes[0][0]) == fail_at
-            assert outcomes[0][4].startswith("refused ")
+            assert outcomes[0][5].startswith("refused ")
 
 
 def bundled_plan_with(wordlist, extra_seeds):
@@ -320,7 +357,7 @@ class TestFixedOrderWalk:
                 passes.clear()
                 got = run_outcome(reconstruct, index, config)
                 assert got == want
-                request_log, _, _, exhausted, error = got
+                request_log, _, _, _, exhausted, error = got
                 # the per-level passes serve exactly the requests that serve
                 # something, as many texts as the index does
                 served = {p: top for tops in passes for p, top in tops.items()}

@@ -12,8 +12,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from historiographer import cookies
+from historiographer.attack import AttackConfig, reconstruct
 from historiographer.cli import main
-from historiographer.history import SearchHistory, save_histories
+from historiographer.history import DEFAULT_ALPHABET, SearchHistory, save_histories
+from historiographer.oracle import SuggestIndex
 from historiographer.planner import build_plan, bundled_wordlist
 
 
@@ -60,6 +62,19 @@ class TestPlan:
         rc = run(["plan", "bundled", *flag, "-o", tmp_path / "p.json"])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "p.json").exists()
+
+    @pytest.mark.parametrize("char", ["é", "A", "-"])
+    def test_alphabet_outside_the_query_alphabet_exit_2(self, tmp_path, capsys, char):
+        # the oracle refuses every prefix holding such a character, so an
+        # eval on the plan would fail each user whose run asks one
+        alphabet = "abcdefghijklmnopqrstuvwxyz" + char
+        rc = run(["plan", "bundled", "--alphabet", alphabet, "-o", tmp_path / "p.json"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: --alphabet: {char!r} is not in the query alphabet "
+            f"{DEFAULT_ALPHABET!r}\n"
+        )
         assert not (tmp_path / "p.json").exists()
 
 
@@ -414,6 +429,14 @@ class TestAudit:
         assert missing == []
         # installed() also patches this one outside TARGETS
         assert hasattr(tracing.harness, "reconstruct")
+        # and summarizes each run from these fields of its result
+        hist = SearchHistory(user_id="u")
+        hist.insert_search("cobalt", 1, "http://example.com/cobalt")
+        result = reconstruct(
+            SuggestIndex(hist), AttackConfig(plan=build_plan(bundled_wordlist(), 0.9), budget=5)
+        )
+        assert result.recovered == {"cobalt"}
+        assert tracing._run_summary(result) == (5, 1, False)
 
     @pytest.mark.parametrize(
         "index, change, message",

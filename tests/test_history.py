@@ -195,6 +195,8 @@ def _record(**changes):
         ({"count": "x"}, "entries[0].count: expected an integer, got str"),
         ({"first_time": True}, "entries[0].first_time: expected an integer, got bool"),
         ({"clicked_urls": "http://x"}, "entries[0].clicked_urls: expected a list"),
+        ({"clicked_urls": [1, None]}, "entries[0].clicked_urls: expected a list of strings"),
+        ({"clicked_urls": ["http://x", 2]}, "entries[0].clicked_urls: expected a list of strings"),
     ],
 )
 def test_load_names_line_and_field(tmp_path, changes, field):
