@@ -6,7 +6,7 @@ from __future__ import annotations
 import csv
 import heapq
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from .history import SearchHistory
@@ -217,24 +217,20 @@ def _tops(ranked: Iterable[str], n: int) -> Dict[str, List[str]]:
 
 @dataclass
 class RecallReport:
+    """One user's score. The fields, in this order, are the per-user keys
+    of the eval JSON and the columns of the per-user CSV."""
+
     user_id: str
     n_h: int
     n_c: int
     n_s: int
     recall: float
-    requests: int
-
-    CSV_HEADER = ["user_id", "n_h", "n_c", "n_s", "recall", "n_requests"]
+    n_requests: int
 
     def csv_row(self) -> List[str]:
-        return [
-            self.user_id,
-            str(self.n_h),
-            str(self.n_c),
-            str(self.n_s),
-            format_recall(self.recall),
-            str(self.requests),
-        ]
+        row = {name: str(value) for name, value in vars(self).items()}
+        row["recall"] = format_recall(self.recall)
+        return list(row.values())
 
 
 def format_recall(recall: float) -> str:
@@ -263,13 +259,13 @@ def score(result: ReconstructionResult, truth: SearchHistory) -> RecallReport:
         n_c=n_c,
         n_s=n_s,
         recall=compute_recall(n_c, n_s),
-        requests=result.requests_used,
+        n_requests=result.requests_used,
     )
 
 
 def write_reports_csv(reports: List[RecallReport], path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(RecallReport.CSV_HEADER)
+        writer.writerow(f.name for f in fields(RecallReport))
         for report in reports:
             writer.writerow(report.csv_row())

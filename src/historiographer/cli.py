@@ -20,10 +20,11 @@ from .cookies import (
 # unused here, but perfbench/tracing.py looks these up on this module to patch them
 from .cookies import audit_trace, count_users, load_trace  # noqa: F401
 from .harness import HarnessError, gen_synthetic, ingest_query_log_counted, run_batch
-from .history import DEFAULT_ALPHABET, HistoryError, load_histories, save_histories
+from .history import HistoryError, load_histories, save_histories
 from .oracle import MIN_PREFIX_LEN, SuggestIndex
 from .planner import (
     PLANNER_ALPHABET, PlannerError, PrefixPlan, build_plan, bundled_wordlist, load_corpus,
+    query_alphabet_problem,
 )
 
 EXIT_OK = 0
@@ -61,13 +62,9 @@ def _load_corpus_arg(corpus: str):
 
 
 def cmd_plan(args) -> int:
-    # the plan's fallback extends prefixes by every alphabet character, and
-    # the oracle refuses a prefix that no normalized query can start with
-    for c in args.alphabet:
-        if c not in DEFAULT_ALPHABET:
-            raise InputError(
-                f"--alphabet: {c!r} is not in the query alphabet {DEFAULT_ALPHABET!r}"
-            )
+    problem = query_alphabet_problem(args.alphabet)
+    if problem:
+        raise InputError(f"--alphabet: {problem}")
     corpus = _load_corpus_arg(args.corpus)
     plan = build_plan(
         corpus,

@@ -15,9 +15,9 @@ from .attack import (
     AttackError,
     RecallReport,
     ReconstructionAborted,
+    ReconstructionResult,
     compute_recall,
     reconstruct,
-    score,
 )
 from .history import SearchHistory, load_histories, normalize
 from .oracle import MAX_HISTORY_SUGGESTIONS, SuggestIndex, default_ranking
@@ -198,22 +198,28 @@ class AggregateReport:
     per_user: List[RecallReport]
     failures: Dict[str, str] = field(default_factory=dict)
 
+    @classmethod
+    def of(cls, per_user: List[RecallReport], failures: Dict[str, str]) -> "AggregateReport":
+        """Mean recall over users with a clicked query, and mean requests
+        over all users, summed in the order given."""
+        scored = [r.recall for r in per_user if r.n_c > 0]
+        return cls(
+            users=len(per_user),
+            mean_recall=sum(scored) / len(scored) if scored else 0.0,
+            mean_requests=(
+                sum(r.n_requests for r in per_user) / len(per_user) if per_user else 0.0
+            ),
+            per_user=per_user,
+            failures=failures,
+        )
+
     def to_dict(self) -> dict:
         return {
             "users": self.users,
             "mean_recall": self.mean_recall,
             "mean_requests": self.mean_requests,
-            "per_user": [
-                {
-                    "user_id": r.user_id,
-                    "n_h": r.n_h,
-                    "n_c": r.n_c,
-                    "n_s": r.n_s,
-                    "recall": r.recall,
-                    "n_requests": r.requests,
-                }
-                for r in self.per_user
-            ],
+            # a row's fields are its keys; vars() copies nothing
+            "per_user": [vars(r) for r in self.per_user],
             "failures": self.failures,
         }
 
@@ -221,38 +227,51 @@ class AggregateReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _means(per_user: List[RecallReport]) -> Tuple[float, float]:
-    """Mean recall over users with a clicked query, and mean requests over
-    all users, summed in the order given."""
-    scored = [r for r in per_user if r.n_c > 0]
-    mean_recall = sum(r.recall for r in scored) / len(scored) if scored else 0.0
-    mean_requests = (
-        sum(r.requests for r in per_user) / len(per_user) if per_user else 0.0
-    )
-    return mean_recall, mean_requests
+def _reports(
+    histories: Dict[str, SearchHistory], config: AttackConfig, budgets: Sequence[Optional[int]]
+) -> List[AggregateReport]:
+    """The report of a batch at each budget (None for no budget), from one
+    run per user in sorted user order, at the largest budget or with none.
+
+    The budget only cuts the frontier loop short and never changes its
+    order, so a run at budget b is the first b requests of that run: its
+    recovered count is ``recovered_after(b)``. A run that aborts after k
+    requests fails the user at every budget above k and with no budget;
+    any other exception fails the user at every budget.
+    """
+    if not histories:
+        raise HarnessError("no histories to evaluate")
+    run_config = replace(config, budget=None if None in budgets else max(budgets))
+    batches: List[Tuple[List[RecallReport], Dict[str, str]]] = [([], {}) for _ in budgets]
+    for user_id in sorted(histories):
+        hist = histories[user_id]
+        try:
+            result, error = reconstruct(SuggestIndex(hist), run_config), None
+        except ReconstructionAborted as exc:
+            result, error = exc.partial, str(exc)
+        except Exception as exc:
+            # as an abort before the first request: every budget is above it
+            result, error = ReconstructionResult(), str(exc)
+        used, n_c = result.requests_used, hist.n_c
+        for budget, (per_user, failures) in zip(budgets, batches):
+            if error is not None and (budget is None or budget > used):
+                failures[user_id] = error
+                continue
+            n = used if budget is None else min(budget, used)
+            n_s = result.recovered_after(n)
+            per_user.append(
+                RecallReport(hist.user_id, hist.n_h, n_c, n_s, compute_recall(n_c, n_s), n)
+            )
+        # free this run before the next one starts: with two runs alive the
+        # collector runs about twice as often
+        del result
+    return [AggregateReport.of(per_user, failures) for per_user, failures in batches]
 
 
 def run_batch(histories: Dict[str, SearchHistory], config: AttackConfig) -> AggregateReport:
     """Reconstruct and score every history, one after another in sorted
     user order. A user whose run raises is recorded in failures."""
-    if not histories:
-        raise HarnessError("no histories to evaluate")
-    per_user: List[RecallReport] = []
-    failures: Dict[str, str] = {}
-    for user_id in sorted(histories):
-        hist = histories[user_id]
-        try:
-            per_user.append(score(reconstruct(SuggestIndex(hist), config), hist))
-        except Exception as exc:
-            failures[user_id] = str(exc)
-    mean_recall, mean_requests = _means(per_user)
-    return AggregateReport(
-        users=len(per_user),
-        mean_recall=mean_recall,
-        mean_requests=mean_requests,
-        per_user=per_user,
-        failures=failures,
-    )
+    return _reports(histories, config, [config.budget])[0]
 
 
 def recall_curve(
@@ -262,54 +281,22 @@ def recall_curve(
 ) -> List[dict]:
     """Mean recall at several request budgets; reported, not asserted.
 
-    Each user is attacked once, at the largest budget. The budget only cuts
-    the frontier loop short and never changes its order, so a run at budget
-    b is that run's first b requests: its recovered count is read from
-    ``recovered_after(b)``. A user whose run aborts after k requests counts at
-    every budget up to k and is dropped above it; any other failure drops
-    the user at every budget. Points average over sorted user ids, as
-    ``run_batch`` does, and come back in the order of ``budgets``. Each
-    point's ``users`` counts the users it averages over, so a budget that
-    every user's abort falls short of reads 0 there, not a recall of 0.
+    Each point is what ``run_batch`` reports at its budget, read from one
+    run per user (see ``_reports``), and the points come back in the order
+    of ``budgets``. Each point's ``users`` counts the users it averages
+    over, so a budget that every user's abort falls short of reads 0 there,
+    not a recall of 0.
     """
     if not budgets:
         return []
     if min(budgets) < 1:
         raise AttackError("budget must be >= 1")
-    if not histories:
-        raise HarnessError("no histories to evaluate")
-    run_config = replace(config, budget=max(budgets))
-    # per user: (truth, its n_c, recovered count at each budget, requests
-    # made, requests made before an abort or None)
-    runs = []
-    for user_id in sorted(histories):
-        hist = histories[user_id]
-        try:
-            result = reconstruct(SuggestIndex(hist), run_config)
-            aborted_at = None
-        except ReconstructionAborted as exc:
-            result, aborted_at = exc.partial, exc.partial.requests_used
-        except Exception:
-            continue
-        n_s_at = [result.recovered_after(b) for b in budgets]
-        runs.append((hist, hist.n_c, n_s_at, result.requests_used, aborted_at))
-    points = []
-    for i, budget in enumerate(budgets):
-        per_user = []
-        for hist, n_c, n_s_at, used, aborted_at in runs:
-            if aborted_at is not None and budget > aborted_at:
-                continue
-            n, n_s = min(budget, used), n_s_at[i]
-            per_user.append(
-                RecallReport(hist.user_id, hist.n_h, n_c, n_s, compute_recall(n_c, n_s), n)
-            )
-        mean_recall, mean_requests = _means(per_user)
-        points.append(
-            {
-                "budget": budget,
-                "mean_recall": mean_recall,
-                "mean_requests": mean_requests,
-                "users": len(per_user),
-            }
-        )
-    return points
+    return [
+        {
+            "budget": budget,
+            "mean_recall": report.mean_recall,
+            "mean_requests": report.mean_requests,
+            "users": report.users,
+        }
+        for budget, report in zip(budgets, _reports(histories, config, budgets))
+    ]

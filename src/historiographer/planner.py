@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Dict, List, Optional, Sequence
 
-from .history import field_problem, normalize, read_json
+from .history import DEFAULT_ALPHABET, field_problem, normalize, read_json
 
 PLANNER_ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
@@ -124,6 +124,20 @@ def _plan_problem(d) -> Optional[str]:
             return f"selected.{n}: expected an integer key"
         if not _strings(sel):
             return f"selected.{n}: expected a list of strings"
+    problem = query_alphabet_problem(d["unigram_order"])
+    if problem:
+        return f"unigram_order: {problem}"
+    return None
+
+
+def query_alphabet_problem(chars: str) -> Optional[str]:
+    """The first of chars that no normalized query holds, as a message;
+    None if there is none. The fallback extends a prefix by each of a
+    plan's unigram_order, and the oracle refuses a prefix that holds such a
+    character."""
+    for c in chars:
+        if c not in DEFAULT_ALPHABET:
+            return f"{c!r} is not in the query alphabet {DEFAULT_ALPHABET!r}"
     return None
 
 
@@ -270,22 +284,19 @@ def build_plan(
     """Build seed list and per-length stats from a reference corpus."""
     if not corpus:
         raise EmptyCorpusError("reference corpus is empty")
-    stats_by_length = {}
-    selected_by_length = {}
-    for n in sorted(lengths):
-        stats = build_stats(corpus, n, alphabet)
-        stats_by_length[n] = stats
-        selected_by_length[n] = set(select_mass(stats, mass_fraction))
+    stats_by_length = {n: build_stats(corpus, n, alphabet) for n in sorted(lengths)}
+    picked = {n: select_mass(stats, mass_fraction) for n, stats in stats_by_length.items()}
 
     unigrams: Counter = Counter()
     for item in corpus:
         for c in item:
             if c in alphabet:
                 unigrams[c] += 1
-    unigram_order = "".join(sorted(alphabet, key=lambda c: (-unigrams[c], c)))
+    # each character once, so that the plan keeps a request_rank
+    unigram_order = "".join(sorted(set(alphabet), key=lambda c: (-unigrams[c], c)))
 
     seed_len = min(lengths)
-    seeds = select_mass(stats_by_length[seed_len], mass_fraction)
+    seeds = picked[seed_len]
     if not seeds:
         raise PlannerError(
             f"no corpus item has a length-{seed_len} prefix in the alphabet {alphabet!r}: "
@@ -297,7 +308,7 @@ def build_plan(
         stats_by_length=stats_by_length,
         alphabet=alphabet,
         unigram_order=unigram_order,
-        selected_by_length=selected_by_length,
+        selected_by_length={n: set(sel) for n, sel in picked.items()},
     )
 
 

@@ -560,7 +560,7 @@ class TestScore:
         assert report.n_c == 1
         assert report.n_s == 1
         assert report.recall == 1.0
-        assert report.requests == result.requests_used
+        assert report.n_requests == result.requests_used
 
     def test_csv_row_rounding(self):
         from historiographer.attack import RecallReport

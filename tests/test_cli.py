@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import functools
 import importlib.util
 import json
@@ -12,11 +14,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from historiographer import cookies
-from historiographer.attack import AttackConfig, reconstruct
+from historiographer.attack import AttackConfig, RecallReport, format_recall, reconstruct
 from historiographer.cli import main
 from historiographer.history import DEFAULT_ALPHABET, SearchHistory, save_histories
 from historiographer.oracle import SuggestIndex
-from historiographer.planner import build_plan, bundled_wordlist
+from historiographer.planner import PLANNER_ALPHABET, PrefixPlan, build_plan, bundled_wordlist
 
 
 @pytest.fixture
@@ -76,6 +78,20 @@ class TestPlan:
             f"{DEFAULT_ALPHABET!r}\n"
         )
         assert not (tmp_path / "p.json").exists()
+
+    def test_repeated_alphabet_characters_count_once(self, tmp_path):
+        fixture = resources.files("historiographer.data").joinpath("volunteers.jsonl")
+        outputs = []
+        for name, alphabet in [("once", PLANNER_ALPHABET), ("repeated", PLANNER_ALPHABET + "abc")]:
+            plan_path = tmp_path / f"{name}.json"
+            assert run(["plan", "bundled", "--alphabet", alphabet, "-o", plan_path]) == 0
+            plan = PrefixPlan.load(plan_path)
+            assert plan.request_rank() is not None
+            out = tmp_path / f"{name}.eval.json"
+            assert run(["eval", str(fixture), plan_path, "-o", out]) == 0
+            per_user = tmp_path / f"{name}.eval.per_user.csv"
+            outputs.append((plan.unigram_order, out.read_bytes(), per_user.read_bytes()))
+        assert outputs[0] == outputs[1]
 
 
 class TestReconstruct:
@@ -236,6 +252,42 @@ class TestEval:
             outputs.append([(tmp_path / f"{name}{suffix}").read_bytes() for suffix in (".json", ".per_user.csv")])
         assert outputs[0] == outputs[1]
         assert json.loads(outputs[0][0])["users"] == 2
+
+    def test_per_user_columns_are_the_report_fields(self, tmp_path):
+        fixture = resources.files("historiographer.data").joinpath("volunteers.jsonl")
+        out = tmp_path / "r.json"
+        assert run(["eval", str(fixture), "-o", out]) == 0
+        names = [f.name for f in dataclasses.fields(RecallReport)]
+        with open(tmp_path / "r.per_user.csv", newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == names
+        per_user = json.loads(out.read_text())["per_user"]
+        assert len(per_user) == len(rows) == 12
+        for row, cells in zip(per_user, rows):
+            assert sorted(row) == sorted(names)
+            # each column holds the field it names, recall truncated
+            expected = {k: str(v) for k, v in row.items()}
+            expected["recall"] = format_recall(row["recall"])
+            assert dict(zip(header, cells)) == expected
+
+    @pytest.mark.parametrize("command", ["eval", "reconstruct"])
+    def test_plan_unigram_order_outside_the_query_alphabet_exit_2(
+        self, tmp_path, capsys, plan_file, command
+    ):
+        # the fallback extends prefixes by unigram_order, and the oracle
+        # refuses every prefix holding such a character
+        plan = json.loads(plan_file.read_text())
+        plan["unigram_order"] += "é"
+        plan_file.write_text(json.dumps(plan))
+        fixture = resources.files("historiographer.data").joinpath("volunteers.jsonl")
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        assert run([command, str(fixture), plan_file, "-o", out_dir / "r.json"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {plan_file}: unigram_order: 'é' is not in the query alphabet "
+            f"{DEFAULT_ALPHABET!r}\n"
+        )
+        assert list(out_dir.iterdir()) == []
 
     def test_bad_budget_exit_2(self, tmp_path, capsys):
         from importlib import resources

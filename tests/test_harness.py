@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import tempfile
 from datetime import datetime, timezone
@@ -400,7 +401,7 @@ class TestRunBatch:
         budgets = [None, len(plan.seeds) + 30]
         walked = [run_batch(histories, AttackConfig(plan=plan, budget=b)) for b in budgets]
         # the budget cuts some users short and not others
-        requests = {r.requests for r in walked[1].per_user}
+        requests = {r.n_requests for r in walked[1].per_user}
         assert budgets[1] in requests and min(requests) < budgets[1]
         monkeypatch.setattr(PrefixPlan, "request_rank", lambda plan: None)
         for budget, report in zip(budgets, walked):
@@ -460,6 +461,40 @@ def assert_same_curve(histories, config, budgets):
     return got
 
 
+@functools.lru_cache(maxsize=None)
+def bundled_plan(aborting):
+    plan = build_plan(bundled_wordlist(), 0.9)
+    if aborting:
+        # "ZZ" has corpus count 0, so it is requested after every counted
+        # prefix; the oracle refuses it and each run aborts at its own point
+        plan.seeds = plan.seeds + ["ZZ"]
+    return plan
+
+
+@st.composite
+def budget_tuples(draw):
+    """Budgets in any order, often repeated, with 1, mid-run values and
+    values past where every run ends."""
+    pool = draw(
+        st.lists(
+            st.one_of(st.just(1), st.integers(2, 400), st.integers(400, 5000)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    return tuple(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6)))
+
+
+@given(aborting=st.booleans(), seed=st.integers(0, 2**16), budgets=budget_tuples())
+@example(aborting=True, seed=0, budgets=(1, 150, 150, 5000, 1))
+@example(aborting=False, seed=0, budgets=(5000, 1, 5000))
+@settings(max_examples=100, deadline=None)
+def test_curve_is_one_run_batch_per_budget(aborting, seed, budgets):
+    histories = gen_synthetic(5, (1, 60), 0.6, bundled_wordlist(), seed=seed)
+    config = AttackConfig(plan=bundled_plan(aborting))
+    assert_same_curve(histories, config, budgets)
+
+
 class TestRecallCurve:
     @pytest.fixture(scope="class")
     def config(self):
@@ -477,7 +512,7 @@ class TestRecallCurve:
     def test_budgets_past_frontier_exhaustion(self, config, wordlist):
         histories = gen_synthetic(10, (5, 40), 0.6, wordlist, seed=9)
         unlimited = run_batch(histories, config)
-        most = max(r.requests for r in unlimited.per_user)
+        most = max(r.n_requests for r in unlimited.per_user)
         points = assert_same_curve(histories, config, (most - 1, most, most + 1, 10 * most))
         assert points[-1]["mean_requests"] == unlimited.mean_requests
         assert points[-1]["mean_recall"] == unlimited.mean_recall
@@ -538,6 +573,19 @@ class TestRecallCurve:
         monkeypatch.setattr(harness, "SuggestIndex", index)
         assert run_batch(histories, config).failures == {"user0002": "broken history"}
         assert_same_curve(histories, config, (1, 110, 2000))
+
+    def test_other_failure_fails_the_user_at_budget_1(self, config, wordlist, monkeypatch):
+        histories = gen_synthetic(3, (5, 30), 0.6, wordlist, seed=14)
+
+        def index(hist):
+            raise RuntimeError("broken history")
+
+        monkeypatch.setattr(harness, "SuggestIndex", index)
+        for budget in (None, 1, 110):
+            report = run_batch(histories, dataclasses.replace(config, budget=budget))
+            assert report.failures == dict.fromkeys(histories, "broken history")
+            assert report.per_user == []
+        assert [p["users"] for p in recall_curve(histories, config, (1, 110))] == [0, 0]
 
     def test_edge_cases(self, config):
         assert recall_curve({}, config, budgets=()) == []
