@@ -20,7 +20,9 @@ from .cookies import (
 # unused here, but perfbench/tracing.py looks these up on this module to patch them
 from .cookies import audit_trace, count_users, load_trace  # noqa: F401
 from .harness import HarnessError, gen_synthetic, ingest_query_log_counted, run_batch
-from .history import HistoryError, load_histories, save_histories
+from .history import HistoryError, iter_histories, save_histories
+# unused here, but perfbench/tracing.py looks it up on this module to patch it
+from .history import load_histories  # noqa: F401
 from .oracle import MIN_PREFIX_LEN, SuggestIndex
 from .planner import (
     PLANNER_ALPHABET, PlannerError, PrefixPlan, build_plan, bundled_wordlist, load_corpus,
@@ -84,14 +86,25 @@ def cmd_plan(args) -> int:
 
 
 def _load_single_history(path: str, user: str | None):
-    histories = load_histories(_input_file(path, "history file"))
-    if not histories:
+    """The history of the given user, or with no user the smallest user
+    id's; of lines with that id, the last one's. The file is read one line
+    at a time and only the chosen history is kept, but it is read to its
+    end, so a bad line anywhere is reported."""
+    chosen = None
+    empty = True
+    for hist in iter_histories(_input_file(path, "history file")):
+        empty = False
+        if user is None:
+            better = chosen is None or hist.user_id <= chosen.user_id
+        else:
+            better = hist.user_id == user
+        if better:
+            chosen = hist
+    if empty:
         raise InputError(f"no histories in {path}")
-    if user is not None:
-        if user not in histories:
-            raise InputError(f"user {user!r} not in {path}")
-        return histories[user]
-    return histories[sorted(histories)[0]]
+    if chosen is None:
+        raise InputError(f"user {user!r} not in {path}")
+    return chosen
 
 
 def cmd_reconstruct(args) -> int:
@@ -114,8 +127,12 @@ def cmd_reconstruct(args) -> int:
     return EXIT_OK
 
 
-def _load_dataset(path: str):
-    p = _input_file(path, "dataset")
+def _dataset_histories(path: str):
+    """The histories of a dataset file that exists. An AOL-format TSV is
+    loaded whole, since one user's rows may appear anywhere in the log. A
+    history JSON-lines file is read one history at a time, as the batch
+    asks for the next one."""
+    p = Path(path)
     with open(p, "rb") as fh:
         first = fh.readline()
     if first.startswith(b"AnonID\t"):
@@ -123,7 +140,7 @@ def _load_dataset(path: str):
         if skipped:
             print(f"{path}: skipped {skipped} malformed rows", file=sys.stderr)
         return histories
-    return load_histories(p)
+    return iter_histories(p)
 
 
 def _at_least(flag: str, value: int | None, low: int = 1) -> None:
@@ -135,7 +152,9 @@ def _at_least(flag: str, value: int | None, low: int = 1) -> None:
 def cmd_eval(args) -> int:
     _at_least("--workers", args.workers)
     _at_least("--budget", args.budget)
-    histories = _load_dataset(args.dataset)
+    # a missing dataset is reported first, then a bad plan, and a bad record
+    # only when the batch reaches it
+    _input_file(args.dataset, "dataset")
     if args.plan_file is not None:
         plan = PrefixPlan.load(_input_file(args.plan_file, "plan file"))
         if not plan.seeds:
@@ -145,7 +164,7 @@ def cmd_eval(args) -> int:
     else:
         plan = build_plan(bundled_wordlist(), mass_fraction=0.9)
     config = AttackConfig(plan=plan, budget=args.budget)
-    report = run_batch(histories, config)
+    report = run_batch(_dataset_histories(args.dataset), config)
     out = Path(args.output)
     out.write_text(report.to_json() + "\n")
     stem = out.with_suffix("")

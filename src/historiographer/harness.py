@@ -8,7 +8,7 @@ import random
 from dataclasses import dataclass, field, replace
 from datetime import date, datetime, timezone
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from .attack import (
     AttackConfig,
@@ -23,6 +23,10 @@ from .history import SearchHistory, load_histories, normalize
 from .oracle import MAX_HISTORY_SUGGESTIONS, SuggestIndex, default_ranking
 
 AOL_COLUMNS = ["AnonID", "Query", "QueryTime", "ItemRank", "ClickURL"]
+
+# what a batch reads its histories from: any iterable of them, or a dict of
+# them, whose keys are not read
+Histories = Union[Iterable[SearchHistory], Mapping[str, SearchHistory]]
 
 
 def bundled_volunteers() -> Dict[str, SearchHistory]:
@@ -228,23 +232,30 @@ class AggregateReport:
 
 
 def _reports(
-    histories: Dict[str, SearchHistory], config: AttackConfig, budgets: Sequence[Optional[int]]
+    histories: Histories, config: AttackConfig, budgets: Sequence[Optional[int]]
 ) -> List[AggregateReport]:
     """The report of a batch at each budget (None for no budget), from one
-    run per user in sorted user order, at the largest budget or with none.
+    run per user, at the largest budget or with none.
+
+    The histories are attacked one at a time as they are iterated, and none
+    is kept. Of histories with the same user id, the last one's run counts.
+    Rows and failures come out in sorted user order, so the means are summed
+    in that order whatever order the histories came in.
 
     The budget only cuts the frontier loop short and never changes its
     order, so a run at budget b is the first b requests of that run: its
     recovered count is ``recovered_after(b)``. A run that aborts after k
     requests fails the user at every budget above k and with no budget;
-    any other exception fails the user at every budget.
+    any other exception fails the user at every budget. An error raised
+    while iterating the histories is not a failure: it propagates.
     """
-    if not histories:
-        raise HarnessError("no histories to evaluate")
+    if isinstance(histories, Mapping):
+        histories = histories.values()
     run_config = replace(config, budget=None if None in budgets else max(budgets))
-    batches: List[Tuple[List[RecallReport], Dict[str, str]]] = [([], {}) for _ in budgets]
-    for user_id in sorted(histories):
-        hist = histories[user_id]
+    # per budget: the row or the failure of each user id
+    batches: List[Tuple[Dict[str, RecallReport], Dict[str, str]]] = [({}, {}) for _ in budgets]
+    for hist in histories:
+        user_id = hist.user_id
         try:
             result, error = reconstruct(SuggestIndex(hist), run_config), None
         except ReconstructionAborted as exc:
@@ -253,29 +264,36 @@ def _reports(
             # as an abort before the first request: every budget is above it
             result, error = ReconstructionResult(), str(exc)
         used, n_c = result.requests_used, hist.n_c
-        for budget, (per_user, failures) in zip(budgets, batches):
+        for budget, (rows, failures) in zip(budgets, batches):
+            # a later history of the same user replaces the earlier one
+            rows.pop(user_id, None)
+            failures.pop(user_id, None)
             if error is not None and (budget is None or budget > used):
                 failures[user_id] = error
                 continue
             n = used if budget is None else min(budget, used)
             n_s = result.recovered_after(n)
-            per_user.append(
-                RecallReport(hist.user_id, hist.n_h, n_c, n_s, compute_recall(n_c, n_s), n)
-            )
+            rows[user_id] = RecallReport(user_id, hist.n_h, n_c, n_s, compute_recall(n_c, n_s), n)
         # free this run before the next one starts: with two runs alive the
         # collector runs about twice as often
         del result
-    return [AggregateReport.of(per_user, failures) for per_user, failures in batches]
+    # every user has a row or a failure at each budget
+    if not any(batches[0]):
+        raise HarnessError("no histories to evaluate")
+    return [
+        AggregateReport.of([rows[u] for u in sorted(rows)], dict(sorted(failures.items())))
+        for rows, failures in batches
+    ]
 
 
-def run_batch(histories: Dict[str, SearchHistory], config: AttackConfig) -> AggregateReport:
-    """Reconstruct and score every history, one after another in sorted
-    user order. A user whose run raises is recorded in failures."""
+def run_batch(histories: Histories, config: AttackConfig) -> AggregateReport:
+    """Reconstruct and score every history, one after another (see
+    ``_reports``). A user whose run raises is recorded in failures."""
     return _reports(histories, config, [config.budget])[0]
 
 
 def recall_curve(
-    histories: Dict[str, SearchHistory],
+    histories: Histories,
     config: AttackConfig,
     budgets: Sequence[int] = (110, 440, 2000),
 ) -> List[dict]:

@@ -281,26 +281,34 @@ def json_lines(path, error: type) -> Iterator[Tuple[int, object]]:
             yield lineno, value
 
 
-def load_histories(path) -> Dict[str, SearchHistory]:
-    """Read one SearchHistory per non-blank JSON line, keyed by user id.
+def iter_histories(path) -> Iterator[SearchHistory]:
+    """Each non-blank JSON line's SearchHistory, in file order, read only
+    when the next one is asked for, so a caller that keeps none of them
+    holds one history at a time.
 
     A bad line (not UTF-8, not JSON) or a record with a missing or ill-typed
-    field raises HistoryError naming the file, the line and the field. The
-    cyclic collector is paused while the file loads and left as it was found.
+    field raises HistoryError naming the file, the line and the field, when
+    the line is reached.
     """
-    out: Dict[str, SearchHistory] = {}
+    for lineno, d in json_lines(path, HistoryError):
+        try:
+            hist = SearchHistory.from_dict(d)
+        except HistoryError as exc:
+            raise HistoryError(f"{path}:{lineno}: {exc}") from exc
+        yield hist
+
+
+def load_histories(path) -> Dict[str, SearchHistory]:
+    """Every SearchHistory of iter_histories, keyed by user id: of lines
+    with the same user id, the last one's. The cyclic collector is paused
+    while the file loads and left as it was found.
+    """
     # Everything the load allocates is kept, so a collector pass would walk
     # a growing heap and free nothing; it is paused until the load ends.
     enabled = gc.isenabled()
     gc.disable()
     try:
-        for lineno, d in json_lines(path, HistoryError):
-            try:
-                hist = SearchHistory.from_dict(d)
-            except HistoryError as exc:
-                raise HistoryError(f"{path}:{lineno}: {exc}") from exc
-            out[hist.user_id] = hist
+        return {hist.user_id: hist for hist in iter_histories(path)}
     finally:
         if enabled:
             gc.enable()
-    return out

@@ -48,13 +48,24 @@ def default_ranking(entry: HistoryEntry) -> Tuple:
 _CHECKED: Set[str] = set()
 
 
-def _check_prefix(prefix: str) -> None:
+def prefix_problem(prefix: str) -> Optional[str]:
+    """Why the oracle refuses a prefix, as "'p' ...": it is shorter than
+    MIN_PREFIX_LEN, or no normalized query starts with it. None if the
+    oracle serves it."""
     if len(prefix) < MIN_PREFIX_LEN:
-        raise PrefixTooShortError(f"prefix {prefix!r} shorter than {MIN_PREFIX_LEN}")
+        return f"{prefix!r} shorter than {MIN_PREFIX_LEN}"
     # A valid prefix is any leading slice of a normalized query, so a
     # single trailing space is legal mid-word-boundary.
     if normalize(prefix) != prefix.rstrip(" ") or prefix.endswith("  "):
-        raise UnnormalizedPrefixError(f"prefix {prefix!r} is not normalized")
+        return f"{prefix!r} is not normalized"
+    return None
+
+
+def _check_prefix(prefix: str) -> None:
+    problem = prefix_problem(prefix)
+    if problem is not None:
+        short = len(prefix) < MIN_PREFIX_LEN
+        raise (PrefixTooShortError if short else UnnormalizedPrefixError)(f"prefix {problem}")
 
 
 class SuggestIndex:

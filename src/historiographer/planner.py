@@ -13,6 +13,7 @@ from importlib import resources
 from typing import Dict, List, Optional, Sequence
 
 from .history import DEFAULT_ALPHABET, field_problem, normalize, read_json
+from .oracle import prefix_problem
 
 PLANNER_ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
@@ -127,6 +128,17 @@ def _plan_problem(d) -> Optional[str]:
     problem = query_alphabet_problem(d["unigram_order"])
     if problem:
         return f"unigram_order: {problem}"
+    # the attack asks each of these prefixes, so each is one the oracle serves
+    fields = [
+        ("seeds", d["seeds"]),
+        *((f"stats.{n}", counts) for n, counts in d["stats"].items()),
+        *((f"selected.{n}", sel) for n, sel in d.get("selected", {}).items()),
+    ]
+    for where, prefixes in fields:
+        for p in prefixes:
+            problem = prefix_problem(p)
+            if problem:
+                return f"{where}: {problem}"
     return None
 
 

@@ -6,6 +6,7 @@ import json
 import random
 import tempfile
 import tracemalloc
+import weakref
 from importlib import resources
 from pathlib import Path
 
@@ -13,10 +14,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from historiographer import cookies
+from historiographer import cli, cookies
 from historiographer.attack import AttackConfig, RecallReport, format_recall, reconstruct
 from historiographer.cli import main
-from historiographer.history import DEFAULT_ALPHABET, SearchHistory, save_histories
+from historiographer.history import DEFAULT_ALPHABET, SearchHistory, iter_histories, save_histories
 from historiographer.oracle import SuggestIndex
 from historiographer.planner import PLANNER_ALPHABET, PrefixPlan, build_plan, bundled_wordlist
 
@@ -183,6 +184,44 @@ class TestReconstruct:
         assert max(depths[0]) > 2 and depths[2] == {2}
 
 
+    def test_user_of_a_repeated_id_is_its_last_line(self, tmp_path, plan_file):
+        def hist(user_id, queries):
+            h = SearchHistory(user_id=user_id)
+            for q in queries:
+                h.insert_search(q, 1, "http://example.com")
+            return h
+
+        hist_file = tmp_path / "hist.jsonl"
+        save_histories(
+            [hist("u2", ["cobalt"]), hist("u1", ["code"]), hist("u1", ["cool", "coffee"]),
+             hist("u3", ["dog"])],
+            hist_file,
+        )
+        for flags, expected in [([], "u1,2,2,"), (["--user", "u1"], "u1,2,2,"), (["--user", "u3"], "u3,1,1,")]:
+            out = tmp_path / "r.json"
+            assert run(["reconstruct", hist_file, plan_file, *flags, "-o", out]) == 0
+            report = (tmp_path / "r.report.csv").read_text().splitlines()
+            assert report[1].startswith(expected)
+
+    @pytest.mark.parametrize(
+        "text, flags, message",
+        [
+            ("\n", [], "no histories in {path}"),
+            ("\n", ["--user", "u"], "no histories in {path}"),
+            ('{"user_id": "u", "history_enabled": true}\n', ["--user", "v"], "user 'v' not in {path}"),
+            ('{"user_id": "u", "history_enabled": true}\n{"user_id": "v"}\n', ["--user", "u"],
+             "{path}:2: history_enabled: missing"),
+        ],
+        ids=["empty", "empty-with-user", "user-absent", "bad-line-after-the-user"],
+    )
+    def test_history_file_problems_exit_2(self, tmp_path, capsys, plan_file, text, flags, message):
+        hist_file = tmp_path / "hist.jsonl"
+        hist_file.write_text(text)
+        out = tmp_path / "out" / "r.json"
+        assert run(["reconstruct", hist_file, plan_file, *flags, "-o", out]) == 2
+        assert capsys.readouterr().err == f"error: {message.format(path=hist_file)}\n"
+
+
 class TestEval:
     def test_calibrated_fixture_default_config(self, tmp_path):
         from importlib import resources
@@ -340,6 +379,13 @@ class TestEval:
             ({"filter_extensions": "no"}, "filter_extensions: expected a boolean, got str"),
             ({"seeds": ["ab", 5]}, "seeds: expected a list of strings"),
             ({"seeds": []}, "seeds: empty"),
+            # a prefix the oracle would refuse for every user
+            ({"seeds": ["ab", "ZZ"]}, "seeds: 'ZZ' is not normalized"),
+            ({"seeds": ["ab", "c"]}, "seeds: 'c' shorter than 2"),
+            ({"stats": {"2": {"ab": 3, " a": 1}}}, "stats.2: ' a' is not normalized"),
+            ({"stats": {"3": {"abc": 3}, "2": {"x": 0}}}, "stats.2: 'x' shorter than 2"),
+            ({"selected": {"3": ["abc", "ab  "]}}, "selected.3: 'ab  ' is not normalized"),
+            ({"selected": {"2": [""]}}, "selected.2: '' shorter than 2"),
         ],
     )
     def test_malformed_plan_exit_2(self, tmp_path, capsys, plan_file, change, message):
@@ -351,6 +397,50 @@ class TestEval:
         fixture = resources.files("historiographer.data").joinpath("volunteers.jsonl")
         assert run(["eval", str(fixture), plan_file, "-o", tmp_path / "r.json"]) == 2
         assert capsys.readouterr().err == f"error: {plan_file}: {message}\n"
+
+
+    def test_streamed_eval_holds_at_most_two_histories(self, tmp_path, wordlist, monkeypatch):
+        from historiographer.harness import gen_synthetic
+
+        dataset = tmp_path / "d.jsonl"
+        save_histories(gen_synthetic(6, (5, 40), 0.6, wordlist, seed=15).values(), dataset)
+        refs, alive = [], []
+
+        def watched(path):
+            for hist in iter_histories(path):
+                refs.append(weakref.ref(hist))
+                # the histories still alive as history k is handed on
+                alive.append([i for i, ref in enumerate(refs) if ref() is not None])
+                yield hist
+
+        monkeypatch.setattr(cli, "iter_histories", watched)
+        assert run(["eval", dataset, "-o", tmp_path / "r.json"]) == 0
+        assert len(alive) == 6
+        assert [k for k, indices in enumerate(alive) if min(indices) < k - 1] == []
+
+    def test_bad_last_line_writes_nothing(self, tmp_path, capsys):
+        fixture = resources.files("historiographer.data").joinpath("volunteers.jsonl")
+        dataset = tmp_path / "d.jsonl"
+        dataset.write_text(fixture.read_text() + json.dumps({"user_id": "u"}) + "\n")
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        assert run(["eval", dataset, "-o", out_dir / "r.json"]) == 2
+        assert capsys.readouterr().err == f"error: {dataset}:13: history_enabled: missing\n"
+        assert list(out_dir.iterdir()) == []
+
+    def test_bad_plan_reported_before_a_bad_record(self, tmp_path, capsys, plan_file):
+        plan = json.loads(plan_file.read_text())
+        plan["seeds"].append("ZZ")
+        plan_file.write_text(json.dumps(plan))
+        dataset = tmp_path / "d.jsonl"
+        dataset.write_text("{not json\n")
+        out = tmp_path / "out" / "r.json"
+        assert run(["eval", dataset, plan_file, "-o", out]) == 2
+        assert capsys.readouterr().err == f"error: {plan_file}: seeds: 'ZZ' is not normalized\n"
+        # a missing dataset is still reported first
+        missing = tmp_path / "missing.jsonl"
+        assert run(["eval", missing, plan_file, "-o", out]) == 2
+        assert capsys.readouterr().err == f"error: dataset not found: {missing}\n"
 
 
 class TestAudit:

@@ -21,7 +21,14 @@ from historiographer.harness import (
     recall_curve,
     run_batch,
 )
-from historiographer.history import EmptyQueryError, SearchHistory, load_histories, save_histories
+from historiographer.history import (
+    EmptyQueryError,
+    HistoryError,
+    SearchHistory,
+    iter_histories,
+    load_histories,
+    save_histories,
+)
 from historiographer.oracle import SuggestIndex
 from historiographer.planner import PrefixPlan, build_plan, bundled_wordlist
 
@@ -415,6 +422,58 @@ class TestRunBatch:
         report = run_batch(histories, AttackConfig(plan=plan))
         assert set(report.failures) == set(histories)
         assert report.users == 0
+
+
+class TestStreamedBatch:
+    """A batch reads its histories from any iterable of them, one at a time."""
+
+    def test_streamed_file_reports_as_the_loaded_file(self, tmp_path, wordlist, monkeypatch):
+        histories = gen_synthetic(8, (5, 60), 0.6, wordlist, seed=30)
+
+        def renamed(user_id, hist, doomed=False):
+            hist = SearchHistory.from_dict({**hist.to_dict(), "user_id": user_id})
+            if doomed:
+                hist.insert_search("doomed", 1)
+            return hist
+
+        lines = [
+            *reversed(histories.values()),
+            # a repeated user id: the last line's run counts, row or failure
+            renamed("user0003", histories["user0006"]),
+            renamed("user0001", histories["user0001"], doomed=True),
+            renamed("user0005", histories["user0005"], doomed=True),
+            renamed("user0001", histories["user0001"]),
+            renamed("user0004", histories["user0004"], doomed=True),
+        ]
+        path = tmp_path / "d.jsonl"
+        save_histories(lines, path)
+
+        def index(hist):
+            if "doomed" in hist.entries:
+                raise RuntimeError("broken history")
+            return SuggestIndex(hist)
+
+        monkeypatch.setattr(harness, "SuggestIndex", index)
+        config = AttackConfig(plan=build_plan(wordlist, 0.9))
+        for budget in (None, 40):
+            budgeted = dataclasses.replace(config, budget=budget)
+            streamed = run_batch(iter_histories(path), budgeted)
+            assert streamed.to_json() == run_batch(load_histories(path), budgeted).to_json()
+        assert streamed.failures == dict.fromkeys(["user0004", "user0005"], "broken history")
+        rows = {r.user_id: r for r in streamed.per_user}
+        assert list(rows) == sorted(set(histories) - {"user0004", "user0005"})
+        assert rows["user0003"].n_h == histories["user0006"].n_h
+        budgets = (1, 40, 2000)
+        curve = recall_curve(iter_histories(path), config, budgets)
+        assert curve == recall_curve(load_histories(path), config, budgets)
+
+    def test_an_error_while_reading_propagates(self, wordlist):
+        def histories():
+            yield from gen_synthetic(2, 5, 0.5, wordlist, seed=3).values()
+            raise HistoryError("d.jsonl:3: invalid JSON")
+
+        with pytest.raises(HistoryError, match="invalid JSON"):
+            run_batch(histories(), AttackConfig(plan=build_plan(wordlist, 0.9)))
 
 
 class TestCalibratedFixture:

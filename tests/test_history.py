@@ -14,6 +14,7 @@ from historiographer.history import (
     HistoryDisabledError,
     HistoryError,
     SearchHistory,
+    iter_histories,
     json_lines,
     load_histories,
     normalize,
@@ -253,6 +254,25 @@ def test_load_leaves_the_collector_as_found(tmp_path, monkeypatch, enabled, bad_
         (gc.enable if was else gc.disable)()
     # paused while the records load
     assert during == [False, False]
+
+
+def test_iter_histories_reads_a_line_when_asked(tmp_path):
+    # out of user order, u2 twice, and a bad last line
+    lines = [_record(user_id="u2"), _record(user_id="u1"), _record(user_id="u2", query="pets")]
+    path = tmp_path / "hist.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in lines) + "{not json\n")
+    histories = iter_histories(path)
+    got = [next(histories) for _ in lines]
+    assert [(h.user_id, list(h.entries)) for h in got] == [
+        ("u2", ["privacy"]), ("u1", ["privacy"]), ("u2", ["pets"]),
+    ]
+    with pytest.raises(HistoryError, match=":4: invalid JSON"):
+        next(histories)
+    # load_histories keeps the last line of each user id
+    path.write_text("".join(json.dumps(r) + "\n" for r in lines))
+    loaded = load_histories(path)
+    assert list(loaded) == ["u2", "u1"]
+    assert list(loaded["u2"].entries) == ["pets"]
 
 
 def test_optional_fields_default(tmp_path):

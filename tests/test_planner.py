@@ -1,11 +1,14 @@
 import json
 import string
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from historiographer.history import normalize
+from historiographer.history import SearchHistory, normalize
+from historiographer.oracle import OracleError, SuggestIndex
 from historiographer.planner import (
     EmptyCorpusError,
     PlannerError,
@@ -249,6 +252,35 @@ def test_plan_round_trip(tmp_path, wordlist):
     assert loaded.seeds == plan.seeds
     assert loaded.extend("co") == plan.extend("co")
     assert loaded.unigram_order == plan.unigram_order
+
+
+@given(st.one_of(st.text(max_size=5), st.text("abzq1 C", max_size=4)))
+@settings(max_examples=100, deadline=None)
+def test_load_refuses_each_prefix_the_oracle_refuses(prefix):
+    """A seed, stats prefix or selected prefix loads iff the oracle serves
+    it, and a refused one is named as the oracle names it."""
+    try:
+        SuggestIndex(SearchHistory("u"))(prefix)
+        refused = None
+    except OracleError as exc:
+        refused = str(exc).removeprefix("prefix ")
+    plan = build_plan(["cobalt", "code", "dog"], 1.0).to_dict()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "plan.json"
+        for where, change in [
+            ("seeds", lambda d: d["seeds"].append(prefix)),
+            ("stats.3", lambda d: d["stats"]["3"].update({prefix: 0})),
+            ("selected.2", lambda d: d["selected"]["2"].append(prefix)),
+        ]:
+            changed = json.loads(json.dumps(plan))
+            change(changed)
+            path.write_text(json.dumps(changed))
+            if refused is None:
+                PrefixPlan.load(path)
+            else:
+                with pytest.raises(PlannerError) as exc_info:
+                    PrefixPlan.load(path)
+                assert str(exc_info.value) == f"{path}: {where}: {refused}"
 
 
 def test_stats_csv(tmp_path, wordlist):
