@@ -157,7 +157,8 @@ def _walk(index: SuggestIndex, config: AttackConfig, rank: Dict[str, int]) -> Re
     its requested set in sorted order, the stats levels by rank and then each
     fallback level. Each level is served from one pass over the user's
     clicked queries in ranked order, and only the queries under a saturated
-    prefix go on to the next level."""
+    prefix go on to the next level. A ranked plan asks no prefix the oracle
+    refuses (see PrefixPlan.request_rank), so the walk never aborts."""
     plan, budget, max_depth = config.plan, config.budget, config.max_depth
     ranked, fallback, served = [], [], {}
     level, n = plan.seeds, len(plan.seeds[0])
@@ -183,20 +184,13 @@ def _walk(index: SuggestIndex, config: AttackConfig, rank: Dict[str, int]) -> Re
         n += 1
     order = sorted(ranked, key=rank.__getitem__) + fallback
     exhausted = budget is None or len(order) <= budget
-    del order[len(order) if exhausted else budget:]
-    answered, error = index.check_prefixes(order)
-    del order[answered:]
-    if not exhausted or error is not None:
+    if not exhausted:
+        del order[budget:]
         # the levels served prefixes past the cut too
         asked = set(order)
         served = {p: texts for p, texts in served.items() if p in asked}
-    result = ReconstructionResult(
-        requested=order, served=served, recovered=set().union(*served.values())
-    )
-    if error is not None:
-        raise ReconstructionAborted(str(error), result) from error
-    result.frontier_exhausted = exhausted
-    return result
+    recovered = set().union(*served.values())
+    return ReconstructionResult(order, served, recovered, frontier_exhausted=exhausted)
 
 
 def _tops(ranked: Iterable[str], n: int) -> Dict[str, List[str]]:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Tuple
 
 from .history import HistoryEntry, SearchHistory, normalize
 
@@ -40,12 +40,6 @@ def default_ranking(entry: HistoryEntry) -> Tuple:
     """Best first: most searched, then most recent, then lexicographic. A
     history holds each query once, so no two entries tie."""
     return (-entry.count, -entry.last_time, entry.query)
-
-
-# Prefixes that passed _check_prefix. The check depends on nothing else, and
-# an attack asks every user the same plan prefixes, so each is checked once
-# per process. A prefix that fails is never added.
-_CHECKED: Set[str] = set()
 
 
 def prefix_problem(prefix: str) -> Optional[str]:
@@ -86,9 +80,7 @@ class SuggestIndex:
     def __call__(self, prefix: str) -> SuggestionResponse:
         """The top-3 clicked entries whose query starts with the prefix,
         under default_ranking."""
-        if prefix not in _CHECKED:
-            _check_prefix(prefix)
-            _CHECKED.add(prefix)
+        _check_prefix(prefix)
         queries = self._queries
         lo = bisect_left(queries, prefix)
         if lo == len(queries) or not queries[lo].startswith(prefix):
@@ -106,20 +98,6 @@ class SuggestIndex:
         ranked = sorted(self._entries, key=attrgetter("last_time"), reverse=True)
         ranked.sort(key=attrgetter("count"), reverse=True)
         return [e.query for e in ranked]
-
-    def check_prefixes(self, prefixes: Sequence[str]) -> Tuple[int, Optional[OracleError]]:
-        """How many of these prefixes, asked in order, calls would answer
-        before one refuses, and the error it raises (None if all answer)."""
-        if _CHECKED.issuperset(prefixes):
-            return len(prefixes), None
-        for i, prefix in enumerate(prefixes):
-            if prefix not in _CHECKED:
-                try:
-                    _check_prefix(prefix)
-                except OracleError as exc:
-                    return i, exc
-                _CHECKED.add(prefix)
-        return len(prefixes), None
 
 
 def suggest(history: SearchHistory, prefix: str) -> SuggestionResponse:

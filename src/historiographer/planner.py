@@ -10,7 +10,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from .history import DEFAULT_ALPHABET, field_problem, normalize, read_json
 from .oracle import prefix_problem
@@ -103,7 +103,8 @@ def _is_length(key: str) -> bool:
 
 def _plan_problem(d) -> Optional[str]:
     """What is wrong with a saved plan, as "field: ...": its first field or
-    nested value of the wrong shape; None if all is good."""
+    nested value of the wrong shape, prefix the oracle refuses, or prefix
+    not as long as its key, in that order; None if all is good."""
     if type(d) is not dict:
         return f"expected a JSON object, got {type(d).__name__}"
     problem = field_problem(d, _PLAN_FIELDS, _PLAN_OPTIONAL)
@@ -125,14 +126,29 @@ def _plan_problem(d) -> Optional[str]:
             return f"selected.{n}: expected an integer key"
         if not _strings(sel):
             return f"selected.{n}: expected a list of strings"
-    problem = query_alphabet_problem(d["unigram_order"])
+    selected = d.get("selected", {})
+    problem = _refused_prefix(d["unigram_order"], d["seeds"], d["stats"], selected)
+    if problem:
+        return problem
+    for where, by_length in (("stats", d["stats"]), ("selected", selected)):
+        for n, prefixes in by_length.items():
+            for p in prefixes:
+                if len(p) != int(n):
+                    return f"{where}.{n}: {p!r} is not {int(n)} characters long"
+    return None
+
+
+def _refused_prefix(unigram_order: str, seeds, stats: Mapping, selected: Mapping) -> Optional[str]:
+    """The first unigram_order character, seed, or stats or selected prefix
+    (each keyed by length) that makes the attack ask a prefix the oracle
+    refuses, as "field: problem"; None if there is none."""
+    problem = query_alphabet_problem(unigram_order)
     if problem:
         return f"unigram_order: {problem}"
-    # the attack asks each of these prefixes, so each is one the oracle serves
     fields = [
-        ("seeds", d["seeds"]),
-        *((f"stats.{n}", counts) for n, counts in d["stats"].items()),
-        *((f"selected.{n}", sel) for n, sel in d.get("selected", {}).items()),
+        ("seeds", seeds),
+        *((f"stats.{n}", prefixes) for n, prefixes in stats.items()),
+        *((f"selected.{n}", prefixes) for n, prefixes in selected.items()),
     ]
     for where, prefixes in fields:
         for p in prefixes:
@@ -200,11 +216,15 @@ class PrefixPlan:
         """Each seed and stats-level prefix by its place in the attack's
         request order (count descending, then shorter, then lexicographic).
         None when the plan does not fix that order: when a child could sort
-        before its parent or one prefix be reached twice."""
+        before its parent or one prefix be reached twice. None too when the
+        oracle refuses one of its prefixes or unigram_order characters, so
+        the walk, asking only seeds, stats prefixes and a served parent plus
+        one of those characters (never a double space), is refused nothing."""
         seeds = tuple(self.seeds)
         if self._rank is not None and self._rank[0] == seeds:
             return self._rank[1]
         lengths = sorted(self.stats_by_length)
+        counts = {n: stats.counts for n, stats in self.stats_by_length.items()}
         rank = None
         if (
             lengths
@@ -214,11 +234,12 @@ class PrefixPlan:
             and len(set(self.unigram_order)) == len(self.unigram_order)
             and all(
                 len(p) == n and 0 <= c and (n == lengths[0] or c <= self.seed_count(p[:-1]))
-                for n, stats in self.stats_by_length.items()
-                for p, c in stats.counts.items()
+                for n, level in counts.items()
+                for p, c in level.items()
             )
+            and _refused_prefix(self.unigram_order, seeds, counts, self.selected_by_length) is None
         ):
-            prefixes = set(seeds).union(*(s.counts for s in self.stats_by_length.values()))
+            prefixes = set(seeds).union(*counts.values())
             ranked = sorted(prefixes, key=lambda p: (-self.seed_count(p), len(p), p))
             rank = {p: i for i, p in enumerate(ranked)}
         self._rank = (seeds, rank)
@@ -277,14 +298,20 @@ class PrefixPlan:
 
     @classmethod
     def load(cls, path) -> "PrefixPlan":
-        """The plan that save wrote. A file that is not a JSON object, or a
-        field or nested value that is missing or of the wrong JSON type,
-        raises PlannerError naming the file and the field."""
+        """The plan that save wrote, less repeated seeds and unigram_order
+        characters. A file that is not a JSON object, a field or nested value
+        that is missing, of the wrong JSON type or not as long as its key, or
+        a prefix the oracle refuses raises PlannerError naming the file and
+        the field."""
         d = read_json(path, PlannerError)
         problem = _plan_problem(d)
         if problem:
             raise PlannerError(f"{path}: {problem}")
-        return cls.from_dict(d)
+        plan = cls.from_dict(d)
+        # a repeat asks nothing new, but would cost the plan its request rank
+        plan.seeds = list(dict.fromkeys(plan.seeds))
+        plan.unigram_order = "".join(dict.fromkeys(plan.unigram_order))
+        return plan
 
 
 def build_plan(

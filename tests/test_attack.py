@@ -21,7 +21,7 @@ from historiographer.attack import (
 from historiographer.harness import brute_force_recoverable, gen_synthetic
 from historiographer.history import SearchHistory
 from historiographer.oracle import SuggestIndex, suggest
-from historiographer.planner import PrefixPlan, build_plan
+from historiographer.planner import PlannerError, PrefixPlan, build_plan
 
 FULL_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789 "
 
@@ -332,9 +332,7 @@ class TestFixedOrderWalk:
     def histories(self, wordlist):
         return list(gen_synthetic(6, (5, 400), 0.7, wordlist, seed=33).values())
 
-    @pytest.mark.parametrize(
-        "extra_seeds", [[], ["qz"], ["ZZ"], ["qz", "ZZ"]], ids=["bundled", "qz", "ZZ", "qz-ZZ"]
-    )
+    @pytest.mark.parametrize("extra_seeds", [[], ["qz"]], ids=["bundled", "qz"])
     def test_same_run_as_reference_loop(self, wordlist, histories, monkeypatch, extra_seeds):
         plan = bundled_plan_with(wordlist, extra_seeds)
         assert plan.request_rank() is not None
@@ -344,7 +342,7 @@ class TestFixedOrderWalk:
             attack, "_tops", lambda ranked, n: passes.append(level_pass(ranked, n)) or passes[-1]
         )
         n = len(plan.seeds)
-        seen = {"fallback": 0, "cut_short": 0, "aborted": 0}
+        seen = {"fallback": 0, "cut_short": 0}
         for threshold, max_depth, budget in itertools.product(
             [1, 2, 3], [None, 2, 3, 5], [None, 1, n - 1, n, n + 1]
         ):
@@ -358,17 +356,14 @@ class TestFixedOrderWalk:
                 got = run_outcome(reconstruct, index, config)
                 assert got == want
                 request_log, _, _, _, exhausted, error = got
+                assert error is None
                 # the per-level passes serve exactly the requests that serve
                 # something, as many texts as the index does
                 served = {p: top for tops in passes for p, top in tops.items()}
                 assert [(p, len(served.get(p, ()))) for p, _ in request_log] == request_log
                 seen["fallback"] += any(len(p) > 3 for p, _ in request_log)
-                seen["cut_short"] += not exhausted and error is None
-                seen["aborted"] += error is not None
-        assert seen["cut_short"]
-        # ZZ (count 0) sorts before every fallback prefix, and the oracle
-        # refuses it: those runs abort before the fallback levels
-        assert bool(seen["aborted"]) == ("ZZ" in extra_seeds) != bool(seen["fallback"])
+                seen["cut_short"] += not exhausted
+        assert seen["cut_short"] and seen["fallback"]
 
     @pytest.mark.parametrize("threshold", [1, 3])
     def test_budget_at_each_level_change(self, wordlist, histories, threshold):
@@ -412,6 +407,26 @@ class TestFixedOrderWalk:
             )
         assert plan.request_rank() is None
 
+    @given(
+        st.lists(
+            st.one_of(st.sampled_from(["qz", "th", "a1", "z "]), st.text("abzZ -", max_size=4)),
+            max_size=4,
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_extra_seeds_served_or_refused(self, wordlist, histories, extra_seeds):
+        # a refused seed, or a repeated one or one of another length, sends
+        # the run down the heap loop; a run under a rank never raises
+        plan = bundled_plan_with(wordlist, extra_seeds)
+        ranked = plan.request_rank() is not None
+        for budget in (None, len(plan.seeds)):
+            config = AttackConfig(plan=plan, budget=budget, descent_threshold=2)
+            for hist in histories[:2]:
+                index = SuggestIndex(hist)
+                got = run_outcome(reconstruct, index, config)
+                assert got == run_outcome(reference_reconstruct, index, config)
+                assert not (ranked and got[5])
+
 
 def with_count_above_parent(d):
     stats2, stats3 = d["stats"]["2"], d["stats"]["3"]
@@ -436,6 +451,9 @@ def heap_loop_plans(wordlist):
         "lengths-2-4": build_plan(wordlist, 0.9, lengths=(2, 4)).to_dict(),
         "negative-count": changed(lambda d: d["stats"]["2"].update(qz=-1)),
         "key-longer-than-level": changed(lambda d: d["stats"]["2"].update(abc=0)),
+        # the oracle refuses ZZ, and every fallback child ending in "-"
+        "unserved-seed": changed(lambda d: d["seeds"].append("ZZ")),
+        "unserved-unigram": changed(lambda d: d.update(unigram_order=d["unigram_order"] + "-")),
     }
 
 
@@ -454,20 +472,48 @@ class TestHeapLoopPlans:
             "lengths-2-4",
             "negative-count",
             "key-longer-than-level",
+            "unserved-seed",
+            "unserved-unigram",
         ],
     )
     def test_no_fixed_order_and_same_run(self, wordlist, histories, name):
         plan = PrefixPlan.from_dict(heap_loop_plans(wordlist)[name])
         assert plan.request_rank() is None
+        aborted = 0
         for threshold, max_depth, budget in itertools.product([1, 3], [None, 3], [None, 60]):
             config = AttackConfig(
                 plan=plan, budget=budget, max_depth=max_depth, descent_threshold=threshold
             )
             for hist in histories:
                 index = SuggestIndex(hist)
-                assert run_outcome(reconstruct, index, config) == run_outcome(
-                    reference_reconstruct, index, config
-                )
+                got = run_outcome(reconstruct, index, config)
+                assert got == run_outcome(reference_reconstruct, index, config)
+                aborted += got[5] is not None
+        assert bool(aborted) == name.startswith("unserved-")
+
+    def test_which_loaded_plans_take_the_heap_loop(self, tmp_path, wordlist):
+        path = tmp_path / "plan.json"
+        outcomes = {}
+        for name, d in heap_loop_plans(wordlist).items():
+            path.write_text(json.dumps(d))
+            try:
+                plan = PrefixPlan.load(path)
+            except PlannerError:
+                outcomes[name] = "refused"
+                continue
+            outcomes[name] = "walk" if plan.request_rank() is not None else "heap loop"
+        assert outcomes == {
+            "count-above-parent": "heap loop",
+            "mixed-seed-lengths": "heap loop",
+            "lengths-2-4": "heap loop",
+            "negative-count": "heap loop",
+            # load keeps the first of each repeat
+            "duplicate-seed": "walk",
+            "repeated-unigram": "walk",
+            "key-longer-than-level": "refused",
+            "unserved-seed": "refused",
+            "unserved-unigram": "refused",
+        }
 
     def test_the_bundled_plan_has_a_fixed_order(self, wordlist):
         plan = PrefixPlan.from_dict(build_plan(wordlist, 0.9).to_dict())

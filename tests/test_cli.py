@@ -94,6 +94,28 @@ class TestPlan:
             outputs.append((plan.unigram_order, out.read_bytes(), per_user.read_bytes()))
         assert outputs[0] == outputs[1]
 
+    def test_repeated_seeds_and_characters_load_once(self, tmp_path, plan_file):
+        fixture = resources.files("historiographer.data").joinpath("volunteers.jsonl")
+        base = json.loads(plan_file.read_text())
+        outputs = []
+        for name, change in [
+            ("once", lambda d: None),
+            ("seed", lambda d: d["seeds"].insert(5, d["seeds"][2])),
+            ("characters", lambda d: d.update(unigram_order=d["unigram_order"] * 2)),
+        ]:
+            d = json.loads(json.dumps(base))
+            change(d)
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(d))
+            plan = PrefixPlan.load(path)
+            assert (plan.seeds, plan.unigram_order) == (base["seeds"], base["unigram_order"])
+            assert plan.request_rank() is not None
+            out = tmp_path / f"{name}.eval.json"
+            assert run(["eval", str(fixture), path, "-o", out]) == 0
+            per_user = tmp_path / f"{name}.eval.per_user.csv"
+            outputs.append((out.read_bytes(), per_user.read_bytes()))
+        assert outputs[0] == outputs[1] == outputs[2]
+
 
 class TestReconstruct:
     def test_appendix_style_fixture(self, tmp_path):
@@ -386,6 +408,9 @@ class TestEval:
             ({"stats": {"3": {"abc": 3}, "2": {"x": 0}}}, "stats.2: 'x' shorter than 2"),
             ({"selected": {"3": ["abc", "ab  "]}}, "selected.3: 'ab  ' is not normalized"),
             ({"selected": {"2": [""]}}, "selected.2: '' shorter than 2"),
+            # a prefix whose length is not its key's
+            ({"stats": {"2": {"ab": 3, "abc": 1}}}, "stats.2: 'abc' is not 2 characters long"),
+            ({"selected": {"3": ["abc", "ab"]}}, "selected.3: 'ab' is not 3 characters long"),
         ],
     )
     def test_malformed_plan_exit_2(self, tmp_path, capsys, plan_file, change, message):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from historiographer import oracle
 from historiographer.attack import _tops
 from historiographer.history import DEFAULT_ALPHABET, SearchHistory, normalize
 from historiographer.oracle import (
@@ -241,8 +240,8 @@ class TestSuggestIndex:
 
 
 def old_prefix_check(prefix, alphabet=DEFAULT_ALPHABET):
-    """The check every request made before checked prefixes were
-    remembered: the error type it raises, or None."""
+    """The check every request makes, written out on its own: the error
+    type it raises, or None."""
     if len(prefix) < 2:
         return PrefixTooShortError
     if normalize(prefix, alphabet) != prefix.rstrip(" ") or prefix.endswith("  "):
@@ -290,27 +289,3 @@ class TestPrefixCheck:
         assert old_prefix_check(prefix, alphabet) is error
         if alphabet == DEFAULT_ALPHABET:
             assert self.check(SuggestIndex(SearchHistory("u")), prefix) is error
-
-    @given(st.lists(st.one_of(st.text(max_size=6), st.text("abzq1 C", max_size=5)), max_size=10))
-    @settings(max_examples=200, deadline=None)
-    def test_check_prefixes_stops_where_a_call_refuses(self, texts):
-        errors = [old_prefix_check(p) for p in texts] + [None]
-        stop = next(i for i, error in enumerate(errors) if error or i == len(texts))
-        index = SuggestIndex(SearchHistory("u"))
-        answered, error = index.check_prefixes(texts)
-        assert (answered, type(error) if error else None) == (stop, errors[stop])
-
-    def test_check_prefixes_checks_each_prefix_once(self, monkeypatch):
-        checked = []
-        check = oracle._check_prefix
-        monkeypatch.setattr(oracle, "_CHECKED", set())
-        monkeypatch.setattr(oracle, "_check_prefix", lambda p: checked.append(p) or check(p))
-        index = SuggestIndex(SearchHistory("u"))
-        answered, error = index.check_prefixes(["mn", "op", "Mn", "po"])
-        assert answered == 2 and type(error) is UnnormalizedPrefixError
-        assert str(error) == "prefix 'Mn' is not normalized"
-        assert checked == ["mn", "op", "Mn"]
-        # a passed prefix is not checked again, by this index or another
-        assert index.check_prefixes(["mn", "op", "po"]) == (3, None)
-        SuggestIndex(SearchHistory("v"))("mn")
-        assert checked == ["mn", "op", "Mn", "po"]

@@ -258,7 +258,8 @@ def test_plan_round_trip(tmp_path, wordlist):
 @settings(max_examples=100, deadline=None)
 def test_load_refuses_each_prefix_the_oracle_refuses(prefix):
     """A seed, stats prefix or selected prefix loads iff the oracle serves
-    it, and a refused one is named as the oracle names it."""
+    it and, in stats or selected, it is as long as its key. A refused one is
+    named as the oracle names it, whatever its length."""
     try:
         SuggestIndex(SearchHistory("u"))(prefix)
         refused = None
@@ -267,20 +268,23 @@ def test_load_refuses_each_prefix_the_oracle_refuses(prefix):
     plan = build_plan(["cobalt", "code", "dog"], 1.0).to_dict()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "plan.json"
-        for where, change in [
-            ("seeds", lambda d: d["seeds"].append(prefix)),
-            ("stats.3", lambda d: d["stats"]["3"].update({prefix: 0})),
-            ("selected.2", lambda d: d["selected"]["2"].append(prefix)),
+        for where, length, change in [
+            ("seeds", None, lambda d: d["seeds"].append(prefix)),
+            ("stats.3", 3, lambda d: d["stats"]["3"].update({prefix: 0})),
+            ("selected.2", 2, lambda d: d["selected"]["2"].append(prefix)),
         ]:
             changed = json.loads(json.dumps(plan))
             change(changed)
             path.write_text(json.dumps(changed))
-            if refused is None:
+            problem = refused
+            if problem is None and length not in (None, len(prefix)):
+                problem = f"{prefix!r} is not {length} characters long"
+            if problem is None:
                 PrefixPlan.load(path)
             else:
                 with pytest.raises(PlannerError) as exc_info:
                     PrefixPlan.load(path)
-                assert str(exc_info.value) == f"{path}: {where}: {refused}"
+                assert str(exc_info.value) == f"{path}: {where}: {problem}"
 
 
 def test_stats_csv(tmp_path, wordlist):
