@@ -183,7 +183,7 @@ class PrefixPlan:
     _children: Dict[int, Dict[str, List[str]]] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
-    # (seeds, request_rank for them), filled on the first request_rank.
+    # (seeds, unigram_order, request_rank for them), set by request_rank.
     _rank: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
     def extend(self, prefix: str) -> List[str]:
@@ -221,8 +221,8 @@ class PrefixPlan:
         the walk, asking only seeds, stats prefixes and a served parent plus
         one of those characters (never a double space), is refused nothing."""
         seeds = tuple(self.seeds)
-        if self._rank is not None and self._rank[0] == seeds:
-            return self._rank[1]
+        if self._rank is not None and self._rank[:2] == (seeds, self.unigram_order):
+            return self._rank[2]
         lengths = sorted(self.stats_by_length)
         counts = {n: stats.counts for n, stats in self.stats_by_length.items()}
         rank = None
@@ -242,7 +242,7 @@ class PrefixPlan:
             prefixes = set(seeds).union(*counts.values())
             ranked = sorted(prefixes, key=lambda p: (-self.seed_count(p), len(p), p))
             rank = {p: i for i, p in enumerate(ranked)}
-        self._rank = (seeds, rank)
+        self._rank = (seeds, self.unigram_order, rank)
         return rank
 
     def seed_count(self, prefix: str) -> int:

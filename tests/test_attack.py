@@ -407,6 +407,17 @@ class TestFixedOrderWalk:
             )
         assert plan.request_rank() is None
 
+    def test_changed_unigram_order_is_checked(self, wordlist, histories):
+        plan = build_plan(wordlist, 0.9)
+        assert plan.request_rank() is not None
+        plan.unigram_order += "-"  # the oracle refuses every child ending in "-"
+        assert plan.request_rank() is None
+        config = AttackConfig(plan=plan)
+        index = SuggestIndex(histories[-1])
+        got = run_outcome(reconstruct, index, config)
+        assert got == run_outcome(reference_reconstruct, index, config)
+        assert got[5].endswith("-' is not normalized")
+
     @given(
         st.lists(
             st.one_of(st.sampled_from(["qz", "th", "a1", "z "]), st.text("abzZ -", max_size=4)),
