@@ -5,7 +5,8 @@ from __future__ import annotations
 import gc
 import json
 from dataclasses import dataclass, field
-from operator import itemgetter
+from itertools import chain
+from operator import itemgetter, methodcaller
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 DEFAULT_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789 "
@@ -29,7 +30,6 @@ _KIND_NAMES = {
 }
 _ENTRY_FIELDS = {"query": str, "clicked": bool, "first_time": int, "last_time": int, "count": int}
 _ENTRY_OPTIONAL = {"clicked_urls": list}
-_entry_values = itemgetter(*_ENTRY_FIELDS)
 _HISTORY_FIELDS = {"user_id": str, "history_enabled": bool}
 
 
@@ -104,36 +104,50 @@ class HistoryEntry:
             "clicked_urls": list(self.clicked_urls),
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "HistoryEntry":
-        """The entry that to_dict wrote. A missing or ill-typed field raises
-        HistoryError naming it."""
-        try:
-            query, clicked, first_time, last_time, count = _entry_values(d)
-            urls = d.get("clicked_urls", [])
-            # join refuses an item that is not a string, faster than a loop
-            "".join(urls)
-        except (AttributeError, KeyError, TypeError):
-            raise HistoryError(_entry_problem(d)) from None
-        # exact types, as _ENTRY_FIELDS names them: a boolean is not a count
-        if (
-            type(query) is not str
-            or type(clicked) is not bool
-            or type(first_time) is not int
-            or type(last_time) is not int
-            or type(count) is not int
-            or type(urls) is not list
-        ):
-            raise HistoryError(_entry_problem(d))
-        return cls(query, clicked, first_time, last_time, count, list(urls))
+
+def _entry_problem(d, where: str = "") -> Optional[str]:
+    """What is wrong with one entry record, as "where.field: ...": its
+    first field that is missing or not exactly of its kind, or else a
+    clicked URL that is not a string; None if all is good."""
+    problem = field_problem(d, _ENTRY_FIELDS, _ENTRY_OPTIONAL, where)
+    if problem is None and not all(isinstance(u, str) for u in d.get("clicked_urls", ())):
+        problem = f"{where}clicked_urls: expected a list of strings"
+    return problem
 
 
-def _entry_problem(d, where: str = "") -> str:
-    """What HistoryEntry.from_dict refuses in d, as "where.field: ..."."""
-    return (
-        field_problem(d, _ENTRY_FIELDS, _ENTRY_OPTIONAL, where)
-        or f"{where}clicked_urls: expected a list of strings"
-    )
+class _NoURLs(tuple):
+    """The type of what _entry_urls reads from an entry with no clicked_urls:
+    no record holds a value of it, and it is empty, so it joins as no URL."""
+
+
+_NO_URLS = _NoURLs()
+_ENTRY_COLUMNS = [(itemgetter(key), kind) for key, kind in _ENTRY_FIELDS.items()]
+_entry_urls = methodcaller("get", "clicked_urls", _NO_URLS)
+
+
+def _entry_columns(entries: list) -> Optional[List[list]]:
+    """The entry records' values, one list per HistoryEntry field in its
+    order, read and checked a column at a time; None if _entry_problem
+    finds a problem in any record. An entry with no clicked_urls gets a
+    fresh empty list, and the others keep the record's own list."""
+    try:
+        columns = [list(map(get, entries)) for get, _ in _ENTRY_COLUMNS]
+        urls = list(map(_entry_urls, entries))
+        # join refuses an item that is not a string, faster than a loop
+        "".join(chain.from_iterable(urls))
+    except (AttributeError, KeyError, TypeError):
+        return None
+    # exact types, as _ENTRY_FIELDS names them: a boolean is not a count
+    for column, (_, kind) in zip(columns, _ENTRY_COLUMNS):
+        if not set(map(type, column)) <= {kind}:
+            return None
+    kinds = set(map(type, urls))
+    if not kinds <= {list, _NoURLs}:
+        return None
+    if _NoURLs in kinds:
+        urls = [[] if u is _NO_URLS else u for u in urls]
+    columns.append(urls)
+    return columns
 
 
 @dataclass
@@ -212,15 +226,17 @@ class SearchHistory:
                 user_id.encode("utf-8")
             except UnicodeEncodeError:
                 raise HistoryError("user_id: holds a lone surrogate") from None
-        hist = cls(user_id, d["history_enabled"])
-        for i, ed in enumerate(d.get("entries", [])):
-            try:
-                entry = HistoryEntry.from_dict(ed)
-            except HistoryError:
-                # named again with its place, only on this rare path
-                raise HistoryError(_entry_problem(ed, f"entries[{i}].")) from None
-            hist.entries[entry.query] = entry
-        return hist
+        entries = d.get("entries", [])
+        columns = _entry_columns(entries)
+        if columns is None:
+            # the first bad entry, named with its place, only on this rare path
+            for i, ed in enumerate(entries):
+                problem = _entry_problem(ed, f"entries[{i}].")
+                if problem:
+                    raise HistoryError(problem)
+        # of entries with the same query, the last one's, in the first one's place
+        entries = dict(zip(columns[0], map(HistoryEntry, *columns)))
+        return cls(user_id, d["history_enabled"], entries)
 
 
 def save_histories(histories: Iterable[SearchHistory], path) -> None:

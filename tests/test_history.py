@@ -2,6 +2,7 @@ import gc
 import json
 import re
 import tempfile
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -12,8 +13,10 @@ from historiographer.history import (
     DEFAULT_ALPHABET,
     EmptyQueryError,
     HistoryDisabledError,
+    HistoryEntry,
     HistoryError,
     SearchHistory,
+    field_problem,
     iter_histories,
     json_lines,
     load_histories,
@@ -273,6 +276,161 @@ def test_iter_histories_reads_a_line_when_asked(tmp_path):
     loaded = load_histories(path)
     assert list(loaded) == ["u2", "u1"]
     assert list(loaded["u2"].entries) == ["pets"]
+
+
+ENTRY_FIELDS = {"query": str, "clicked": bool, "first_time": int, "last_time": int, "count": int}
+
+
+def entry_problem_reference(d, where=""):
+    return (
+        field_problem(d, ENTRY_FIELDS, {"clicked_urls": list}, where)
+        or f"{where}clicked_urls: expected a list of strings"
+    )
+
+
+def entry_from_dict_reference(d):
+    """One entry record decoded as HistoryEntry.from_dict did before
+    SearchHistory.from_dict read the entries a column at a time."""
+    try:
+        query, clicked, first_time, last_time, count = itemgetter(*ENTRY_FIELDS)(d)
+        urls = d.get("clicked_urls", [])
+        "".join(urls)
+    except (AttributeError, KeyError, TypeError):
+        raise HistoryError(entry_problem_reference(d)) from None
+    if (
+        type(query) is not str
+        or type(clicked) is not bool
+        or type(first_time) is not int
+        or type(last_time) is not int
+        or type(count) is not int
+        or type(urls) is not list
+    ):
+        raise HistoryError(entry_problem_reference(d))
+    return HistoryEntry(query, clicked, first_time, last_time, count, list(urls))
+
+
+def iter_histories_reference(path):
+    """iter_histories with its entries decoded one at a time, in order."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            d = json.loads(line)
+            hist = SearchHistory(d["user_id"], d["history_enabled"])
+            for i, ed in enumerate(d["entries"]):
+                try:
+                    entry = entry_from_dict_reference(ed)
+                except HistoryError:
+                    problem = entry_problem_reference(ed, f"entries[{i}].")
+                    raise HistoryError(f"{path}:{lineno}: {problem}") from None
+                hist.entries[entry.query] = entry
+            yield hist
+
+
+def read_histories(histories):
+    """Each history's to_dict and its query order, and the text of the
+    error that stopped the reading."""
+    got = []
+    try:
+        for hist in histories:
+            got.append((hist.to_dict(), list(hist.entries)))
+    except HistoryError as exc:
+        return got, str(exc)
+    return got, None
+
+
+GOOD_ENTRIES = st.fixed_dictionaries(
+    {
+        "query": st.sampled_from(["aa", "privacy", "pets 10"]) | st.text(max_size=3),
+        "clicked": st.booleans(),
+        "first_time": st.integers(-(2**40), 2**40),
+        "last_time": st.integers(-(2**40), 2**40),
+        "count": st.integers(-(2**40), 2**40),
+    },
+    optional={"clicked_urls": st.lists(st.text(max_size=3), max_size=3)},
+)
+NOT_A_STRING = st.sampled_from([1, 2.5, None, True, ["x"], {"u": "x"}])
+
+
+@st.composite
+def bad_entries(draw):
+    """A good entry with one thing wrong."""
+    entry = draw(GOOD_ENTRIES)
+    spoil = draw(st.sampled_from([
+        "missing", "bool for int", "int for bool", "str for list", "object for list",
+        "null for list", "not an object", "non-string url",
+    ]))
+    if spoil == "missing":
+        del entry[draw(st.sampled_from(list(ENTRY_FIELDS)))]
+    elif spoil == "bool for int":
+        entry[draw(st.sampled_from(["first_time", "last_time", "count"]))] = draw(st.booleans())
+    elif spoil == "int for bool":
+        entry["clicked"] = draw(st.integers(0, 1))
+    elif spoil == "str for list":
+        entry["clicked_urls"] = draw(st.text(max_size=3))
+    elif spoil == "object for list":
+        entry["clicked_urls"] = draw(st.dictionaries(st.text(max_size=2), st.text(max_size=2)))
+    elif spoil == "null for list":
+        entry["clicked_urls"] = None
+    elif spoil == "not an object":
+        entry = draw(st.sampled_from([[], [entry], "query", 3, None]))
+    else:
+        urls = entry.get("clicked_urls", [])
+        urls.insert(draw(st.integers(0, len(urls))), draw(NOT_A_STRING))
+        entry["clicked_urls"] = urls
+    return entry
+
+
+@st.composite
+def history_records(draw):
+    """One to three history records, one of them perhaps with a bad entry
+    at a random place."""
+    records = [
+        {"user_id": f"u{k}", "history_enabled": True, "entries": draw(st.lists(GOOD_ENTRIES, max_size=6))}
+        for k in range(draw(st.integers(1, 3)))
+    ]
+    if draw(st.booleans()):
+        entries = draw(st.sampled_from(records))["entries"]
+        entries.insert(draw(st.integers(0, len(entries))), draw(bad_entries()))
+    return records
+
+
+@given(history_records())
+@settings(max_examples=300, deadline=None)
+@example([{"user_id": "u", "history_enabled": True, "entries": [
+    {"query": "aa", "clicked": True, "first_time": 1, "last_time": 2, "count": 3},
+    {"query": "bb", "clicked": False, "first_time": 1, "last_time": 2, "count": 1},
+    {"query": "aa", "clicked": False, "first_time": 5, "last_time": 6, "count": 7,
+     "clicked_urls": ["x"]},
+]}])
+def test_column_decoding_matches_the_entry_decoder(records):
+    # the same histories, query order included, or the same first error
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "hist.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert read_histories(iter_histories(path)) == read_histories(
+            iter_histories_reference(path)
+        )
+
+
+@pytest.mark.parametrize("urls", [None, [], ["http://a", "http://b"]], ids=["omitted", "empty", "two"])
+def test_decoded_entries_share_no_url_list(tmp_path, urls):
+    entry = {"clicked": bool(urls), "first_time": 1, "last_time": 2, "count": 1}
+    if urls is not None:
+        entry["clicked_urls"] = urls
+    record = {
+        "user_id": "u", "history_enabled": True,
+        "entries": [{**entry, "query": "aa"}, {**entry, "query": "bb"}],
+    }
+    path = tmp_path / "hist.jsonl"
+    path.write_text(2 * (json.dumps(record) + "\n"))
+    first, second = iter_histories(path)
+    first.insert_search("aa", 5, "http://new")
+    first._merge("bb", 6, "http://other")
+    assert first.entries["aa"].clicked_urls == (urls or []) + ["http://new"]
+    assert first.entries["bb"].clicked_urls == (urls or []) + ["http://other"]
+    assert second.to_dict() == SearchHistory.from_dict(record).to_dict()
+    assert [e.clicked_urls for e in second.entries.values()] == [urls or []] * 2
+    save_histories([first, second], path)
+    assert list(iter_histories(path)) == [first, second]
 
 
 def test_optional_fields_default(tmp_path):
