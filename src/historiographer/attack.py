@@ -160,18 +160,26 @@ def _walk(index: SuggestIndex, config: AttackConfig, rank: Dict[str, int]) -> Re
     prefix go on to the next level. A ranked plan asks no prefix the oracle
     refuses (see PrefixPlan.request_rank), so the walk never aborts."""
     plan, budget, max_depth = config.plan, config.budget, config.max_depth
+    chars, spaceless = plan.fallback_characters()
     ranked, fallback, served = [], [], {}
     level, n = plan.seeds, len(plan.seeds[0])
     candidates = index.ranked_queries()
     while level:
-        if n in plan.stats_by_length:  # contiguous from the seeds' length
+        stats_level = n in plan.stats_by_length  # contiguous from the seeds' length
+        if stats_level:
             ranked += level
         elif budget is not None and len(ranked) + len(fallback) > budget:
             break  # this level and every later one would be cut
         else:
-            fallback += sorted(level)
+            fallback += level
         tops = _tops(candidates, n)
-        hits = tops.keys() & level
+        if stats_level:
+            hits = tops.keys() & level
+        else:
+            # Each key extends a saturated parent (see candidates below), so
+            # the level asked it unless the fallback appends no such last
+            # character there: queries are not normalized on load.
+            hits = [p for p in tops if p[-1] in plan.unigram_order and not p.endswith("  ")]
         served.update((p, tops[p]) for p in hits)
         if max_depth is not None and n >= max_depth:
             break
@@ -180,8 +188,14 @@ def _walk(index: SuggestIndex, config: AttackConfig, rank: Dict[str, int]) -> Re
         saturated = {p for p in hits if len(tops[p]) >= config.descent_threshold}
         # every next-level prefix extends a saturated one
         candidates = [q for q in candidates if len(q) > n and q[:n] in saturated]
-        level = [c for p in saturated for c in plan.extend(p)]
         n += 1
+        if n in plan.stats_by_length:
+            level = [c for p in saturated for c in plan.extend(p)]
+        else:
+            # what extend gives each parent, already in sorted order
+            level = [
+                p + c for p in sorted(saturated) for c in (spaceless if p[-1] == " " else chars)
+            ]
     order = sorted(ranked, key=rank.__getitem__) + fallback
     exhausted = budget is None or len(order) <= budget
     if not exhausted:

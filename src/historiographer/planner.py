@@ -10,7 +10,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .history import DEFAULT_ALPHABET, field_problem, normalize, read_json
 from .oracle import prefix_problem
@@ -183,7 +183,8 @@ class PrefixPlan:
     _children: Dict[int, Dict[str, List[str]]] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
-    # (seeds, unigram_order, request_rank for them), set by request_rank.
+    # (seeds, unigram_order, request_rank and fallback_characters for
+    # them), set by request_rank.
     _rank: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
     def extend(self, prefix: str) -> List[str]:
@@ -242,8 +243,18 @@ class PrefixPlan:
             prefixes = set(seeds).union(*counts.values())
             ranked = sorted(prefixes, key=lambda p: (-self.seed_count(p), len(p), p))
             rank = {p: i for i, p in enumerate(ranked)}
-        self._rank = (seeds, self.unigram_order, rank)
+        chars = sorted(self.unigram_order)
+        self._rank = (seeds, self.unigram_order, rank, (chars, [c for c in chars if c != " "]))
         return rank
+
+    def fallback_characters(self) -> Tuple[List[str], List[str]]:
+        """unigram_order in code-point order, and the same without the
+        space: what the fallback past the deepest stats level appends to a
+        parent, the second to a parent that ends in a space. Appended to
+        parents of one length in sorted order, they give children in sorted
+        order."""
+        self.request_rank()
+        return self._rank[3]
 
     def seed_count(self, prefix: str) -> int:
         stats = self.stats_by_length.get(len(prefix))

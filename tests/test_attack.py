@@ -439,6 +439,74 @@ class TestFixedOrderWalk:
                 assert not (ranked and got[5])
 
 
+def messy_history(rng, words, n, user_id):
+    """A history decoded from a record whose queries are not normalized: some
+    hold a double space, capitals or trailing spaces."""
+    entries = []
+    for _ in range(n):
+        query = rng.choice(words)
+        k = rng.randrange(2, len(query) + 1)
+        query = rng.choice([
+            query,
+            query[:k] + "  " + query[k:],
+            query[:k] + " " + query[k:],
+            query[:k] + query[k:].upper(),
+            query + " " * rng.randint(1, 3),
+        ])
+        time = rng.randint(1, 10**6)
+        entries.append({
+            "query": query, "clicked": rng.random() < 0.9, "first_time": time,
+            "last_time": time, "count": rng.randint(1, 5),
+        })
+    return SearchHistory.from_dict({"user_id": user_id, "history_enabled": True, "entries": entries})
+
+
+def test_fallback_on_histories_not_normalized(wordlist, monkeypatch):
+    # unigram_order with the space, so that a fallback parent can end in one
+    plan = build_plan(wordlist, 0.9)
+    plan.unigram_order += " "
+    assert plan.request_rank() is not None
+    keys = []  # (length, key) of each level pass past the stats levels
+    level_pass = attack._tops
+
+    def recorded(ranked, n):
+        tops = level_pass(ranked, n)
+        keys.extend((n, p) for p in tops if n > max(plan.stats_by_length))
+        return tops
+
+    monkeypatch.setattr(attack, "_tops", recorded)
+    rng = random.Random(8)
+    words = [w for w in wordlist if w[:2] in ("co", "re") and len(w) > 3]
+    cut_inside = 0
+    for hist in [messy_history(rng, words, 150, f"u{k}") for k in range(3)]:
+        index = SuggestIndex(hist)
+        for threshold, max_depth in itertools.product([2, 3], [None, 5]):
+            config = AttackConfig(plan=plan, max_depth=max_depth, descent_threshold=threshold)
+            lengths = [len(p) for p in reconstruct(index, config).requested]
+            # each fallback level's first, second, middle and last request,
+            # and the one after it
+            starts = [
+                i for i, m in enumerate(lengths)
+                if m > max(plan.stats_by_length) and m != lengths[i - 1]
+            ]
+            budgets = {None}
+            for start, end in zip(starts, starts[1:] + [len(lengths)]):
+                budgets |= {start + 1, start + 2, (start + end) // 2, end, end + 1}
+                cut_inside += start + 2 < end
+            for budget in budgets:
+                config = AttackConfig(
+                    plan=plan, budget=budget, max_depth=max_depth, descent_threshold=threshold
+                )
+                got = run_outcome(reconstruct, index, config)
+                assert got == run_outcome(reference_reconstruct, index, config)
+                # a fallback never appends a space to a parent ending in one
+                assert not any("  " in p for p in got[1])
+    # the level passes met both kinds of key the fallback never asks
+    assert any(p.endswith("  ") for _, p in keys)
+    assert any(p[-1] not in plan.unigram_order for _, p in keys)
+    assert cut_inside
+
+
 def with_count_above_parent(d):
     stats2, stats3 = d["stats"]["2"], d["stats"]["3"]
     child = max(stats3, key=stats3.get)
