@@ -337,11 +337,8 @@ def build_plan(
     stats_by_length = {n: build_stats(corpus, n, alphabet) for n in sorted(lengths)}
     picked = {n: select_mass(stats, mass_fraction) for n, stats in stats_by_length.items()}
 
-    unigrams: Counter = Counter()
-    for item in corpus:
-        for c in item:
-            if c in alphabet:
-                unigrams[c] += 1
+    # every character counted in one pass; only the alphabet's are read
+    unigrams = Counter("".join(corpus))
     # each character once, so that the plan keeps a request_rank
     unigram_order = "".join(sorted(set(alphabet), key=lambda c: (-unigrams[c], c)))
 
