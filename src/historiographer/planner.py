@@ -183,9 +183,10 @@ class PrefixPlan:
     _children: Dict[int, Dict[str, List[str]]] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
-    # (seeds, unigram_order, request_rank and fallback_characters for
-    # them), set by request_rank.
+    # (seeds, unigram_order, request_rank for them), set by request_rank.
     _rank: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
+    # (unigram_order, fallback_characters for it), set by fallback_characters.
+    _fallback: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
     def extend(self, prefix: str) -> List[str]:
         """Children of a saturated prefix, one character longer, ordered by
@@ -243,8 +244,7 @@ class PrefixPlan:
             prefixes = set(seeds).union(*counts.values())
             ranked = sorted(prefixes, key=lambda p: (-self.seed_count(p), len(p), p))
             rank = {p: i for i, p in enumerate(ranked)}
-        chars = sorted(self.unigram_order)
-        self._rank = (seeds, self.unigram_order, rank, (chars, [c for c in chars if c != " "]))
+        self._rank = (seeds, self.unigram_order, rank)
         return rank
 
     def fallback_characters(self) -> Tuple[List[str], List[str]]:
@@ -253,8 +253,10 @@ class PrefixPlan:
         parent, the second to a parent that ends in a space. Appended to
         parents of one length in sorted order, they give children in sorted
         order."""
-        self.request_rank()
-        return self._rank[3]
+        if self._fallback is None or self._fallback[0] != self.unigram_order:
+            chars = sorted(self.unigram_order)
+            self._fallback = (self.unigram_order, (chars, [c for c in chars if c != " "]))
+        return self._fallback[1]
 
     def seed_count(self, prefix: str) -> int:
         stats = self.stats_by_length.get(len(prefix))
