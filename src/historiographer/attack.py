@@ -176,9 +176,10 @@ def _walk(index: SuggestIndex, config: AttackConfig, rank: Dict[str, int]) -> Re
         if stats_level:
             hits = tops.keys() & level
         else:
-            # Each key extends a saturated parent (see candidates below), so
-            # the level asked it unless the fallback appends no such last
-            # character there: queries are not normalized on load.
+            # Each key is a saturated parent plus one character (see
+            # candidates below), so the level asked it unless that character
+            # is not in unigram_order or is a space after a space: queries
+            # are not normalized on load.
             hits = [p for p in tops if p[-1] in plan.unigram_order and not p.endswith("  ")]
         served.update((p, tops[p]) for p in hits)
         if max_depth is not None and n >= max_depth:
