@@ -235,8 +235,8 @@ class SearchHistory:
                 if problem:
                     raise HistoryError(problem)
         # of entries with the same query, the last one's, in the first one's place
-        entries = dict(zip(columns[0], map(HistoryEntry, *columns)))
-        return cls(user_id, d["history_enabled"], entries)
+        by_query = dict(zip(columns[0], map(HistoryEntry, *columns)))
+        return cls(user_id, d["history_enabled"], by_query)
 
 
 def save_histories(histories: Iterable[SearchHistory], path) -> None:
