@@ -77,10 +77,15 @@ class ReconstructionResult:
     def recovered_after(self, k: int) -> int:
         """How many distinct texts the first k requests served: what a run
         cut at budget k recovers. Not part of to_json."""
-        if k >= len(self.requested):
+        requested, served = self.requested, self.served
+        if k >= len(requested):
             return len(self.recovered)
-        served = self.served
-        return len(set().union(*(served[p] for p in self.requested[:k] if p in served)))
+        if len(requested) - k < k:
+            # no prefix is asked twice, so the first k are the served ones
+            # outside the rest, the shorter side to read
+            rest = set(requested[k:])
+            return len(set().union(*(texts for p, texts in served.items() if p not in rest)))
+        return len(set().union(*(served[p] for p in requested[:k] if p in served)))
 
     def to_json(self) -> str:
         return json.dumps(
@@ -110,7 +115,8 @@ def reconstruct(oracle: SuggestFn, config: AttackConfig) -> ReconstructionResult
         raise AttackError("plan has no seeds")
     rank = plan.request_rank() if type(oracle) is SuggestIndex else None
     if rank is not None:
-        return _walk(oracle, config, rank)
+        # the seeds as a set, kept and renewed with the rank
+        return _walk(oracle, config, rank, plan._rank[3])
     budget = config.budget
     threshold = config.descent_threshold
     max_depth = config.max_depth
@@ -152,7 +158,9 @@ def reconstruct(oracle: SuggestFn, config: AttackConfig) -> ReconstructionResult
     return result
 
 
-def _walk(index: SuggestIndex, config: AttackConfig, rank: Dict[str, int]) -> ReconstructionResult:
+def _walk(
+    index: SuggestIndex, config: AttackConfig, rank: Dict[str, int], seeds: Set[str]
+) -> ReconstructionResult:
     """The frontier loop's run without its heap: under a ranked plan it asks
     its requested set in sorted order, the stats levels by rank and then each
     fallback level. Each level is served from one pass over the user's
@@ -174,7 +182,10 @@ def _walk(index: SuggestIndex, config: AttackConfig, rank: Dict[str, int]) -> Re
             fallback += level
         tops = _tops(candidates, n)
         if stats_level:
-            hits = tops.keys() & level
+            # a dict's keys intersect an exact set from the smaller side;
+            # ranked takes the seeds as listed, which build_plan lists in
+            # rank order, so the sort below finds that run already sorted
+            hits = tops.keys() & (seeds if level is plan.seeds else level)
         else:
             # Each key is a saturated parent plus one character (see
             # candidates below), so the level asked it unless that character

@@ -48,23 +48,30 @@ class HeaderMismatchError(HarnessError):
 
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 
-
-@lru_cache(maxsize=4096)
-def _epoch_day(ymd: str) -> Optional[int]:
-    """Days from 1970-01-01 to an ASCII "dddd-dd-dd" date, or None if the
-    string is not of that form or names no day of the calendar."""
-    if ymd.isascii() and ymd[4] == "-" == ymd[7] and (ymd[:4] + ymd[5:7] + ymd[8:]).isdigit():
-        try:
-            return date(int(ymd[:4]), int(ymd[5:7]), int(ymd[8:])).toordinal() - _EPOCH_ORDINAL
-        except ValueError:
-            pass
-    return None
-
-
 # seconds for each two-digit ASCII hour, minute and second in range
 _HOURS = {f"{h:02d}": h * 3600 for h in range(24)}
 _MINUTES = {f"{m:02d}": m * 60 for m in range(60)}
 _SECONDS = {f"{s:02d}": s for s in range(60)}
+
+
+@lru_cache(maxsize=4096)
+def _epoch_hour(ymdh: str) -> Optional[int]:
+    """Seconds from the epoch to the start of an ASCII "dddd-dd-dd dd" hour,
+    or None if the string is not of that form or names no hour of the
+    calendar. The AOL log spans ~2.2k hours, so each is worked out once."""
+    if (
+        ymdh.isascii()
+        and ymdh[4] == "-" == ymdh[7]
+        and ymdh[10] == " "
+        and (ymdh[:4] + ymdh[5:7] + ymdh[8:10]).isdigit()
+        and ymdh[11:] in _HOURS
+    ):
+        try:
+            day = date(int(ymdh[:4]), int(ymdh[5:7]), int(ymdh[8:10])).toordinal()
+        except ValueError:
+            return None
+        return (day - _EPOCH_ORDINAL) * 86400 + _HOURS[ymdh[11:]]
+    return None
 
 
 def _parse_query_time(raw: str) -> int:
@@ -75,11 +82,11 @@ def _parse_query_time(raw: str) -> int:
     # range, is read directly. strptime also takes single-digit fields, other
     # whitespace between date and time, and non-ASCII digits, so anything
     # else goes to it, which keeps the accepted set and the values unchanged.
-    if len(s) == 19 and s[10] == " " and s[13] == ":" == s[16]:
-        day = _epoch_day(s[:10])
-        if day is not None:
+    if len(s) == 19 and s[13] == ":" == s[16]:
+        start = _epoch_hour(s[:13])
+        if start is not None:
             try:
-                return day * 86400 + _HOURS[s[11:13]] + _MINUTES[s[14:16]] + _SECONDS[s[17:]]
+                return start + _MINUTES[s[14:16]] + _SECONDS[s[17:]]
             except KeyError:
                 pass
     dt = datetime.strptime(s, "%Y-%m-%d %H:%M:%S")
@@ -97,6 +104,8 @@ def ingest_query_log_counted(path) -> Tuple[Dict[str, SearchHistory], int]:
     """
     histories: Dict[str, SearchHistory] = {}
     skipped = 0
+    # the user id of the last merged row, and that user's history
+    user_id, hist = None, None
     try:
         fh = open(path, "rb", buffering=1 << 16)
     except OSError as exc:
@@ -108,16 +117,16 @@ def ingest_query_log_counted(path) -> Tuple[Dict[str, SearchHistory], int]:
                 f"expected columns {AOL_COLUMNS}, got {header}"
             )
         for raw in fh:
-            raw = raw.rstrip(b"\r\n")
-            if not raw:
-                continue
+            # the line end stays on the last field, the click URL, which is
+            # stripped below
             try:
                 fields = raw.decode("utf-8").split("\t")
             except UnicodeDecodeError:
                 skipped += 1
                 continue
             if len(fields) != len(AOL_COLUMNS):
-                skipped += 1
+                if raw.rstrip(b"\r\n"):  # a blank line is not a row
+                    skipped += 1
                 continue
             anon_id, query, query_time, _item_rank, click_url = fields
             try:
@@ -129,9 +138,12 @@ def ingest_query_log_counted(path) -> Tuple[Dict[str, SearchHistory], int]:
             if not query:
                 skipped += 1
                 continue
-            hist = histories.get(anon_id)
-            if hist is None:
-                hist = histories[anon_id] = SearchHistory(user_id=anon_id)
+            if anon_id != user_id:
+                # a log lists a user's rows together: look up once per run
+                user_id = anon_id
+                hist = histories.get(user_id)
+                if hist is None:
+                    hist = histories[user_id] = SearchHistory(user_id=user_id)
             # the query is normalized and non-empty, and the history enabled:
             # what insert_search checks is already done
             hist._merge(query, time, click_url.strip() or None)

@@ -68,7 +68,9 @@ class _AlphabetTable(dict):
         return out
 
 
-_TABLES: Dict[str, _AlphabetTable] = {}
+# per alphabet: its table as an exact dict of the 128 ASCII code points,
+# which str.translate reads faster than a dict subclass, and the table itself
+_TABLES: Dict[str, Tuple[Dict[int, Optional[str]], _AlphabetTable]] = {}
 
 
 def normalize(raw: str, alphabet: str = DEFAULT_ALPHABET) -> str:
@@ -77,12 +79,14 @@ def normalize(raw: str, alphabet: str = DEFAULT_ALPHABET) -> str:
     Returns "" for inputs that normalize to nothing; callers treat that as
     "no entry".
     """
-    table = _TABLES.get(alphabet)
-    if table is None:
-        table = _TABLES[alphabet] = _AlphabetTable(alphabet)
+    tables = _TABLES.get(alphabet)
+    if tables is None:
+        table = _AlphabetTable(alphabet)
+        tables = _TABLES[alphabet] = ({code: table[code] for code in range(128)}, table)
     # the whole string is lowercased first: a capital sigma's lowercase
     # depends on the letter after it
-    return " ".join(raw.lower().translate(table).split())
+    lowered = raw.lower()
+    return " ".join(lowered.translate(tables[0] if lowered.isascii() else tables[1]).split())
 
 
 @dataclass(slots=True)
@@ -187,12 +191,7 @@ class SearchHistory:
         entry = self.entries.get(query)
         if entry is None:
             self.entries[query] = HistoryEntry(
-                query=query,
-                clicked=clicked_url is not None,
-                first_time=time,
-                last_time=time,
-                count=1,
-                clicked_urls=[clicked_url] if clicked_url else [],
+                query, clicked_url is not None, time, time, 1, [clicked_url] if clicked_url else []
             )
         else:
             entry.count += 1

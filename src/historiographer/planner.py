@@ -183,7 +183,8 @@ class PrefixPlan:
     _children: Dict[int, Dict[str, List[str]]] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
-    # (seeds, unigram_order, request_rank for them), set by request_rank.
+    # (seeds, unigram_order, request_rank for them, the seeds as a set), set
+    # by request_rank.
     _rank: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
     # (unigram_order, fallback_characters for it), set by fallback_characters.
     _fallback: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
@@ -244,7 +245,7 @@ class PrefixPlan:
             prefixes = set(seeds).union(*counts.values())
             ranked = sorted(prefixes, key=lambda p: (-self.seed_count(p), len(p), p))
             rank = {p: i for i, p in enumerate(ranked)}
-        self._rank = (seeds, self.unigram_order, rank)
+        self._rank = (seeds, self.unigram_order, rank, set(seeds))
         return rank
 
     def fallback_characters(self) -> Tuple[List[str], List[str]]:

@@ -365,6 +365,26 @@ class TestFixedOrderWalk:
                 seen["cut_short"] += not exhausted
         assert seen["cut_short"] and seen["fallback"]
 
+    @pytest.mark.parametrize("order", ["reversed", "shuffled"])
+    @pytest.mark.parametrize("threshold", [1, 2, 3])
+    def test_seeds_listed_out_of_rank_order(self, wordlist, histories, order, threshold):
+        # the walk puts the seeds in rank order itself, however they are listed
+        plan = build_plan(wordlist, 0.9)
+        if order == "reversed":
+            plan.seeds = plan.seeds[::-1]
+        else:
+            random.Random(19).shuffle(plan.seeds)
+        rank = plan.request_rank()
+        assert rank is not None
+        assert plan.seeds != sorted(plan.seeds, key=rank.__getitem__)
+        n = len(plan.seeds)
+        for budget in (None, 1, n - 1, n, n + 1):
+            config = AttackConfig(plan=plan, budget=budget, descent_threshold=threshold)
+            for hist in histories:
+                index = SuggestIndex(hist)
+                got = run_outcome(reconstruct, index, config)
+                assert got == run_outcome(reference_reconstruct, index, config)
+
     @pytest.mark.parametrize("threshold", [1, 3])
     def test_budget_at_each_level_change(self, wordlist, histories, threshold):
         # a budget just before, at and after the end of the stats levels and

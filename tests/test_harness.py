@@ -98,6 +98,28 @@ class TestIngest:
         assert list(histories) == ["1"]
         assert list(histories["1"].entries) == ["privacy"]
 
+    def test_interleaved_users_merge_in_first_seen_order(self, tmp_path):
+        # a user's rows need not be together: a later run of one merges into
+        # the history its first run made, and skipped rows break no run
+        path = write_log(tmp_path, [
+            "2\tmaps\t2006-03-02 09:00:00\t\t",
+            "1\tprivacy\t2006-03-01 10:00:00\t1\thttp://privacy.org",
+            "3\t!!!\t2006-03-01 10:00:00\t\t",
+            "1\tprivacy\t2006-03-01 12:00:00\t\t",
+            "2\tMaps\t2006-03-02 08:00:00\t2\thttp://maps.org",
+            "3\tzoo\tnot-a-date\t\t",
+            "2\tzoo\t2006-03-02 10:00:00\t\t",
+            "1\tzoo\t2006-03-01 09:00:00\t\t",
+        ])
+        histories, skipped = ingest_query_log_counted(path)
+        assert skipped == 2
+        assert list(histories) == ["2", "1"]
+        assert list(histories["2"].entries) == ["maps", "zoo"]
+        assert list(histories["1"].entries) == ["privacy", "zoo"]
+        maps, privacy = histories["2"].entries["maps"], histories["1"].entries["privacy"]
+        assert (maps.count, maps.first_time, maps.clicked_urls) == (2, 1141286400, ["http://maps.org"])
+        assert (privacy.count, privacy.last_time, privacy.clicked) == (2, 1141214400, True)
+
     def test_crlf_log_reads_as_lf(self, tmp_path):
         rows = [
             "2\tMaps \t2006-03-02 09:00:00\t\t",
@@ -164,6 +186,50 @@ def near_format_times(draw):
     return draw(around) + date + sep + time + draw(around)
 
 
+def assert_read_as_strptime(raw):
+    """_parse_query_time gives strptime_reference's value, or raises
+    ValueError where it does."""
+    try:
+        expected = strptime_reference(raw)
+    except ValueError:
+        with pytest.raises(ValueError):
+            harness._parse_query_time(raw)
+    else:
+        assert harness._parse_query_time(raw) == expected, raw
+
+
+# Stamps in the order the hour cache must meet them in one process: an hour
+# first met with a good minute and second and then a bad one, or the other
+# way round; a day that does not exist before good stamps of the days around
+# it and of a leap day; and both sides of two year ends.
+STAMPS_IN_ORDER = [
+    "2006-03-01 10:00:00",
+    "2006-03-01 10:59:59",
+    "2006-03-01 10:60:00",
+    "2006-03-01 10:00:60",
+    "2006-03-01 10:30:15",
+    "2006-03-01 11:61:00",
+    "2006-03-01 11:00:62",
+    "2006-03-01 11:07:09",
+    "2006-02-29 10:00:00",
+    "2006-02-29 10:00:01",
+    "2006-02-28 10:00:00",
+    "2006-03-01 10:00:01",
+    "2004-02-29 10:00:00",
+    "2004-02-29 23:59:59",
+    "2004-02-29 24:00:00",
+    "2004-02-30 00:00:00",
+    "2004-03-01 00:00:00",
+    "2006-12-31 23:59:59",
+    "2006-12-31 23:59:60",
+    "2006-12-31 24:00:00",
+    "2007-01-01 00:00:00",
+    "2006-12-32 00:00:00",
+    "1969-12-31 23:59:59",
+    "1970-01-01 00:00:00",
+]
+
+
 class TestParseQueryTime:
     """The fast path for the log's own form gives strptime's value, and
     everything else is read, or refused, exactly as strptime does."""
@@ -204,13 +270,14 @@ class TestParseQueryTime:
     @example("2006-03-01 1\u0660:00:00")
     @example("2006-03-\u0660\u0661 10:00:00")
     def test_matches_strptime(self, raw):
-        try:
-            expected = strptime_reference(raw)
-        except ValueError:
-            with pytest.raises(ValueError):
-                harness._parse_query_time(raw)
-        else:
-            assert harness._parse_query_time(raw) == expected
+        assert_read_as_strptime(raw)
+
+    def test_hour_cache_in_a_fixed_order(self):
+        # each hour is worked out once, on the first stamp that names it:
+        # that stamp's minute and second must not change a later reading
+        harness._epoch_hour.cache_clear()
+        for raw in STAMPS_IN_ORDER:
+            assert_read_as_strptime(raw)
 
 
 def reference_ingest(path):

@@ -79,10 +79,27 @@ TRICKY_CHARACTERS = st.sampled_from(
 )
 
 
+# every ASCII code point, control characters included
+ALL_ASCII = "".join(map(chr, range(128)))
+
+
 @pytest.mark.parametrize("alphabet", NORMALIZE_ALPHABETS, ids=["default", "no-space", "tab", "ideographic-space"])
-@given(raw=st.text(st.one_of(st.characters(), TRICKY_CHARACTERS)))
+@given(
+    raw=st.one_of(
+        st.text(st.one_of(st.characters(), TRICKY_CHARACTERS)),
+        # text that is ASCII once lowercased takes a table of its own
+        st.text(st.characters(max_codepoint=127)),
+    )
+)
+@settings(max_examples=200)
 @example(raw="İstanbul \t ΑΣ  Straße\u3000x")
 @example(raw="\tA\u3000 \x1cΣ.")
+@example(raw=ALL_ASCII)
+@example(raw=ALL_ASCII[::-1])
+# the Kelvin sign lowercases to an ASCII k; a capital I with a dot to an i
+# and a combining dot
+@example(raw="\u212aelvin \u212a\t\u212a")
+@example(raw="\u0130stanbul I\u0130i\u0130")
 def test_normalize_matches_reference(alphabet, raw):
     assert normalize(raw, alphabet) == normalize_reference(raw, alphabet)
 
