@@ -11,7 +11,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from .history import SearchHistory
 from .oracle import MAX_HISTORY_SUGGESTIONS, MIN_PREFIX_LEN, SuggestIndex, SuggestionResponse
-from .planner import PrefixPlan
+from .planner import PrefixPlan, WalkOrder
 
 UNLIMITED = None
 
@@ -106,17 +106,16 @@ def reconstruct(oracle: SuggestFn, config: AttackConfig) -> ReconstructionResult
     prefixes first on ties, then lexicographic. A prefix serving at least
     descent_threshold history suggestions (by default the cap, i.e.
     saturated) is expanded one character deeper; no prefix is ever
-    requested twice. A SuggestIndex under a plan with a request_rank takes
+    requested twice. A SuggestIndex under a plan with a walk_order takes
     _walk, which makes the same requests without the heap and serves each
     level from one pass over the user's clicked queries, ranked once.
     """
     plan = config.plan
     if not plan.seeds:
         raise AttackError("plan has no seeds")
-    rank = plan.request_rank() if type(oracle) is SuggestIndex else None
-    if rank is not None:
-        # the seeds as a set, kept and renewed with the rank
-        return _walk(oracle, config, rank, plan._rank[3])
+    order = plan.walk_order() if type(oracle) is SuggestIndex else None
+    if order is not None:
+        return _walk(oracle, config, order)
     budget = config.budget
     threshold = config.descent_threshold
     max_depth = config.max_depth
@@ -158,17 +157,15 @@ def reconstruct(oracle: SuggestFn, config: AttackConfig) -> ReconstructionResult
     return result
 
 
-def _walk(
-    index: SuggestIndex, config: AttackConfig, rank: Dict[str, int], seeds: Set[str]
-) -> ReconstructionResult:
+def _walk(index: SuggestIndex, config: AttackConfig, order: WalkOrder) -> ReconstructionResult:
     """The frontier loop's run without its heap: under a ranked plan it asks
     its requested set in sorted order, the stats levels by rank and then each
     fallback level. Each level is served from one pass over the user's
     clicked queries in ranked order, and only the queries under a saturated
     prefix go on to the next level. A ranked plan asks no prefix the oracle
-    refuses (see PrefixPlan.request_rank), so the walk never aborts."""
+    refuses (see planner._order_problem), so the walk never aborts."""
     plan, budget, max_depth = config.plan, config.budget, config.max_depth
-    chars, spaceless = plan.fallback_characters()
+    chars, spaceless = order.chars, order.spaceless
     ranked, fallback, served = [], [], {}
     level, n = plan.seeds, len(plan.seeds[0])
     candidates = index.ranked_queries()
@@ -185,7 +182,7 @@ def _walk(
             # a dict's keys intersect an exact set from the smaller side;
             # ranked takes the seeds as listed, which build_plan lists in
             # rank order, so the sort below finds that run already sorted
-            hits = tops.keys() & (seeds if level is plan.seeds else level)
+            hits = tops.keys() & (order.seeds if level is plan.seeds else level)
         else:
             # Each key is a saturated parent plus one character (see
             # candidates below), so the level asked it unless that character
@@ -208,15 +205,15 @@ def _walk(
             level = [
                 p + c for p in sorted(saturated) for c in (spaceless if p[-1] == " " else chars)
             ]
-    order = sorted(ranked, key=rank.__getitem__) + fallback
-    exhausted = budget is None or len(order) <= budget
+    requested = sorted(ranked, key=order.rank.__getitem__) + fallback
+    exhausted = budget is None or len(requested) <= budget
     if not exhausted:
-        del order[budget:]
+        del requested[budget:]
         # the levels served prefixes past the cut too
-        asked = set(order)
+        asked = set(requested)
         served = {p: texts for p, texts in served.items() if p in asked}
     recovered = set().union(*served.values())
-    return ReconstructionResult(order, served, recovered, frontier_exhausted=exhausted)
+    return ReconstructionResult(requested, served, recovered, frontier_exhausted=exhausted)
 
 
 def _tops(ranked: Iterable[str], n: int) -> Dict[str, List[str]]:

@@ -157,10 +157,6 @@ def cmd_eval(args) -> int:
     _input_file(args.dataset, "dataset")
     if args.plan_file is not None:
         plan = PrefixPlan.load(_input_file(args.plan_file, "plan file"))
-        if not plan.seeds:
-            # reconstruct would refuse it for every user, and eval would
-            # write a report of failures only
-            raise InputError(f"{args.plan_file}: seeds: empty")
     else:
         plan = build_plan(bundled_wordlist(), mass_fraction=0.9)
     config = AttackConfig(plan=plan, budget=args.budget)

@@ -50,43 +50,36 @@ def field_problem(
     return None
 
 
-class _AlphabetTable(dict):
-    """A ``str.translate`` table that restricts lowercased text to an
-    alphabet: an alphabet character maps to itself, other whitespace to " "
-    when the alphabet has a space, and any other character to nothing. Each
-    code point is worked out on its first lookup and kept."""
-
-    def __init__(self, alphabet: str):
-        super().__init__()
-        self.alphabet = alphabet
-        self.keep_space = " " in alphabet
+class _QueryTable(dict):
+    """A ``str.translate`` table that restricts lowercased text to
+    DEFAULT_ALPHABET: an alphabet character maps to itself, other whitespace
+    to " ", and any other character to nothing. Each code point is worked
+    out on its first lookup and kept."""
 
     def __missing__(self, code: int) -> Optional[str]:
         c = chr(code)
-        out = c if c in self.alphabet else " " if self.keep_space and c.isspace() else None
+        out = c if c in DEFAULT_ALPHABET else " " if c.isspace() else None
         self[code] = out
         return out
 
 
-# per alphabet: its table as an exact dict of the 128 ASCII code points,
-# which str.translate reads faster than a dict subclass, and the table itself
-_TABLES: Dict[str, Tuple[Dict[int, Optional[str]], _AlphabetTable]] = {}
+_TABLE = _QueryTable()
+# the same table as an exact dict of the 128 ASCII code points, which
+# str.translate reads faster than a dict subclass
+_ASCII_TABLE = {code: _TABLE[code] for code in range(128)}
 
 
-def normalize(raw: str, alphabet: str = DEFAULT_ALPHABET) -> str:
-    """Canonicalize a query: lowercase, restrict to the alphabet, collapse whitespace.
+def normalize(raw: str) -> str:
+    """Canonicalize a query: lowercase, restrict to DEFAULT_ALPHABET,
+    collapse whitespace.
 
     Returns "" for inputs that normalize to nothing; callers treat that as
     "no entry".
     """
-    tables = _TABLES.get(alphabet)
-    if tables is None:
-        table = _AlphabetTable(alphabet)
-        tables = _TABLES[alphabet] = ({code: table[code] for code in range(128)}, table)
     # the whole string is lowercased first: a capital sigma's lowercase
     # depends on the letter after it
     lowered = raw.lower()
-    return " ".join(lowered.translate(tables[0] if lowered.isascii() else tables[1]).split())
+    return " ".join(lowered.translate(_ASCII_TABLE if lowered.isascii() else _TABLE).split())
 
 
 @dataclass(slots=True)
@@ -119,14 +112,10 @@ def _entry_problem(d, where: str = "") -> Optional[str]:
     return problem
 
 
-class _NoURLs(tuple):
-    """The type of what _entry_urls reads from an entry with no clicked_urls:
-    no record holds a value of it, and it is empty, so it joins as no URL."""
-
-
-_NO_URLS = _NoURLs()
 _ENTRY_COLUMNS = [(itemgetter(key), kind) for key, kind in _ENTRY_FIELDS.items()]
-_entry_urls = methodcaller("get", "clicked_urls", _NO_URLS)
+# no JSON value decodes to a tuple, so () marks an entry with no clicked_urls;
+# it is empty, so it joins as no URL
+_entry_urls = methodcaller("get", "clicked_urls", ())
 
 
 def _entry_columns(entries: list) -> Optional[List[list]]:
@@ -146,10 +135,10 @@ def _entry_columns(entries: list) -> Optional[List[list]]:
         if not set(map(type, column)) <= {kind}:
             return None
     kinds = set(map(type, urls))
-    if not kinds <= {list, _NoURLs}:
+    if not kinds <= {list, tuple}:
         return None
-    if _NoURLs in kinds:
-        urls = [[] if u is _NO_URLS else u for u in urls]
+    if tuple in kinds:
+        urls = [[] if type(u) is tuple else u for u in urls]
     columns.append(urls)
     return columns
 

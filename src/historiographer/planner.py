@@ -10,7 +10,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Set
 
 from .history import DEFAULT_ALPHABET, field_problem, normalize, read_json
 from .oracle import prefix_problem
@@ -102,9 +102,9 @@ def _is_length(key: str) -> bool:
 
 
 def _plan_problem(d) -> Optional[str]:
-    """What is wrong with a saved plan, as "field: ...": its first field or
-    nested value of the wrong shape, prefix the oracle refuses, or prefix
-    not as long as its key, in that order; None if all is good."""
+    """What is wrong with the shape of a saved plan, as "field: ...": its
+    first field or nested value that is missing or of the wrong JSON type;
+    None if all is good."""
     if type(d) is not dict:
         return f"expected a JSON object, got {type(d).__name__}"
     problem = field_problem(d, _PLAN_FIELDS, _PLAN_OPTIONAL)
@@ -126,35 +126,52 @@ def _plan_problem(d) -> Optional[str]:
             return f"selected.{n}: expected an integer key"
         if not _strings(sel):
             return f"selected.{n}: expected a list of strings"
-    selected = d.get("selected", {})
-    problem = _refused_prefix(d["unigram_order"], d["seeds"], d["stats"], selected)
-    if problem:
-        return problem
-    for where, by_length in (("stats", d["stats"]), ("selected", selected)):
-        for n, prefixes in by_length.items():
-            for p in prefixes:
-                if len(p) != int(n):
-                    return f"{where}.{n}: {p!r} is not {int(n)} characters long"
     return None
 
 
-def _refused_prefix(unigram_order: str, seeds, stats: Mapping, selected: Mapping) -> Optional[str]:
-    """The first unigram_order character, seed, or stats or selected prefix
-    (each keyed by length) that makes the attack ask a prefix the oracle
-    refuses, as "field: problem"; None if there is none."""
+def _order_problem(seeds, unigram_order: str, stats: Mapping, selected: Mapping) -> Optional[str]:
+    """What keeps a plan from fixing the attack's request order, as "field:
+    problem"; None if nothing does: a unigram_order character or prefix the
+    oracle refuses, a prefix not as long as its level (seeds sit at the
+    shallowest stats level), a repeat, no seeds, stats lengths missing or not
+    contiguous, or a count that is negative or above its parent's. stats
+    ({prefix: count}) and selected (prefixes) are keyed by length."""
     problem = query_alphabet_problem(unigram_order)
     if problem:
         return f"unigram_order: {problem}"
-    fields = [
-        ("seeds", seeds),
-        *((f"stats.{n}", prefixes) for n, prefixes in stats.items()),
-        *((f"selected.{n}", prefixes) for n, prefixes in selected.items()),
+    levels = [
+        *((f"stats.{n}", int(n), prefixes) for n, prefixes in stats.items()),
+        *((f"selected.{n}", int(n), prefixes) for n, prefixes in selected.items()),
     ]
-    for where, prefixes in fields:
+    for where, _, prefixes in [("seeds", None, seeds), *levels]:
         for p in prefixes:
             problem = prefix_problem(p)
             if problem:
                 return f"{where}: {problem}"
+    counts = {int(n): level for n, level in stats.items()}
+    lengths = sorted(counts)
+    # seeds belong to the shallowest stats level
+    for where, n, prefixes in levels + ([("seeds", lengths[0], seeds)] if lengths else []):
+        for p in prefixes:
+            if len(p) != n:
+                return f"{where}: {p!r} is not {n} characters long"
+    for where, items in (("unigram_order", unigram_order), ("seeds", seeds)):
+        if len(set(items)) != len(items):
+            repeat = next(x for i, x in enumerate(items) if x in items[:i])
+            return f"{where}: {repeat!r} is repeated"
+    if not seeds:
+        return "seeds: empty"
+    if not lengths:
+        return "stats: empty"
+    # distinct, so contiguous iff they span no more than their number
+    if lengths[-1] - lengths[0] >= len(lengths):
+        return f"stats: lengths {lengths} are not contiguous"
+    for n in lengths:
+        for p, c in counts[n].items():
+            if c < 0:
+                return f"stats.{n}.{p}: {c} is negative"
+            if n > lengths[0] and c > counts[n - 1].get(p[:-1], 0):
+                return f"stats.{n}.{p}: {c} is above the count of {p[:-1]!r}"
     return None
 
 
@@ -167,6 +184,18 @@ def query_alphabet_problem(chars: str) -> Optional[str]:
         if c not in DEFAULT_ALPHABET:
             return f"{c!r} is not in the query alphabet {DEFAULT_ALPHABET!r}"
     return None
+
+
+class WalkOrder(NamedTuple):
+    """What the fixed-order walk reads of a plan: its request_rank, its seeds
+    as a set, and unigram_order in code-point order with and without the
+    space, which the fallback past the deepest stats level appends to a
+    parent (the second to a parent that ends in a space)."""
+
+    rank: Dict[str, int]
+    seeds: Set[str]
+    chars: List[str]
+    spaceless: List[str]
 
 
 @dataclass
@@ -183,11 +212,8 @@ class PrefixPlan:
     _children: Dict[int, Dict[str, List[str]]] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
-    # (seeds, unigram_order, request_rank for them, the seeds as a set), set
-    # by request_rank.
-    _rank: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
-    # (unigram_order, fallback_characters for it), set by fallback_characters.
-    _fallback: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
+    # ((seeds, unigram_order), walk_order for them), set by walk_order.
+    _walk_order: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
     def extend(self, prefix: str) -> List[str]:
         """Children of a saturated prefix, one character longer, ordered by
@@ -217,47 +243,29 @@ class PrefixPlan:
 
     def request_rank(self) -> Optional[Dict[str, int]]:
         """Each seed and stats-level prefix by its place in the attack's
-        request order (count descending, then shorter, then lexicographic).
-        None when the plan does not fix that order: when a child could sort
-        before its parent or one prefix be reached twice. None too when the
-        oracle refuses one of its prefixes or unigram_order characters, so
-        the walk, asking only seeds, stats prefixes and a served parent plus
-        one of those characters (never a double space), is refused nothing."""
-        seeds = tuple(self.seeds)
-        if self._rank is not None and self._rank[:2] == (seeds, self.unigram_order):
-            return self._rank[2]
-        lengths = sorted(self.stats_by_length)
-        counts = {n: stats.counts for n, stats in self.stats_by_length.items()}
-        rank = None
-        if (
-            lengths
-            and lengths == list(range(lengths[0], lengths[-1] + 1))
-            and len(set(seeds)) == len(seeds)
-            and all(len(s) == lengths[0] for s in seeds)
-            and len(set(self.unigram_order)) == len(self.unigram_order)
-            and all(
-                len(p) == n and 0 <= c and (n == lengths[0] or c <= self.seed_count(p[:-1]))
-                for n, level in counts.items()
-                for p, c in level.items()
-            )
-            and _refused_prefix(self.unigram_order, seeds, counts, self.selected_by_length) is None
-        ):
-            prefixes = set(seeds).union(*counts.values())
-            ranked = sorted(prefixes, key=lambda p: (-self.seed_count(p), len(p), p))
-            rank = {p: i for i, p in enumerate(ranked)}
-        self._rank = (seeds, self.unigram_order, rank, set(seeds))
-        return rank
+        request order (count descending, then shorter, then lexicographic);
+        None when the plan does not fix that order (see _order_problem)."""
+        return getattr(self.walk_order(), "rank", None)
 
-    def fallback_characters(self) -> Tuple[List[str], List[str]]:
-        """unigram_order in code-point order, and the same without the
-        space: what the fallback past the deepest stats level appends to a
-        parent, the second to a parent that ends in a space. Appended to
-        parents of one length in sorted order, they give children in sorted
-        order."""
-        if self._fallback is None or self._fallback[0] != self.unigram_order:
-            chars = sorted(self.unigram_order)
-            self._fallback = (self.unigram_order, (chars, [c for c in chars if c != " "]))
-        return self._fallback[1]
+    def walk_order(self) -> Optional[WalkOrder]:
+        """What the fixed-order walk reads of the plan; None when
+        _order_problem names a problem. Kept on the plan, and worked out
+        again when seeds or unigram_order change."""
+        key = (tuple(self.seeds), self.unigram_order)
+        if self._walk_order is None or self._walk_order[0] != key:
+            seeds, unigram_order = key
+            counts = {n: stats.counts for n, stats in self.stats_by_length.items()}
+            order = None
+            if _order_problem(seeds, unigram_order, counts, self.selected_by_length) is None:
+                prefixes = set(seeds).union(*counts.values())
+                ranked = sorted(prefixes, key=lambda p: (-self.seed_count(p), len(p), p))
+                chars = sorted(unigram_order)
+                order = WalkOrder(
+                    {p: i for i, p in enumerate(ranked)}, set(seeds), chars,
+                    [c for c in chars if c != " "],
+                )
+            self._walk_order = (key, order)
+        return self._walk_order[1]
 
     def seed_count(self, prefix: str) -> int:
         stats = self.stats_by_length.get(len(prefix))
@@ -314,17 +322,20 @@ class PrefixPlan:
     def load(cls, path) -> "PrefixPlan":
         """The plan that save wrote, less repeated seeds and unigram_order
         characters. A file that is not a JSON object, a field or nested value
-        that is missing, of the wrong JSON type or not as long as its key, or
-        a prefix the oracle refuses raises PlannerError naming the file and
-        the field."""
+        that is missing or of the wrong JSON type, or a plan that does not
+        fix the request order (see _order_problem) raises PlannerError naming
+        the file and the field, so every plan that loads has a walk_order."""
         d = read_json(path, PlannerError)
         problem = _plan_problem(d)
+        if problem is None:
+            plan = cls.from_dict(d)
+            # a repeat asks nothing new, so it is dropped, not refused
+            plan.seeds = list(dict.fromkeys(plan.seeds))
+            plan.unigram_order = "".join(dict.fromkeys(plan.unigram_order))
+            # stats and selected as written, even where from_dict reads none
+            problem = _order_problem(plan.seeds, plan.unigram_order, d["stats"], d.get("selected", {}))
         if problem:
             raise PlannerError(f"{path}: {problem}")
-        plan = cls.from_dict(d)
-        # a repeat asks nothing new, but would cost the plan its request rank
-        plan.seeds = list(dict.fromkeys(plan.seeds))
-        plan.unigram_order = "".join(dict.fromkeys(plan.unigram_order))
         return plan
 
 
@@ -337,6 +348,8 @@ def build_plan(
     """Build seed list and per-length stats from a reference corpus."""
     if not corpus:
         raise EmptyCorpusError("reference corpus is empty")
+    if not lengths:
+        raise PlannerError("no prefix lengths given")
     stats_by_length = {n: build_stats(corpus, n, alphabet) for n in sorted(lengths)}
     picked = {n: select_mass(stats, mass_fraction) for n, stats in stats_by_length.items()}
 

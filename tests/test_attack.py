@@ -3,6 +3,8 @@ import heapq
 import itertools
 import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -553,6 +555,8 @@ def heap_loop_plans(wordlist):
         # the oracle refuses ZZ, and every fallback child ending in "-"
         "unserved-seed": changed(lambda d: d["seeds"].append("ZZ")),
         "unserved-unigram": changed(lambda d: d.update(unigram_order=d["unigram_order"] + "-")),
+        "no-stats": changed(lambda d: d.update(stats={})),
+        "stats-past-seeds": changed(lambda d: (d["stats"].pop("2"), d["selected"].pop("2"))),
     }
 
 
@@ -591,27 +595,37 @@ class TestHeapLoopPlans:
         assert bool(aborted) == name.startswith("unserved-")
 
     def test_which_loaded_plans_take_the_heap_loop(self, tmp_path, wordlist):
+        # none: a plan file loads with a fixed order, which the walk runs, or
+        # is refused, naming what would cost it that order
         path = tmp_path / "plan.json"
+        plans = heap_loop_plans(wordlist)
         outcomes = {}
-        for name, d in heap_loop_plans(wordlist).items():
+        for name, d in plans.items():
             path.write_text(json.dumps(d))
             try:
                 plan = PrefixPlan.load(path)
-            except PlannerError:
-                outcomes[name] = "refused"
+            except PlannerError as exc:
+                outcomes[name] = str(exc).removeprefix(f"{path}: ")
                 continue
             outcomes[name] = "walk" if plan.request_rank() is not None else "heap loop"
+        stats3 = plans["count-above-parent"]["stats"]["3"]
+        child = max(stats3, key=stats3.get)
+        seed = plans["stats-past-seeds"]["seeds"][0]
         assert outcomes == {
-            "count-above-parent": "heap loop",
-            "mixed-seed-lengths": "heap loop",
-            "lengths-2-4": "heap loop",
-            "negative-count": "heap loop",
+            "count-above-parent": f"stats.3.{child}: {stats3[child]} is above the count of "
+            f"{child[:2]!r}",
+            "mixed-seed-lengths": "seeds: 'the' is not 2 characters long",
+            "lengths-2-4": "stats: lengths [2, 4] are not contiguous",
+            "negative-count": "stats.2.qz: -1 is negative",
             # load keeps the first of each repeat
             "duplicate-seed": "walk",
             "repeated-unigram": "walk",
-            "key-longer-than-level": "refused",
-            "unserved-seed": "refused",
-            "unserved-unigram": "refused",
+            "key-longer-than-level": "stats.2: 'abc' is not 2 characters long",
+            "unserved-seed": "seeds: 'ZZ' is not normalized",
+            "unserved-unigram": "unigram_order: '-' is not in the query alphabet "
+            f"{FULL_ALPHABET!r}",
+            "no-stats": "stats: empty",
+            "stats-past-seeds": f"seeds: {seed!r} is not 3 characters long",
         }
 
     def test_the_bundled_plan_has_a_fixed_order(self, wordlist):
@@ -621,6 +635,78 @@ class TestHeapLoopPlans:
             rank, key=lambda p: (-plan.seed_count(p), len(p), p)
         )
         assert set(plan.seeds) <= set(rank)
+
+
+@st.composite
+def plan_edits(draw, base):
+    """The saved plan base after one to three random edits of its seeds,
+    counts, stats lengths or unigram_order, each of which may or may not
+    cost it a fixed request order."""
+    d = copy.deepcopy(base)
+    for _ in range(draw(st.integers(1, 3))):
+        stats = d["stats"]
+        edit = draw(st.sampled_from(
+            ["seed", "drop-seeds", "count", "drop-level", "add-level", "unigram"]
+        ))
+        if edit == "seed":
+            d["seeds"].append(draw(st.one_of(
+                st.sampled_from(["qz", "th", "the", "q", "ZZ"]), st.text("abq ", max_size=3)
+            )))
+        elif edit == "drop-seeds":
+            del d["seeds"][: draw(st.integers(0, len(d["seeds"])))]
+        elif edit == "count" and stats:
+            n = draw(st.sampled_from(sorted(stats)))
+            prefix = draw(st.one_of(
+                st.sampled_from(sorted(stats[n]) or ["ab"]),
+                st.text("abq", min_size=int(n), max_size=int(n)),
+            ))
+            stats[n][prefix] = draw(st.integers(-2, 5000))
+        elif edit == "drop-level" and stats:
+            del stats[draw(st.sampled_from(sorted(stats)))]
+        elif edit == "add-level" and stats:
+            # one level deeper, each count at most its parent's
+            deepest = max(stats, key=int)
+            parents = sorted(stats[deepest], key=stats[deepest].get)[-20:]
+            level = {p + c: stats[deepest][p] // 2 for p in parents for c in "ae"}
+            stats[str(int(deepest) + 1)] = level
+            d["selected"][str(int(deepest) + 1)] = sorted(level)
+        elif edit == "unigram":
+            order = d["unigram_order"]
+            d["unigram_order"] = draw(st.sampled_from(
+                [order + "e", order + "-", order + " ", order[::-1], order[:5], ""]
+            ))
+    return d
+
+
+class TestLoadedPlansWalk:
+    @pytest.fixture(scope="class")
+    def histories(self, wordlist):
+        return list(gen_synthetic(2, (5, 200), 0.7, wordlist, seed=35).values())
+
+    @pytest.fixture(scope="class")
+    def base(self, wordlist):
+        return build_plan(wordlist, 0.9).to_dict()
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_every_loaded_plan_has_a_rank_and_the_same_run(self, histories, base, data):
+        d = data.draw(plan_edits(base))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "plan.json"
+            path.write_text(json.dumps(d))
+            try:
+                plan = PrefixPlan.load(path)
+            except PlannerError as exc:
+                assert str(exc).startswith(f"{path}: ")
+                return
+        assert plan.request_rank() is not None
+        for budget, threshold in ((None, 3), (60, 2)):
+            config = AttackConfig(plan=plan, budget=budget, descent_threshold=threshold)
+            for hist in histories:
+                index = SuggestIndex(hist)
+                got = run_outcome(reconstruct, index, config)
+                assert got == run_outcome(reference_reconstruct, index, config)
+                assert got[5] is None
 
 
 class TestProperties:

@@ -411,6 +411,18 @@ class TestEval:
             # a prefix whose length is not its key's
             ({"stats": {"2": {"ab": 3, "abc": 1}}}, "stats.2: 'abc' is not 2 characters long"),
             ({"selected": {"3": ["abc", "ab"]}}, "selected.3: 'ab' is not 3 characters long"),
+            # a plan that would not fix the request order
+            ({"stats": {"2": {"ab": 1}, "3": {"abc": 2}}}, "stats.3.abc: 2 is above the count of 'ab'"),
+            ({"seeds": ["ab", "abc"]}, "seeds: 'abc' is not 2 characters long"),
+            ({"stats": {"2": {"ab": 1}, "4": {"abcd": 1}}}, "stats: lengths [2, 4] are not contiguous"),
+            ({"stats": {"2": {"ab": -1}}}, "stats.2.ab: -1 is negative"),
+            ({"stats": {}}, "stats: empty"),
+            ({"seeds": ["ab"], "stats": {"3": {"abc": 1}}}, "seeds: 'ab' is not 3 characters long"),
+            # selected is checked as written, even where the plan reads none
+            (
+                {"filter_extensions": False, "selected": {"3": ["abc", "zz  ", "ZZZ"]}},
+                "selected.3: 'zz  ' is not normalized",
+            ),
         ],
     )
     def test_malformed_plan_exit_2(self, tmp_path, capsys, plan_file, change, message):
@@ -420,8 +432,9 @@ class TestEval:
         else:
             plan_file.write_text(json.dumps(change))
         fixture = resources.files("historiographer.data").joinpath("volunteers.jsonl")
-        assert run(["eval", str(fixture), plan_file, "-o", tmp_path / "r.json"]) == 2
-        assert capsys.readouterr().err == f"error: {plan_file}: {message}\n"
+        for command in ("eval", "reconstruct"):
+            assert run([command, str(fixture), plan_file, "-o", tmp_path / "r.json"]) == 2
+            assert capsys.readouterr().err == f"error: {plan_file}: {message}\n"
 
 
     def test_streamed_eval_holds_at_most_two_histories(self, tmp_path, wordlist, monkeypatch):

@@ -39,9 +39,6 @@ class TestNormalize:
     def test_empty_result(self):
         assert normalize("!!!") == ""
 
-    def test_custom_alphabet_without_space(self):
-        assert normalize("pets 2010", alphabet="abcdefghijklmnopqrstuvwxyz") == "pets"
-
     @given(st.text(max_size=50))
     def test_idempotent(self, raw):
         once = normalize(raw)
@@ -58,21 +55,15 @@ class TestNormalize:
 _WS_RUN = re.compile(r"\s+")
 
 
-def normalize_reference(raw, alphabet=DEFAULT_ALPHABET):
+def normalize_reference(raw):
     """normalize by its rules, one character at a time: lowercase, keep
-    alphabet characters and (if the alphabet has a space) whitespace,
-    collapse whitespace runs to one space, strip."""
-    keep_space = " " in alphabet
-    kept = "".join(c for c in raw.lower() if c in alphabet or (keep_space and c.isspace()))
+    DEFAULT_ALPHABET characters and whitespace, collapse whitespace runs to
+    one space, strip."""
+    kept = "".join(c for c in raw.lower() if c in DEFAULT_ALPHABET or c.isspace())
     return _WS_RUN.sub(" ", kept).strip()
 
 
-NORMALIZE_ALPHABETS = [
-    DEFAULT_ALPHABET,
-    "abcdefghijklmnopqrstuvwxyz",  # no space
-    "abci\u0307\u03c3\u03c2\t",  # a tab, no space; sigma and the dot of a lowered İ
-    "ab \u00df\u3000",  # a space and another whitespace character
-]
+NORMALIZE_ALPHABETS = [DEFAULT_ALPHABET]
 # characters whose lowercase is long or depends on context, and whitespace
 TRICKY_CHARACTERS = st.sampled_from(
     ["İ", "ß", "\u3000", "\t", "\n", "\x1c", "\x85", "\u00a0", " ", "Σ", "σ", "ς", "A", "b", "\u0307"]
@@ -83,7 +74,7 @@ TRICKY_CHARACTERS = st.sampled_from(
 ALL_ASCII = "".join(map(chr, range(128)))
 
 
-@pytest.mark.parametrize("alphabet", NORMALIZE_ALPHABETS, ids=["default", "no-space", "tab", "ideographic-space"])
+@pytest.mark.parametrize("alphabet", NORMALIZE_ALPHABETS, ids=["default"])
 @given(
     raw=st.one_of(
         st.text(st.one_of(st.characters(), TRICKY_CHARACTERS)),
@@ -101,7 +92,9 @@ ALL_ASCII = "".join(map(chr, range(128)))
 @example(raw="\u212aelvin \u212a\t\u212a")
 @example(raw="\u0130stanbul I\u0130i\u0130")
 def test_normalize_matches_reference(alphabet, raw):
-    assert normalize(raw, alphabet) == normalize_reference(raw, alphabet)
+    out = normalize(raw)
+    assert out == normalize_reference(raw)
+    assert set(out) <= set(alphabet)
 
 
 class TestInsertSearch:

@@ -126,6 +126,11 @@ def test_seedless_plan_refused(corpus, alphabet, lengths):
     assert repr(alphabet) in message and f"length-{lengths[0]} prefix" in message
 
 
+def test_no_lengths_refused():
+    with pytest.raises(PlannerError, match="no prefix lengths given"):
+        build_plan(["cobalt", "code"], 0.9, lengths=())
+
+
 class TestExtend:
     def test_children_follow_three_letter_frequency(self, wordlist):
         plan = build_plan(wordlist, 0.9)
@@ -258,8 +263,9 @@ def test_plan_round_trip(tmp_path, wordlist):
 @settings(max_examples=100, deadline=None)
 def test_load_refuses_each_prefix_the_oracle_refuses(prefix):
     """A seed, stats prefix or selected prefix loads iff the oracle serves
-    it and, in stats or selected, it is as long as its key. A refused one is
-    named as the oracle names it, whatever its length."""
+    it and it is as long as its level: a seed as the shallowest stats level,
+    a stats or selected prefix as its key. A refused one is named as the
+    oracle names it, whatever its length."""
     try:
         SuggestIndex(SearchHistory("u"))(prefix)
         refused = None
@@ -269,7 +275,7 @@ def test_load_refuses_each_prefix_the_oracle_refuses(prefix):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "plan.json"
         for where, length, change in [
-            ("seeds", None, lambda d: d["seeds"].append(prefix)),
+            ("seeds", 2, lambda d: d["seeds"].append(prefix)),
             ("stats.3", 3, lambda d: d["stats"]["3"].update({prefix: 0})),
             ("selected.2", 2, lambda d: d["selected"]["2"].append(prefix)),
         ]:
@@ -277,7 +283,7 @@ def test_load_refuses_each_prefix_the_oracle_refuses(prefix):
             change(changed)
             path.write_text(json.dumps(changed))
             problem = refused
-            if problem is None and length not in (None, len(prefix)):
+            if problem is None and length != len(prefix):
                 problem = f"{prefix!r} is not {length} characters long"
             if problem is None:
                 PrefixPlan.load(path)
