@@ -138,6 +138,9 @@ def _entry_columns(entries: list) -> Optional[List[list]]:
     if not kinds <= {list, tuple}:
         return None
     if tuple in kinds:
+        # only the empty marker; a record's own tuple is refused as not a list
+        if any(type(u) is tuple and u for u in urls):
+            return None
         urls = [[] if type(u) is tuple else u for u in urls]
     columns.append(urls)
     return columns

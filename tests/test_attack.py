@@ -577,6 +577,8 @@ class TestHeapLoopPlans:
             "key-longer-than-level",
             "unserved-seed",
             "unserved-unigram",
+            "no-stats",
+            "stats-past-seeds",
         ],
     )
     def test_no_fixed_order_and_same_run(self, wordlist, histories, name):

@@ -477,7 +477,8 @@ class TestRunBatch:
         # the budget cuts some users short and not others
         requests = {r.n_requests for r in walked[1].per_user}
         assert budgets[1] in requests and min(requests) < budgets[1]
-        monkeypatch.setattr(PrefixPlan, "request_rank", lambda plan: None)
+        monkeypatch.setattr(PrefixPlan, "walk_order", lambda plan: None)
+        assert plan.walk_order() is None and plan.request_rank() is None
         for budget, report in zip(budgets, walked):
             heap = run_batch(histories, AttackConfig(plan=plan, budget=budget))
             assert heap.to_json() == report.to_json()

@@ -443,6 +443,17 @@ def test_decoded_entries_share_no_url_list(tmp_path, urls):
     assert list(iter_histories(path)) == [first, second]
 
 
+def test_from_dict_refuses_a_tuple_of_urls():
+    # an in-memory record can hold a tuple, which is not a list of URLs
+    entry = {"clicked": True, "first_time": 1, "last_time": 2, "count": 1}
+    record = {
+        "user_id": "u", "history_enabled": True,
+        "entries": [{**entry, "query": "aa"}, {**entry, "query": "bb", "clicked_urls": ("u",)}],
+    }
+    with pytest.raises(HistoryError, match=r"^entries\[1\]\.clicked_urls: expected a list, got tuple$"):
+        SearchHistory.from_dict(record)
+
+
 def test_optional_fields_default(tmp_path):
     import json
 
