@@ -11,7 +11,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from .history import SearchHistory
 from .oracle import MAX_HISTORY_SUGGESTIONS, MIN_PREFIX_LEN, SuggestIndex, SuggestionResponse
-from .planner import PrefixPlan, WalkOrder
+from .planner import PrefixPlan
 
 UNLIMITED = None
 
@@ -106,24 +106,22 @@ def reconstruct(oracle: SuggestFn, config: AttackConfig) -> ReconstructionResult
     prefixes first on ties, then lexicographic. A prefix serving at least
     descent_threshold history suggestions (by default the cap, i.e.
     saturated) is expanded one character deeper; no prefix is ever
-    requested twice. A SuggestIndex under a plan with a walk_order takes
-    _walk, which makes the same requests without the heap and serves each
-    level from one pass over the user's clicked queries, ranked once.
+    requested twice. A bare SuggestIndex takes _walk, which makes the same
+    requests without the heap and serves each level from one pass over the
+    user's clicked queries, ranked once; any other oracle takes the heap.
     """
+    if type(oracle) is SuggestIndex:
+        return _walk(oracle, config)
     plan = config.plan
-    if not plan.seeds:
-        raise AttackError("plan has no seeds")
-    order = plan.walk_order() if type(oracle) is SuggestIndex else None
-    if order is not None:
-        return _walk(oracle, config, order)
     budget = config.budget
     threshold = config.descent_threshold
     max_depth = config.max_depth
-    counts = {n: stats.counts for n, stats in plan.stats_by_length.items()}
-    no_counts: dict = {}
+    rank = plan.walk_order.rank
 
     def priority(prefix: str) -> Tuple:
-        return (-counts.get(len(prefix), no_counts).get(prefix, 0), len(prefix), prefix)
+        # the rank holds every seed and stats prefix; any other prefix is a
+        # fallback child, with no count and longer than every ranked one
+        return (rank.get(prefix, len(rank)), len(prefix), prefix)
 
     # The prefix is the last element of its priority, so the heap holds the
     # priorities alone.
@@ -157,14 +155,15 @@ def reconstruct(oracle: SuggestFn, config: AttackConfig) -> ReconstructionResult
     return result
 
 
-def _walk(index: SuggestIndex, config: AttackConfig, order: WalkOrder) -> ReconstructionResult:
-    """The frontier loop's run without its heap: under a ranked plan it asks
-    its requested set in sorted order, the stats levels by rank and then each
-    fallback level. Each level is served from one pass over the user's
-    clicked queries in ranked order, and only the queries under a saturated
-    prefix go on to the next level. A ranked plan asks no prefix the oracle
-    refuses (see planner._order_problem), so the walk never aborts."""
+def _walk(index: SuggestIndex, config: AttackConfig) -> ReconstructionResult:
+    """The frontier loop's run without its heap: it asks its requested set in
+    sorted order, the stats levels by rank and then each fallback level.
+    Each level is served from one pass over the user's clicked queries in
+    ranked order, and only the queries under a saturated prefix go on to the
+    next level. A plan asks no prefix the oracle refuses (see
+    planner._order_problem), so the walk never aborts."""
     plan, budget, max_depth = config.plan, config.budget, config.max_depth
+    order = plan.walk_order
     chars, spaceless = order.chars, order.spaceless
     ranked, fallback, served = [], [], {}
     level, n = plan.seeds, len(plan.seeds[0])

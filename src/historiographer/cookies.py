@@ -147,9 +147,7 @@ def _bad_trace_field(record) -> str:
     for key in ("time",) + _TRACE_STRINGS:
         if key not in record:
             return f"{key}: missing"
-    try:
-        int(record["time"])
-    except (TypeError, ValueError, OverflowError):
+    if type(record["time"]) is not int:
         return f"time: expected an integer, got {type(record['time']).__name__}"
     for key in _TRACE_STRINGS:
         if type(record[key]) is not str:
@@ -190,12 +188,15 @@ def _trace_fields(path) -> Iterator[tuple]:
             client_ip, host, req_path = d["client_ip"], d["host"], d["path"]
             if type(client_ip) is not str or type(host) is not str or type(req_path) is not str:
                 raise TypeError
+            time = d["time"]
+            if type(time) is not int:
+                raise TypeError
             flags = d.get("body_flags", [])
             # a list of strings; most records have no flags to look at
             if type(flags) is not list or flags and any(type(f) is not str for f in flags):
                 raise TypeError
-            fields = (int(d["time"]), scheme, client_ip, host, req_path, crumbs, flags)
-        except (AttributeError, KeyError, TypeError, ValueError, OverflowError):
+            fields = (time, scheme, client_ip, host, req_path, crumbs, flags)
+        except (AttributeError, KeyError, TypeError):
             # which field, worked out only on this rare path
             raise TraceError(f"{path}:{lineno}: {_bad_trace_field(d)}") from None
         yield fields

@@ -8,9 +8,10 @@ import csv
 import io
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Set
+from types import MappingProxyType
+from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .history import DEFAULT_ALPHABET, field_problem, normalize, read_json
 from .oracle import prefix_problem
@@ -26,9 +27,13 @@ class EmptyCorpusError(PlannerError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class PrefixStats:
-    counts: Dict[str, int]
+    counts: Mapping[str, int]
+
+    def __post_init__(self):
+        # a read-only copy: a plan ranks its requests by these counts
+        object.__setattr__(self, "counts", MappingProxyType(dict(self.counts)))
 
     def total(self) -> int:
         return sum(self.counts.values())
@@ -63,7 +68,7 @@ def build_stats(corpus: Sequence[str], length: int, alphabet: str = PLANNER_ALPH
         prefix = item[:length]
         if all(c in allowed for c in prefix):
             counts[prefix] += 1
-    return PrefixStats(dict(counts))
+    return PrefixStats(counts)
 
 
 def select_mass(stats: PrefixStats, mass_fraction: float) -> List[str]:
@@ -133,32 +138,27 @@ def _order_problem(seeds, unigram_order: str, stats: Mapping, selected: Mapping)
     """What keeps a plan from fixing the attack's request order, as "field:
     problem"; None if nothing does: a unigram_order character or prefix the
     oracle refuses, a prefix not as long as its level (seeds sit at the
-    shallowest stats level), a repeat, no seeds, stats lengths missing or not
+    shallowest stats level), no seeds, stats lengths missing or not
     contiguous, or a count that is negative or above its parent's. stats
     ({prefix: count}) and selected (prefixes) are keyed by length."""
     problem = query_alphabet_problem(unigram_order)
     if problem:
         return f"unigram_order: {problem}"
     levels = [
-        *((f"stats.{n}", int(n), prefixes) for n, prefixes in stats.items()),
-        *((f"selected.{n}", int(n), prefixes) for n, prefixes in selected.items()),
+        *((f"stats.{n}", n, prefixes) for n, prefixes in stats.items()),
+        *((f"selected.{n}", n, prefixes) for n, prefixes in selected.items()),
     ]
     for where, _, prefixes in [("seeds", None, seeds), *levels]:
         for p in prefixes:
             problem = prefix_problem(p)
             if problem:
                 return f"{where}: {problem}"
-    counts = {int(n): level for n, level in stats.items()}
-    lengths = sorted(counts)
+    lengths = sorted(stats)
     # seeds belong to the shallowest stats level
     for where, n, prefixes in levels + ([("seeds", lengths[0], seeds)] if lengths else []):
         for p in prefixes:
             if len(p) != n:
                 return f"{where}: {p!r} is not {n} characters long"
-    for where, items in (("unigram_order", unigram_order), ("seeds", seeds)):
-        if len(set(items)) != len(items):
-            repeat = next(x for i, x in enumerate(items) if x in items[:i])
-            return f"{where}: {repeat!r} is repeated"
     if not seeds:
         return "seeds: empty"
     if not lengths:
@@ -167,10 +167,10 @@ def _order_problem(seeds, unigram_order: str, stats: Mapping, selected: Mapping)
     if lengths[-1] - lengths[0] >= len(lengths):
         return f"stats: lengths {lengths} are not contiguous"
     for n in lengths:
-        for p, c in counts[n].items():
+        for p, c in stats[n].items():
             if c < 0:
                 return f"stats.{n}.{p}: {c} is negative"
-            if n > lengths[0] and c > counts[n - 1].get(p[:-1], 0):
+            if n > lengths[0] and c > stats[n - 1].get(p[:-1], 0):
                 return f"stats.{n}.{p}: {c} is above the count of {p[:-1]!r}"
     return None
 
@@ -187,95 +187,89 @@ def query_alphabet_problem(chars: str) -> Optional[str]:
 
 
 class WalkOrder(NamedTuple):
-    """What the fixed-order walk reads of a plan: its request_rank, its seeds
-    as a set, and unigram_order in code-point order with and without the
-    space, which the fallback past the deepest stats level appends to a
-    parent (the second to a parent that ends in a space)."""
+    """What the fixed-order walk reads of a plan: each seed and stats-level
+    prefix by its place in the attack's request order (count descending,
+    then shorter, then lexicographic), the seeds as a set, and
+    unigram_order in code-point order with and without the space, which
+    the fallback past the deepest stats level appends to a parent (the
+    second to a parent that ends in a space). The seeds are an exact set:
+    in 3.11 `dict_keys & x` looks up from the smaller side only then."""
 
     rank: Dict[str, int]
     seeds: Set[str]
-    chars: List[str]
-    spaceless: List[str]
+    chars: Tuple[str, ...]
+    spaceless: Tuple[str, ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class PrefixPlan:
-    seeds: List[str]
+    """A plan fixes the attack's request order when it is made. Every way to
+    make one (build_plan, from_dict, load, dataclasses.replace) runs
+    __post_init__, which keeps read-only copies of the data less repeated
+    seeds and unigram_order characters, raises PlannerError("field:
+    problem") where _order_problem names one, and works out the walk order
+    and the extend children of each stats level."""
+
+    seeds: Sequence[str]
     mass_fraction: float
-    stats_by_length: Dict[int, PrefixStats]
+    stats_by_length: Mapping[int, PrefixStats]
     alphabet: str
     unigram_order: str
-    selected_by_length: Dict[int, set] = field(default_factory=dict)
+    selected_by_length: Mapping[int, FrozenSet[str]] = field(default_factory=dict)
+    walk_order: WalkOrder = field(init=False, repr=False, compare=False)
+    # children by parent prefix at each stats level, frequency-ordered
+    _children: Dict[int, Dict[str, List[str]]] = field(init=False, repr=False, compare=False)
 
-    # Children by parent prefix at each stats level, frequency-ordered;
-    # filled on the first extend() into that level.
-    _children: Dict[int, Dict[str, List[str]]] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
-    # ((seeds, unigram_order), walk_order for them), set by walk_order.
-    _walk_order: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
+    def __post_init__(self):
+        seeds = tuple(dict.fromkeys(self.seeds))
+        unigram_order = "".join(dict.fromkeys(self.unigram_order))
+        stats = MappingProxyType(dict(self.stats_by_length))
+        # checked in the order given, so that the first problem is named
+        selected = {n: tuple(s) for n, s in self.selected_by_length.items()}
+        counts = {n: s.counts for n, s in stats.items()}
+        problem = _order_problem(seeds, unigram_order, counts, selected)
+        if problem:
+            raise PlannerError(problem)
+        selected = MappingProxyType({n: frozenset(s) for n, s in selected.items()})
+        # one dict: each level's prefixes are of its own length
+        count = {p: c for level in counts.values() for p, c in level.items()}
+        ranked = sorted(set(seeds).union(count), key=lambda p: (-count.get(p, 0), len(p), p))
+        chars = tuple(sorted(unigram_order))
+        order = WalkOrder(
+            {p: i for i, p in enumerate(ranked)}, set(seeds), chars,
+            tuple(c for c in chars if c != " "),
+        )
+        # the rank within one level is that level's frequency order
+        children: Dict[int, Dict[str, List[str]]] = {n: {} for n in stats}
+        for p in ranked:
+            if count.get(p, 0) > 0 and p in selected.get(len(p), ()):
+                children[len(p)].setdefault(p[:-1], []).append(p)
+        for name, value in [
+            ("seeds", seeds), ("unigram_order", unigram_order), ("stats_by_length", stats),
+            ("selected_by_length", selected), ("walk_order", order), ("_children", children),
+        ]:
+            object.__setattr__(self, name, value)
 
     def extend(self, prefix: str) -> List[str]:
         """Children of a saturated prefix, one character longer, ordered by
-        corpus frequency. Falls back to the whole alphabet (unigram order)
-        past the deepest stats level."""
-        child_len = len(prefix) + 1
-        stats = self.stats_by_length.get(child_len)
-        if stats is None:
+        corpus frequency, in a fresh list. Falls back to the whole alphabet
+        (unigram order) past the deepest stats level."""
+        groups = self._children.get(len(prefix) + 1)
+        if groups is None:
             return [
                 prefix + c
                 for c in self.unigram_order
                 if not (c == " " and prefix.endswith(" "))
             ]
-        groups = self._children.get(child_len)
-        if groups is None:
-            groups = self._children[child_len] = self._group_children(child_len)
         return list(groups.get(prefix, ()))
-
-    def _group_children(self, child_len: int) -> Dict[str, List[str]]:
-        stats = self.stats_by_length[child_len]
-        selected = self.selected_by_length.get(child_len, set())
-        groups: Dict[str, List[str]] = {}
-        for p in stats.ordered():
-            if stats.counts[p] > 0 and p in selected:
-                groups.setdefault(p[: child_len - 1], []).append(p)
-        return groups
-
-    def request_rank(self) -> Optional[Dict[str, int]]:
-        """Each seed and stats-level prefix by its place in the attack's
-        request order (count descending, then shorter, then lexicographic);
-        None when the plan does not fix that order (see _order_problem)."""
-        return getattr(self.walk_order(), "rank", None)
-
-    def walk_order(self) -> Optional[WalkOrder]:
-        """What the fixed-order walk reads of the plan; None when
-        _order_problem names a problem. Kept on the plan, and worked out
-        again when seeds or unigram_order change."""
-        key = (tuple(self.seeds), self.unigram_order)
-        if self._walk_order is None or self._walk_order[0] != key:
-            seeds, unigram_order = key
-            counts = {n: stats.counts for n, stats in self.stats_by_length.items()}
-            order = None
-            if _order_problem(seeds, unigram_order, counts, self.selected_by_length) is None:
-                prefixes = set(seeds).union(*counts.values())
-                ranked = sorted(prefixes, key=lambda p: (-self.seed_count(p), len(p), p))
-                chars = sorted(unigram_order)
-                order = WalkOrder(
-                    {p: i for i, p in enumerate(ranked)}, set(seeds), chars,
-                    [c for c in chars if c != " "],
-                )
-            self._walk_order = (key, order)
-        return self._walk_order[1]
 
     def seed_count(self, prefix: str) -> int:
         stats = self.stats_by_length.get(len(prefix))
-        if stats is None:
-            return 0
-        return stats.counts.get(prefix, 0)
+        return 0 if stats is None else stats.counts.get(prefix, 0)
 
     def to_dict(self) -> dict:
         return {
-            "seeds": self.seeds,
+            "seeds": list(self.seeds),
             "mass_fraction": self.mass_fraction,
             "alphabet": self.alphabet,
             "unigram_order": self.unigram_order,
@@ -284,7 +278,7 @@ class PrefixPlan:
             "selection": "mass",
             "filter_extensions": True,
             "stats": {
-                str(n): s.counts for n, s in sorted(self.stats_by_length.items())
+                str(n): dict(s.counts) for n, s in sorted(self.stats_by_length.items())
             },
             "selected": {
                 str(n): sorted(sel)
@@ -300,43 +294,38 @@ class PrefixPlan:
     @classmethod
     def from_dict(cls, d: dict) -> "PrefixPlan":
         """The plan to_dict gave. A plan saved with filter_extensions false
-        extended a prefix to every child with a count, so it selects those."""
-        stats_by_length = {int(n): PrefixStats(dict(counts)) for n, counts in d["stats"].items()}
-        if d.get("filter_extensions", True):
-            selected = {int(n): set(sel) for n, sel in d.get("selected", {}).items()}
-        else:
-            selected = {
-                n: {p for p, count in s.counts.items() if count > 0}
-                for n, s in stats_by_length.items()
-            }
-        return cls(
-            seeds=list(d["seeds"]),
+        extended a prefix to every child with a count, so it selects those;
+        its selected is still checked as written."""
+        stats_by_length = {int(n): PrefixStats(counts) for n, counts in d["stats"].items()}
+        plan = cls(
+            seeds=d["seeds"],
             mass_fraction=d["mass_fraction"],
             stats_by_length=stats_by_length,
             alphabet=d["alphabet"],
             unigram_order=d["unigram_order"],
-            selected_by_length=selected,
+            selected_by_length={int(n): sel for n, sel in d.get("selected", {}).items()},
         )
+        if d.get("filter_extensions", True):
+            return plan
+        return replace(plan, selected_by_length={
+            n: [p for p, count in s.counts.items() if count > 0]
+            for n, s in stats_by_length.items()
+        })
 
     @classmethod
     def load(cls, path) -> "PrefixPlan":
-        """The plan that save wrote, less repeated seeds and unigram_order
-        characters. A file that is not a JSON object, a field or nested value
-        that is missing or of the wrong JSON type, or a plan that does not
-        fix the request order (see _order_problem) raises PlannerError naming
-        the file and the field, so every plan that loads has a walk_order."""
+        """The plan that save wrote. A file that is not a JSON object, a
+        field or nested value that is missing or of the wrong JSON type, or
+        a plan that from_dict refuses raises PlannerError naming the file
+        and the field."""
         d = read_json(path, PlannerError)
         problem = _plan_problem(d)
         if problem is None:
-            plan = cls.from_dict(d)
-            # a repeat asks nothing new, so it is dropped, not refused
-            plan.seeds = list(dict.fromkeys(plan.seeds))
-            plan.unigram_order = "".join(dict.fromkeys(plan.unigram_order))
-            # stats and selected as written, even where from_dict reads none
-            problem = _order_problem(plan.seeds, plan.unigram_order, d["stats"], d.get("selected", {}))
-        if problem:
-            raise PlannerError(f"{path}: {problem}")
-        return plan
+            try:
+                return cls.from_dict(d)
+            except PlannerError as exc:
+                problem = exc
+        raise PlannerError(f"{path}: {problem}")
 
 
 def build_plan(
@@ -355,7 +344,6 @@ def build_plan(
 
     # every character counted in one pass; only the alphabet's are read
     unigrams = Counter("".join(corpus))
-    # each character once, so that the plan keeps a request_rank
     unigram_order = "".join(sorted(set(alphabet), key=lambda c: (-unigrams[c], c)))
 
     seed_len = min(lengths)
@@ -371,7 +359,7 @@ def build_plan(
         stats_by_length=stats_by_length,
         alphabet=alphabet,
         unigram_order=unigram_order,
-        selected_by_length={n: set(sel) for n, sel in picked.items()},
+        selected_by_length=picked,
     )
 
 

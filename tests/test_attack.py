@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import heapq
 import itertools
 import json
@@ -22,8 +23,8 @@ from historiographer.attack import (
 )
 from historiographer.harness import brute_force_recoverable, gen_synthetic
 from historiographer.history import SearchHistory
-from historiographer.oracle import SuggestIndex, suggest
-from historiographer.planner import PlannerError, PrefixPlan, build_plan
+from historiographer.oracle import SuggestIndex, UnnormalizedPrefixError, prefix_problem, suggest
+from historiographer.planner import PlannerError, PrefixPlan, PrefixStats, build_plan, build_stats
 
 FULL_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789 "
 
@@ -40,8 +41,9 @@ class TestDescent:
         for q in ["cobalt", "code", "coffee", "delta", "demo", "yarn"]:
             hist.insert_search(q, 100, f"http://example.com/{q}")
         corpus = ["cobalt", "code", "coffee", "delta", "demo", "yarn"]
-        plan = build_plan(corpus, 1.0, alphabet=FULL_ALPHABET)
-        plan.seeds = ["co", "de", "ya"]
+        plan = dataclasses.replace(
+            build_plan(corpus, 1.0, alphabet=FULL_ALPHABET), seeds=["co", "de", "ya"]
+        )
         result = reconstruct(make_oracle(hist), AttackConfig(plan=plan))
         probed = [p for p, _ in result.request_log]
         assert {"co", "de", "ya"} <= set(probed)
@@ -116,14 +118,17 @@ class TestDescent:
             AttackConfig(plan=plan, max_depth=max_depth)
         assert AttackConfig(plan=plan, max_depth=2).max_depth == 2
 
-    def test_threshold_descends_at_or_above(self, wordlist):
+    def test_threshold_descends_at_or_above(self, wordlist, monkeypatch):
         hist = random_history(random.Random(7), wordlist, max_entries=200, clicked_fraction=0.8)
         runs = {}
+        extend = PrefixPlan.extend
         for threshold in (2, 3):
             plan = build_plan(wordlist, 0.9)
             extended = []
-            extend = plan.extend
-            plan.extend = lambda prefix: extended.append(prefix) or extend(prefix)
+            monkeypatch.setattr(
+                PrefixPlan, "extend",
+                lambda self, prefix: extended.append(prefix) or extend(self, prefix),
+            )
             result = reconstruct(
                 make_oracle(hist), AttackConfig(plan=plan, descent_threshold=threshold)
             )
@@ -161,10 +166,17 @@ class TestRecoveredCounts:
 
     def test_partial_result_of_an_abort(self, wordlist):
         hist = random_history(random.Random(8), wordlist, max_entries=80)
-        plan = build_plan(wordlist, 0.9)
-        plan.seeds = plan.seeds + ["ZZ"]
+        # "qz" has no corpus count, so it is asked after every counted prefix
+        plan = bundled_plan_with(wordlist, ["qz"])
+        index = SuggestIndex(hist)
+
+        def refusing(prefix):
+            if prefix == "qz":
+                raise UnnormalizedPrefixError(f"prefix {prefix!r} refused")
+            return index(prefix)
+
         with pytest.raises(ReconstructionAborted) as exc_info:
-            reconstruct(make_oracle(hist), AttackConfig(plan=plan))
+            reconstruct(refusing, AttackConfig(plan=plan))
         self.check(exc_info.value.partial)
 
     def test_left_out_of_json(self, wordlist):
@@ -275,10 +287,8 @@ class TestAgainstReferenceLoop:
 
     @pytest.fixture(scope="class")
     def plan(self, wordlist):
-        plan = build_plan(wordlist, 0.9)
         # a seed with no corpus count ties with others only on its length
-        plan.seeds = plan.seeds + ["qz"]
-        return plan
+        return bundled_plan_with(wordlist, ["qz"])
 
     # the ids name the descent order checked: the priority frontier
     @pytest.mark.parametrize("threshold", [1, 2, 3], ids="{}-priority".format)
@@ -322,8 +332,7 @@ class TestAgainstReferenceLoop:
 
 def bundled_plan_with(wordlist, extra_seeds):
     plan = build_plan(wordlist, 0.9)
-    plan.seeds = plan.seeds + extra_seeds
-    return plan
+    return dataclasses.replace(plan, seeds=[*plan.seeds, *extra_seeds])
 
 
 class TestFixedOrderWalk:
@@ -337,7 +346,6 @@ class TestFixedOrderWalk:
     @pytest.mark.parametrize("extra_seeds", [[], ["qz"]], ids=["bundled", "qz"])
     def test_same_run_as_reference_loop(self, wordlist, histories, monkeypatch, extra_seeds):
         plan = bundled_plan_with(wordlist, extra_seeds)
-        assert plan.request_rank() is not None
         passes = []
         level_pass = attack._tops
         monkeypatch.setattr(
@@ -372,13 +380,14 @@ class TestFixedOrderWalk:
     def test_seeds_listed_out_of_rank_order(self, wordlist, histories, order, threshold):
         # the walk puts the seeds in rank order itself, however they are listed
         plan = build_plan(wordlist, 0.9)
+        seeds = list(plan.seeds)
         if order == "reversed":
-            plan.seeds = plan.seeds[::-1]
+            seeds.reverse()
         else:
-            random.Random(19).shuffle(plan.seeds)
-        rank = plan.request_rank()
-        assert rank is not None
-        assert plan.seeds != sorted(plan.seeds, key=rank.__getitem__)
+            random.Random(19).shuffle(seeds)
+        plan = dataclasses.replace(plan, seeds=seeds)
+        rank = plan.walk_order.rank
+        assert list(plan.seeds) != sorted(plan.seeds, key=rank.__getitem__)
         n = len(plan.seeds)
         for budget in (None, 1, n - 1, n, n + 1):
             config = AttackConfig(plan=plan, budget=budget, descent_threshold=threshold)
@@ -411,34 +420,61 @@ class TestFixedOrderWalk:
         assert deepest > 4
 
     def test_new_seeds_are_served(self, wordlist, histories):
+        # new seeds make a new plan, ranked again; a repeat is dropped
         plan = build_plan(wordlist, 0.9)
-        config = AttackConfig(plan=plan, descent_threshold=2)
         index = SuggestIndex(histories[-1])
-        reconstruct(index, config)
-        for change in (
-            lambda: setattr(plan, "seeds", plan.seeds[::2]),  # reassigned
-            lambda: plan.seeds.append("qz"),  # changed in place
-            lambda: setattr(plan, "seeds", ["th", "qz"]),
-            lambda: setattr(plan, "seeds", ["th", "th"]),  # no fixed order now
-        ):
-            change()
+        for seeds in (plan.seeds[::2], [*plan.seeds, "qz"], ["th", "qz"], ["th", "th"]):
+            changed = dataclasses.replace(plan, seeds=seeds)
+            assert changed.seeds == tuple(dict.fromkeys(seeds))
+            config = AttackConfig(plan=changed, descent_threshold=2)
             got = run_outcome(reconstruct, index, config)
             assert got == run_outcome(reference_reconstruct, index, config)
             assert [p for p, _ in got[0] if len(p) == 2] == sorted(
-                set(plan.seeds), key=lambda p: (-plan.seed_count(p), p)
+                set(seeds), key=lambda p: (-plan.seed_count(p), p)
             )
-        assert plan.request_rank() is None
 
-    def test_changed_unigram_order_is_checked(self, wordlist, histories):
+    def test_changed_unigram_order_is_checked(self, wordlist):
         plan = build_plan(wordlist, 0.9)
-        assert plan.request_rank() is not None
-        plan.unigram_order += "-"  # the oracle refuses every child ending in "-"
-        assert plan.request_rank() is None
-        config = AttackConfig(plan=plan)
+        # the oracle refuses every child ending in "-"
+        with pytest.raises(PlannerError) as exc_info:
+            dataclasses.replace(plan, unigram_order=plan.unigram_order + "-")
+        assert str(exc_info.value) == (
+            f"unigram_order: '-' is not in the query alphabet {FULL_ALPHABET!r}"
+        )
+        changed = dataclasses.replace(plan, unigram_order=plan.unigram_order + " ")
+        assert changed.walk_order.chars == tuple(sorted(plan.unigram_order + " "))
+        assert changed.extend("cobb")[-1] == "cobb "
+
+    def test_a_plan_cannot_go_stale(self, wordlist, histories):
+        # the walk order is worked out when the plan is made, from data no
+        # one can change in place
+        plan = build_plan(wordlist, 0.9)
         index = SuggestIndex(histories[-1])
+        reconstruct(index, AttackConfig(plan=plan))
+        child = next(iter(plan.stats_by_length[3].counts))
+        with pytest.raises(TypeError):
+            plan.stats_by_length[3].counts[child] = 1
+        with pytest.raises(TypeError):
+            plan.stats_by_length[4] = PrefixStats({})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.stats_by_length[3].counts = {}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.seeds = ["th", "qz"]
+        with pytest.raises(AttributeError):
+            plan.seeds.append("qz")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.unigram_order += "-"
+        with pytest.raises(AttributeError):
+            plan.selected_by_length[3].add("qzx")
+        # a new plan is checked and ranked again
+        changed = dataclasses.replace(plan, seeds=("th", "qz"))
+        assert changed.walk_order.seeds == {"th", "qz"}
+        config = AttackConfig(plan=changed, descent_threshold=2)
         got = run_outcome(reconstruct, index, config)
         assert got == run_outcome(reference_reconstruct, index, config)
-        assert got[5].endswith("-' is not normalized")
+        assert [p for p, _ in got[0] if len(p) == 2] == ["th", "qz"]
+        with pytest.raises(PlannerError, match="^seeds: 'ZZ' is not normalized$"):
+            dataclasses.replace(plan, seeds=("th", "ZZ"))
 
     @given(
         st.lists(
@@ -448,17 +484,24 @@ class TestFixedOrderWalk:
     )
     @settings(max_examples=40, deadline=None)
     def test_extra_seeds_served_or_refused(self, wordlist, histories, extra_seeds):
-        # a refused seed, or a repeated one or one of another length, sends
-        # the run down the heap loop; a run under a rank never raises
-        plan = bundled_plan_with(wordlist, extra_seeds)
-        ranked = plan.request_rank() is not None
+        # a seed the oracle refuses, or one of another length, is refused
+        # when the plan is made, and a repeat is dropped; the walk and the
+        # heap loop on a plan that is made run alike and never abort
+        try:
+            plan = bundled_plan_with(wordlist, extra_seeds)
+        except PlannerError as exc:
+            assert str(exc).startswith("seeds: ")
+            assert any(prefix_problem(p) or len(p) != 2 for p in extra_seeds)
+            return
+        assert len(set(plan.seeds)) == len(plan.seeds)
         for budget in (None, len(plan.seeds)):
             config = AttackConfig(plan=plan, budget=budget, descent_threshold=2)
             for hist in histories[:2]:
                 index = SuggestIndex(hist)
                 got = run_outcome(reconstruct, index, config)
                 assert got == run_outcome(reference_reconstruct, index, config)
-                assert not (ranked and got[5])
+                assert got == run_outcome(reconstruct, lambda p: index(p), config)
+                assert got[5] is None
 
 
 def messy_history(rng, words, n, user_id):
@@ -486,8 +529,7 @@ def messy_history(rng, words, n, user_id):
 def test_fallback_on_histories_not_normalized(wordlist, monkeypatch):
     # unigram_order with the space, so that a fallback parent can end in one
     plan = build_plan(wordlist, 0.9)
-    plan.unigram_order += " "
-    assert plan.request_rank() is not None
+    plan = dataclasses.replace(plan, unigram_order=plan.unigram_order + " ")
     keys = []  # the keys of each level pass past the stats levels
     level_pass = attack._tops
 
@@ -536,7 +578,8 @@ def with_count_above_parent(d):
 
 
 def heap_loop_plans(wordlist):
-    """Saved plans whose request order is not fixed, each with what makes it so."""
+    """Saved plans, each edited one way: nine lose a fixed request order, so
+    no plan is made of them, and two hold a repeat, which the plan drops."""
     base = build_plan(wordlist, 0.9).to_dict()
 
     def changed(change):
@@ -549,7 +592,9 @@ def heap_loop_plans(wordlist):
         "mixed-seed-lengths": changed(lambda d: d["seeds"].append("the")),
         "duplicate-seed": changed(lambda d: d["seeds"].append(d["seeds"][3])),
         "repeated-unigram": changed(lambda d: d.update(unigram_order=d["unigram_order"] + "e")),
-        "lengths-2-4": build_plan(wordlist, 0.9, lengths=(2, 4)).to_dict(),
+        "lengths-2-4": changed(lambda d: (
+            d["stats"].pop("3"), d["stats"].update({"4": dict(build_stats(wordlist, 4).counts)})
+        )),
         "negative-count": changed(lambda d: d["stats"]["2"].update(qz=-1)),
         "key-longer-than-level": changed(lambda d: d["stats"]["2"].update(abc=0)),
         # the oracle refuses ZZ, and every fallback child ending in "-"
@@ -557,6 +602,30 @@ def heap_loop_plans(wordlist):
         "unserved-unigram": changed(lambda d: d.update(unigram_order=d["unigram_order"] + "-")),
         "no-stats": changed(lambda d: d.update(stats={})),
         "stats-past-seeds": changed(lambda d: (d["stats"].pop("2"), d["selected"].pop("2"))),
+    }
+
+
+def plan_problems(plans):
+    """What each of heap_loop_plans is refused for, as "field: problem"; None
+    where a plan is made."""
+    stats3 = plans["count-above-parent"]["stats"]["3"]
+    child = max(stats3, key=stats3.get)
+    seed = plans["stats-past-seeds"]["seeds"][0]
+    return {
+        "count-above-parent": f"stats.3.{child}: {stats3[child]} is above the count of "
+        f"{child[:2]!r}",
+        "mixed-seed-lengths": "seeds: 'the' is not 2 characters long",
+        # the plan keeps the first of each repeat
+        "duplicate-seed": None,
+        "repeated-unigram": None,
+        "lengths-2-4": "stats: lengths [2, 4] are not contiguous",
+        "negative-count": "stats.2.qz: -1 is negative",
+        "key-longer-than-level": "stats.2: 'abc' is not 2 characters long",
+        "unserved-seed": "seeds: 'ZZ' is not normalized",
+        "unserved-unigram": "unigram_order: '-' is not in the query alphabet "
+        f"{FULL_ALPHABET!r}",
+        "no-stats": "stats: empty",
+        "stats-past-seeds": f"seeds: {seed!r} is not 3 characters long",
     }
 
 
@@ -582,9 +651,31 @@ class TestHeapLoopPlans:
         ],
     )
     def test_no_fixed_order_and_same_run(self, wordlist, histories, name):
-        plan = PrefixPlan.from_dict(heap_loop_plans(wordlist)[name])
-        assert plan.request_rank() is None
-        aborted = 0
+        # the constructor, from_dict and replace each refuse a plan with no
+        # fixed order; the rest walk as the heap loop runs
+        plans = heap_loop_plans(wordlist)
+        d = plans[name]
+        fields = dict(
+            seeds=d["seeds"],
+            stats_by_length={int(n): PrefixStats(counts) for n, counts in d["stats"].items()},
+            unigram_order=d["unigram_order"],
+            selected_by_length={int(n): sel for n, sel in d["selected"].items()},
+        )
+        base = build_plan(wordlist, 0.9)
+        makers = [
+            lambda: PrefixPlan.from_dict(d),
+            lambda: PrefixPlan(mass_fraction=0.9, alphabet=d["alphabet"], **fields),
+            lambda: dataclasses.replace(base, **fields),
+        ]
+        problem = plan_problems(plans)[name]
+        if problem is not None:
+            for make in makers:
+                with pytest.raises(PlannerError) as exc_info:
+                    make()
+                assert str(exc_info.value) == problem
+            return
+        plan, *others = [make() for make in makers]
+        assert others == [plan, plan] and plan == base
         for threshold, max_depth, budget in itertools.product([1, 3], [None, 3], [None, 60]):
             config = AttackConfig(
                 plan=plan, budget=budget, max_depth=max_depth, descent_threshold=threshold
@@ -593,46 +684,27 @@ class TestHeapLoopPlans:
                 index = SuggestIndex(hist)
                 got = run_outcome(reconstruct, index, config)
                 assert got == run_outcome(reference_reconstruct, index, config)
-                aborted += got[5] is not None
-        assert bool(aborted) == name.startswith("unserved-")
+                assert got == run_outcome(reconstruct, lambda p: index(p), config)
+                assert got[5] is None
 
     def test_which_loaded_plans_take_the_heap_loop(self, tmp_path, wordlist):
-        # none: a plan file loads with a fixed order, which the walk runs, or
-        # is refused, naming what would cost it that order
+        # none: a plan file loads, and walks, or is refused, naming what
+        # would cost it a fixed order
         path = tmp_path / "plan.json"
         plans = heap_loop_plans(wordlist)
         outcomes = {}
         for name, d in plans.items():
             path.write_text(json.dumps(d))
             try:
-                plan = PrefixPlan.load(path)
+                PrefixPlan.load(path)
+                outcomes[name] = None
             except PlannerError as exc:
                 outcomes[name] = str(exc).removeprefix(f"{path}: ")
-                continue
-            outcomes[name] = "walk" if plan.request_rank() is not None else "heap loop"
-        stats3 = plans["count-above-parent"]["stats"]["3"]
-        child = max(stats3, key=stats3.get)
-        seed = plans["stats-past-seeds"]["seeds"][0]
-        assert outcomes == {
-            "count-above-parent": f"stats.3.{child}: {stats3[child]} is above the count of "
-            f"{child[:2]!r}",
-            "mixed-seed-lengths": "seeds: 'the' is not 2 characters long",
-            "lengths-2-4": "stats: lengths [2, 4] are not contiguous",
-            "negative-count": "stats.2.qz: -1 is negative",
-            # load keeps the first of each repeat
-            "duplicate-seed": "walk",
-            "repeated-unigram": "walk",
-            "key-longer-than-level": "stats.2: 'abc' is not 2 characters long",
-            "unserved-seed": "seeds: 'ZZ' is not normalized",
-            "unserved-unigram": "unigram_order: '-' is not in the query alphabet "
-            f"{FULL_ALPHABET!r}",
-            "no-stats": "stats: empty",
-            "stats-past-seeds": f"seeds: {seed!r} is not 3 characters long",
-        }
+        assert outcomes == plan_problems(plans)
 
     def test_the_bundled_plan_has_a_fixed_order(self, wordlist):
         plan = PrefixPlan.from_dict(build_plan(wordlist, 0.9).to_dict())
-        rank = plan.request_rank()
+        rank = plan.walk_order.rank
         assert sorted(rank, key=rank.get) == sorted(
             rank, key=lambda p: (-plan.seed_count(p), len(p), p)
         )
@@ -701,7 +773,6 @@ class TestLoadedPlansWalk:
             except PlannerError as exc:
                 assert str(exc).startswith(f"{path}: ")
                 return
-        assert plan.request_rank() is not None
         for budget, threshold in ((None, 3), (60, 2)):
             config = AttackConfig(plan=plan, budget=budget, descent_threshold=threshold)
             for hist in histories:

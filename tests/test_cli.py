@@ -87,7 +87,6 @@ class TestPlan:
             plan_path = tmp_path / f"{name}.json"
             assert run(["plan", "bundled", "--alphabet", alphabet, "-o", plan_path]) == 0
             plan = PrefixPlan.load(plan_path)
-            assert plan.request_rank() is not None
             out = tmp_path / f"{name}.eval.json"
             assert run(["eval", str(fixture), plan_path, "-o", out]) == 0
             per_user = tmp_path / f"{name}.eval.per_user.csv"
@@ -108,8 +107,7 @@ class TestPlan:
             path = tmp_path / f"{name}.json"
             path.write_text(json.dumps(d))
             plan = PrefixPlan.load(path)
-            assert (plan.seeds, plan.unigram_order) == (base["seeds"], base["unigram_order"])
-            assert plan.request_rank() is not None
+            assert (list(plan.seeds), plan.unigram_order) == (base["seeds"], base["unigram_order"])
             out = tmp_path / f"{name}.eval.json"
             assert run(["eval", str(fixture), path, "-o", out]) == 0
             per_user = tmp_path / f"{name}.eval.per_user.csv"
@@ -749,9 +747,11 @@ class TestAuditExitCodes:
         assert audit_exit_code("".join(json.dumps(r) + "\n" for r in records)) in (0, 2)
 
     def test_good_records_pass(self):
-        record = {"time": "7", "scheme": "HTTP", "client_ip": "10.0.0.1", "host": "h",
+        record = {"time": 7, "scheme": "HTTP", "client_ip": "10.0.0.1", "host": "h",
                   "path": "/", "headers": {"Cookie": ["SID=a", "NID=b"]}, "body_flags": []}
         assert audit_exit_code(json.dumps(record) + "\n") == 0
+        # a time is an integer, not a string that holds one
+        assert audit_exit_code(json.dumps({**record, "time": "7"}) + "\n") == 2
 
 
 @functools.lru_cache(maxsize=None)

@@ -580,6 +580,10 @@ MALFORMED_RECORDS = [
     ({"body_flags": "has_history_link"}, "body_flags: expected a list of strings"),
     ({"body_flags": [1]}, "body_flags: expected a list of strings"),
     ("[1,2]", "record: expected an object"),
+    # an exact integer only, not one int() would make of it
+    ({"time": True}, "time: expected an integer, got bool"),
+    ({"time": "17"}, "time: expected an integer, got str"),
+    ({"time": 2.9}, "time: expected an integer, got float"),
 ]
 
 

@@ -4,6 +4,7 @@ import json
 import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,10 +30,35 @@ from historiographer.history import (
     load_histories,
     save_histories,
 )
-from historiographer.oracle import SuggestIndex
-from historiographer.planner import PrefixPlan, build_plan, bundled_wordlist
+from historiographer.oracle import SuggestIndex, UnnormalizedPrefixError
+from historiographer.planner import build_plan, bundled_wordlist
 
 AOL_HEADER = "AnonID\tQuery\tQueryTime\tItemRank\tClickURL"
+
+
+def refusing_index(refuses):
+    """A stand-in for harness.SuggestIndex: the history's index as an oracle
+    that refuses each prefix refuses(prefix) holds true of. It is not a bare
+    SuggestIndex, so every run takes the heap loop."""
+
+    def make(hist):
+        index = SuggestIndex(hist)
+
+        def oracle(prefix):
+            if refuses(prefix):
+                raise UnnormalizedPrefixError(f"prefix {prefix!r} refused")
+            return index(prefix)
+
+        return oracle
+
+    return make
+
+
+def with_qz_seed(plan):
+    """The plan with the seed "qz", which has no corpus count, so a run asks
+    it after every counted prefix: a run whose oracle refuses it aborts at a
+    point of its own for each history."""
+    return dataclasses.replace(plan, seeds=[*plan.seeds, "qz"])
 
 
 def write_log(tmp_path, rows):
@@ -471,23 +497,29 @@ class TestRunBatch:
         else:
             histories = gen_synthetic(12, (5, 300), 0.7, wordlist, seed=21)
         plan = build_plan(bundled_wordlist(), 0.9)
-        assert plan.request_rank() is not None
         budgets = [None, len(plan.seeds) + 30]
         walked = [run_batch(histories, AttackConfig(plan=plan, budget=b)) for b in budgets]
         # the budget cuts some users short and not others
         requests = {r.n_requests for r in walked[1].per_user}
         assert budgets[1] in requests and min(requests) < budgets[1]
-        monkeypatch.setattr(PrefixPlan, "walk_order", lambda plan: None)
-        assert plan.walk_order() is None and plan.request_rank() is None
+        asked = []
+
+        def wrapped(hist):
+            index = SuggestIndex(hist)
+            return lambda prefix: asked.append(prefix) or index(prefix)
+
+        monkeypatch.setattr(harness, "SuggestIndex", wrapped)
         for budget, report in zip(budgets, walked):
             heap = run_batch(histories, AttackConfig(plan=plan, budget=budget))
             assert heap.to_json() == report.to_json()
+        # the heap loop ran: it, unlike the walk, asks the oracle each request
+        assert len(asked) == sum(r.n_requests for report in walked for r in report.per_user)
 
-    def test_per_user_failures_recorded(self, wordlist):
+    def test_per_user_failures_recorded(self, wordlist, monkeypatch):
         histories = gen_synthetic(2, 5, 0.5, wordlist, seed=7)
-        plan = build_plan(wordlist, 0.9)
-        plan.seeds = []  # breaks reconstruct for every user
-        report = run_batch(histories, AttackConfig(plan=plan))
+        # the oracle refuses every prefix, so every user's run aborts
+        monkeypatch.setattr(harness, "SuggestIndex", refusing_index(lambda p: True))
+        report = run_batch(histories, AttackConfig(plan=build_plan(wordlist, 0.9)))
         assert set(report.failures) == set(histories)
         assert report.users == 0
 
@@ -591,11 +623,8 @@ def assert_same_curve(histories, config, budgets):
 @functools.lru_cache(maxsize=None)
 def bundled_plan(aborting):
     plan = build_plan(bundled_wordlist(), 0.9)
-    if aborting:
-        # "ZZ" has corpus count 0, so it is requested after every counted
-        # prefix; the oracle refuses it and each run aborts at its own point
-        plan.seeds = plan.seeds + ["ZZ"]
-    return plan
+    # with an oracle that refuses "qz", each run aborts at its own point
+    return with_qz_seed(plan) if aborting else plan
 
 
 @st.composite
@@ -619,7 +648,9 @@ def budget_tuples(draw):
 def test_curve_is_one_run_batch_per_budget(aborting, seed, budgets):
     histories = gen_synthetic(5, (1, 60), 0.6, bundled_wordlist(), seed=seed)
     config = AttackConfig(plan=bundled_plan(aborting))
-    assert_same_curve(histories, config, budgets)
+    index = refusing_index(lambda p: p == "qz") if aborting else SuggestIndex
+    with mock.patch.object(harness, "SuggestIndex", index):
+        assert_same_curve(histories, config, budgets)
 
 
 class TestRecallCurve:
@@ -656,18 +687,17 @@ class TestRecallCurve:
         recall_curve(histories, config, budgets=(110, 2000, 440))
         assert budgets == [2000] * len(histories)
 
-    def test_abort_counts_only_at_budgets_it_reached(self, wordlist):
-        # "ZZ" has corpus count 0, so it is requested after every counted
-        # prefix; the oracle rejects it as unnormalized and the run aborts
-        # partway, after a number of requests that differs per user.
+    def test_abort_counts_only_at_budgets_it_reached(self, wordlist, monkeypatch):
+        # the oracle refuses "qz" and the run aborts partway, after a number
+        # of requests that differs per user
         histories = gen_synthetic(12, (5, 80), 0.6, wordlist, seed=11)
-        plan = build_plan(wordlist, 0.9)
-        plan.seeds = plan.seeds + ["ZZ"]
-        config = AttackConfig(plan=plan)
+        config = AttackConfig(plan=with_qz_seed(build_plan(wordlist, 0.9)))
+        index = refusing_index(lambda p: p == "qz")
+        monkeypatch.setattr(harness, "SuggestIndex", index)
         reached = []
         for hist in histories.values():
             with pytest.raises(ReconstructionAborted) as exc_info:
-                reconstruct(SuggestIndex(hist), config)
+                reconstruct(index(hist), config)
             reached.append(exc_info.value.partial.requests_used)
         low, high = min(reached), max(reached)
         middle = sorted(reached)[len(reached) // 2]
@@ -682,11 +712,11 @@ class TestRecallCurve:
         assert points[4] == {"budget": high + 1, "mean_recall": 0.0, "mean_requests": 0.0, "users": 0}
         assert points[5]["users"] == 0
 
-    def test_every_user_failing_drops_them_at_every_budget(self, wordlist):
+    def test_every_user_failing_drops_them_at_every_budget(self, wordlist, monkeypatch):
         histories = gen_synthetic(3, 5, 0.5, wordlist, seed=12)
-        plan = build_plan(wordlist, 0.9)
-        plan.seeds = []
-        assert_same_curve(histories, AttackConfig(plan=plan), (1, 110))
+        monkeypatch.setattr(harness, "SuggestIndex", refusing_index(lambda p: True))
+        config = AttackConfig(plan=build_plan(wordlist, 0.9))
+        assert [p["users"] for p in assert_same_curve(histories, config, (1, 110))] == [0, 0]
 
     def test_other_failure_drops_user_at_every_budget(self, config, wordlist, monkeypatch):
         histories = gen_synthetic(5, (5, 30), 0.6, wordlist, seed=13)

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from historiographer.history import SearchHistory, normalize
+from historiographer.history import DEFAULT_ALPHABET, SearchHistory, normalize
 from historiographer.oracle import OracleError, SuggestIndex
 from historiographer.planner import (
+    PLANNER_ALPHABET,
     EmptyCorpusError,
     PlannerError,
     PrefixPlan,
@@ -129,6 +130,22 @@ def test_seedless_plan_refused(corpus, alphabet, lengths):
 def test_no_lengths_refused():
     with pytest.raises(PlannerError, match="no prefix lengths given"):
         build_plan(["cobalt", "code"], 0.9, lengths=())
+
+
+@pytest.mark.parametrize(
+    "lengths, alphabet, message",
+    [
+        ((2, 4), PLANNER_ALPHABET, "stats: lengths [2, 4] are not contiguous"),
+        (
+            (2, 3), PLANNER_ALPHABET + "-",
+            f"unigram_order: '-' is not in the query alphabet {DEFAULT_ALPHABET!r}",
+        ),
+    ],
+)
+def test_plan_without_a_fixed_order_refused(wordlist, lengths, alphabet, message):
+    with pytest.raises(PlannerError) as exc_info:
+        build_plan(wordlist, 0.9, lengths=lengths, alphabet=alphabet)
+    assert str(exc_info.value) == message
 
 
 class TestExtend:
