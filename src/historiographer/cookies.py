@@ -6,9 +6,10 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, get_type_hints
+from operator import itemgetter
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, get_origin, get_type_hints
 
-from .history import field_problem, json_lines, read_json
+from .history import STRINGS, field_problem, json_lines, read_json
 
 HISTORY_LINK_FLAG = "has_history_link"
 
@@ -136,31 +137,27 @@ def cookie_applies(cookie: Cookie, record: TrafficRecord) -> bool:
     return True
 
 
-_TRACE_STRINGS = ("scheme", "client_ip", "host", "path")
+_TRACE_FIELDS = {"time": int, "scheme": str, "client_ip": str, "host": str, "path": str}
+_TRACE_OPTIONAL = {"headers": dict, "body_flags": STRINGS}
+_trace_values = itemgetter(*_TRACE_FIELDS)
+# the exact type of each field's value, optional ones last, as the fast
+# path compares them
+_TRACE_KINDS = tuple(get_origin(k) or k for k in {**_TRACE_FIELDS, **_TRACE_OPTIONAL}.values())
 
 
-def _bad_trace_field(record) -> str:
-    """What is wrong with a trace record that iter_trace could not build:
-    its first field that is missing or of the wrong type."""
-    if not isinstance(record, dict):
-        return "record: expected an object"
-    for key in ("time",) + _TRACE_STRINGS:
-        if key not in record:
-            return f"{key}: missing"
-    if type(record["time"]) is not int:
-        return f"time: expected an integer, got {type(record['time']).__name__}"
-    for key in _TRACE_STRINGS:
-        if type(record[key]) is not str:
-            return f"{key}: expected a string, got {type(record[key]).__name__}"
-    headers = record.get("headers", {})
-    if type(headers) is not dict:
-        return f"headers: expected an object, got {type(headers).__name__}"
-    for name, values in headers.items():
-        if type(values) is not str and (
-            type(values) is not list or any(type(v) is not str for v in values)
-        ):
-            return f"headers.{name}: expected a string or a list of strings"
-    return "body_flags: expected a list of strings"
+def _trace_problem(record) -> Optional[str]:
+    """What is wrong with a trace record, as "field: ...": its first field
+    that the tables name as missing or not of its kind, or else a header
+    value that is neither a string nor a list of strings; None if all is
+    good."""
+    problem = field_problem(record, _TRACE_FIELDS, _TRACE_OPTIONAL)
+    if problem is None:
+        for name, values in record.get("headers", {}).items():
+            if type(values) is not str and (
+                type(values) is not list or any(type(v) is not str for v in values)
+            ):
+                return f"headers.{name}: expected a string or a list of strings"
+    return problem
 
 
 def _trace_fields(path) -> Iterator[tuple]:
@@ -174,10 +171,17 @@ def _trace_fields(path) -> Iterator[tuple]:
     """
     for lineno, d in json_lines(path, TraceError):
         try:
-            scheme = d["scheme"].lower()
+            time, scheme, client_ip, host, req_path = _trace_values(d)
+            headers, flags = d.get("headers", {}), d.get("body_flags", [])
+            if (
+                type(time), type(scheme), type(client_ip), type(host), type(req_path),
+                type(headers), type(flags),
+            ) != _TRACE_KINDS or flags and any(type(f) is not str for f in flags):
+                raise TypeError
+            scheme = scheme.lower()
             crumbs: Dict[str, str] = {}
             # every header is type-checked; Cookie crumbs merge in order, later ones win
-            for name, values in d.get("headers", {}).items():
+            for name, values in headers.items():
                 if type(values) is str:
                     values = (values,)
                 elif type(values) is not list or any(type(v) is not str for v in values):
@@ -185,21 +189,10 @@ def _trace_fields(path) -> Iterator[tuple]:
                 if scheme != "https" and name.lower() == "cookie":
                     for value in values:
                         crumbs.update(parse_cookie_header(value))
-            client_ip, host, req_path = d["client_ip"], d["host"], d["path"]
-            if type(client_ip) is not str or type(host) is not str or type(req_path) is not str:
-                raise TypeError
-            time = d["time"]
-            if type(time) is not int:
-                raise TypeError
-            flags = d.get("body_flags", [])
-            # a list of strings; most records have no flags to look at
-            if type(flags) is not list or flags and any(type(f) is not str for f in flags):
-                raise TypeError
-            fields = (time, scheme, client_ip, host, req_path, crumbs, flags)
         except (AttributeError, KeyError, TypeError):
             # which field, worked out only on this rare path
-            raise TraceError(f"{path}:{lineno}: {_bad_trace_field(d)}") from None
-        yield fields
+            raise TraceError(f"{path}:{lineno}: {_trace_problem(d)}") from None
+        yield time, scheme, client_ip, host, req_path, crumbs, flags
 
 
 def iter_trace(path) -> Iterator[TrafficRecord]:

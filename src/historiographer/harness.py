@@ -113,9 +113,7 @@ def ingest_query_log_counted(path) -> Tuple[Dict[str, SearchHistory], int]:
     with fh:
         header = fh.readline().decode("utf-8", "replace").rstrip("\r\n").split("\t")
         if header != AOL_COLUMNS:
-            raise HeaderMismatchError(
-                f"expected columns {AOL_COLUMNS}, got {header}"
-            )
+            raise HeaderMismatchError(f"{path}:1: expected columns {AOL_COLUMNS}, got {header}")
         for raw in fh:
             # the line end stays on the last field, the click URL, which is
             # stripped below

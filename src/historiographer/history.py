@@ -24,13 +24,18 @@ class EmptyQueryError(HistoryError):
     """Raised when a query normalizes to the empty string."""
 
 
-_KIND_NAMES = {
-    str: "a string", bool: "a boolean", int: "an integer", list: "a list", dict: "an object",
-    (int, float): "a number",
+# a list of strings, as a field's kind
+STRINGS = list[str]
+# each kind a field may have: its wording and the exact types of its values
+_KINDS = {
+    str: ("a string", (str,)), bool: ("a boolean", (bool,)), int: ("an integer", (int,)),
+    list: ("a list", (list,)), dict: ("an object", (dict,)),
+    (int, float): ("a number", (int, float)), STRINGS: ("a list", (list,)),
 }
 _ENTRY_FIELDS = {"query": str, "clicked": bool, "first_time": int, "last_time": int, "count": int}
-_ENTRY_OPTIONAL = {"clicked_urls": list}
+_ENTRY_OPTIONAL = {"clicked_urls": STRINGS}
 _HISTORY_FIELDS = {"user_id": str, "history_enabled": bool}
+_HISTORY_OPTIONAL = {"entries": list}
 
 
 def field_problem(
@@ -38,15 +43,20 @@ def field_problem(
 ) -> Optional[str]:
     """What is wrong with a JSON record, as "where.field: ...": its first field
     that is missing, though required, or not exactly of its kind (a boolean is
-    not an integer; a kind is a type or a tuple of types); None if all is good."""
+    not an integer; a kind is a key of _KINDS); None if all is good."""
     if not isinstance(record, dict):
         return f"{where.rstrip('.') or 'record'}: expected an object"
     for key, kind in {**required, **(optional or {})}.items():
         if key not in record:
             if key in required:
                 return f"{where}{key}: missing"
-        elif type(record[key]) not in (kind if type(kind) is tuple else (kind,)):
-            return f"{where}{key}: expected {_KIND_NAMES[kind]}, got {type(record[key]).__name__}"
+            continue
+        value = record[key]
+        name, types = _KINDS[kind]
+        if type(value) not in types:
+            return f"{where}{key}: expected {name}, got {type(value).__name__}"
+        if type(value) is list and kind == STRINGS and not all(type(v) is str for v in value):
+            return f"{where}{key}: expected a list of strings"
     return None
 
 
@@ -102,16 +112,6 @@ class HistoryEntry:
         }
 
 
-def _entry_problem(d, where: str = "") -> Optional[str]:
-    """What is wrong with one entry record, as "where.field: ...": its
-    first field that is missing or not exactly of its kind, or else a
-    clicked URL that is not a string; None if all is good."""
-    problem = field_problem(d, _ENTRY_FIELDS, _ENTRY_OPTIONAL, where)
-    if problem is None and not all(isinstance(u, str) for u in d.get("clicked_urls", ())):
-        problem = f"{where}clicked_urls: expected a list of strings"
-    return problem
-
-
 _ENTRY_COLUMNS = [(itemgetter(key), kind) for key, kind in _ENTRY_FIELDS.items()]
 # no JSON value decodes to a tuple, so () marks an entry with no clicked_urls;
 # it is empty, so it joins as no URL
@@ -120,7 +120,7 @@ _entry_urls = methodcaller("get", "clicked_urls", ())
 
 def _entry_columns(entries: list) -> Optional[List[list]]:
     """The entry records' values, one list per HistoryEntry field in its
-    order, read and checked a column at a time; None if _entry_problem
+    order, read and checked a column at a time; None if field_problem
     finds a problem in any record. An entry with no clicked_urls gets a
     fresh empty list, and the others keep the record's own list."""
     try:
@@ -207,7 +207,7 @@ class SearchHistory:
     def from_dict(cls, d: dict) -> "SearchHistory":
         """The history that to_dict wrote. A missing or ill-typed field
         raises HistoryError naming it."""
-        problem = field_problem(d, _HISTORY_FIELDS, {"entries": list})
+        problem = field_problem(d, _HISTORY_FIELDS, _HISTORY_OPTIONAL)
         if problem:
             raise HistoryError(problem)
         user_id = d["user_id"]
@@ -222,7 +222,7 @@ class SearchHistory:
         if columns is None:
             # the first bad entry, named with its place, only on this rare path
             for i, ed in enumerate(entries):
-                problem = _entry_problem(ed, f"entries[{i}].")
+                problem = field_problem(ed, _ENTRY_FIELDS, _ENTRY_OPTIONAL, f"entries[{i}].")
                 if problem:
                     raise HistoryError(problem)
         # of entries with the same query, the last one's, in the first one's place

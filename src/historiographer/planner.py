@@ -13,7 +13,7 @@ from importlib import resources
 from types import MappingProxyType
 from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .history import DEFAULT_ALPHABET, field_problem, normalize, read_json
+from .history import DEFAULT_ALPHABET, STRINGS, field_problem, normalize, read_json
 from .oracle import prefix_problem
 
 PLANNER_ALPHABET = "abcdefghijklmnopqrstuvwxyz"
@@ -91,19 +91,21 @@ def select_mass(stats: PrefixStats, mass_fraction: float) -> List[str]:
 
 # the top-level fields of a saved plan and their JSON types
 _PLAN_FIELDS = {
-    "seeds": list, "mass_fraction": (int, float), "alphabet": str, "unigram_order": str,
+    "seeds": STRINGS, "mass_fraction": (int, float), "alphabet": str, "unigram_order": str,
     "stats": dict,
 }
 _PLAN_OPTIONAL = {"selected": dict, "filter_extensions": bool}
 
 
-def _strings(value) -> bool:
-    return type(value) is list and all(type(v) is str for v in value)
-
-
-def _is_length(key: str) -> bool:
-    # a few decimal digits; int() refuses more than 4300
-    return key.isascii() and key.isdigit() and len(key) <= 9
+def _length_problem(key: str) -> Optional[str]:
+    """What keeps a stats or selected key from naming a prefix length: it
+    is not a few decimal digits (int() refuses more than 4300), or it has a
+    leading zero, so that two keys could name one length."""
+    if not (key.isascii() and key.isdigit() and len(key) <= 9):
+        return "expected an integer key"
+    if key != str(int(key)):
+        return "expected an integer key with no leading zero"
+    return None
 
 
 def _plan_problem(d) -> Optional[str]:
@@ -115,22 +117,18 @@ def _plan_problem(d) -> Optional[str]:
     problem = field_problem(d, _PLAN_FIELDS, _PLAN_OPTIONAL)
     if problem:
         return problem
-    if not _strings(d["seeds"]):
-        return "seeds: expected a list of strings"
-    # stats and selected are keyed by prefix length
-    for n, counts in d["stats"].items():
-        if not _is_length(n):
-            return f"stats.{n}: expected an integer key"
-        if type(counts) is not dict:
-            return f"stats.{n}: expected an object, got {type(counts).__name__}"
-        for p, count in counts.items():
-            if type(count) is not int:
-                return f"stats.{n}.{p}: expected an integer, got {type(count).__name__}"
-    for n, sel in d.get("selected", {}).items():
-        if not _is_length(n):
-            return f"selected.{n}: expected an integer key"
-        if not _strings(sel):
-            return f"selected.{n}: expected a list of strings"
+    # stats ({prefix: count}) and selected (prefixes) are keyed by prefix length
+    for where, kind in [("stats", dict), ("selected", STRINGS)]:
+        levels = d.get(where, {})
+        for n, level in levels.items():
+            problem = _length_problem(n)
+            if problem:
+                return f"{where}.{n}: {problem}"
+            problem = field_problem(levels, {n: kind}, where=f"{where}.")
+            if problem is None and kind is dict:
+                problem = field_problem(level, dict.fromkeys(level, int), where=f"{where}.{n}.")
+            if problem:
+                return problem
     return None
 
 

@@ -312,6 +312,15 @@ class TestEval:
         assert outputs[0] == outputs[1]
         assert json.loads(outputs[0][0])["users"] == 2
 
+    def test_aol_header_mismatch_names_the_file(self, tmp_path, capsys):
+        dataset = tmp_path / "log.tsv"
+        dataset.write_bytes(b"AnonID\tQuery\tQueryTime\tItemRank\n1\tmaps\t2006-03-02 09:00:00\t\n")
+        assert run(["eval", dataset, "-o", tmp_path / "rep.json"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {dataset}:1: expected columns ['AnonID', 'Query', 'QueryTime', 'ItemRank', "
+            "'ClickURL'], got ['AnonID', 'Query', 'QueryTime', 'ItemRank']\n"
+        )
+
     def test_per_user_columns_are_the_report_fields(self, tmp_path):
         fixture = resources.files("historiographer.data").joinpath("volunteers.jsonl")
         out = tmp_path / "r.json"
@@ -391,7 +400,7 @@ class TestEval:
             ({"mass_fraction": True}, "mass_fraction: expected a number, got bool"),
             ([], "expected a JSON object, got list"),
             ({"stats": {"2": 5}}, "stats.2: expected an object, got int"),
-            ({"selected": {"2": 5}}, "selected.2: expected a list of strings"),
+            ({"selected": {"2": 5}}, "selected.2: expected a list, got int"),
             ({"stats": {"x": {}}}, "stats.x: expected an integer key"),
             ({"stats": {"2": {"ab": "5"}}}, "stats.2.ab: expected an integer, got str"),
             ({"selected": {"three": []}}, "selected.three: expected an integer key"),
@@ -421,6 +430,9 @@ class TestEval:
                 {"filter_extensions": False, "selected": {"3": ["abc", "zz  ", "ZZZ"]}},
                 "selected.3: 'zz  ' is not normalized",
             ),
+            # two keys could name one length
+            ({"stats": {"2": {"ab": 3}, "02": {}}}, "stats.02: expected an integer key with no leading zero"),
+            ({"selected": {"02": ["ab"]}}, "selected.02: expected an integer key with no leading zero"),
         ],
     )
     def test_malformed_plan_exit_2(self, tmp_path, capsys, plan_file, change, message):
@@ -528,11 +540,11 @@ class TestAudit:
             ({"client_ip": None}, "client_ip: missing"),
             ({"time": "x"}, "time: expected an integer, got str"),
             ({"headers": []}, "headers: expected an object, got list"),
-            ({"body_flags": 5}, "body_flags: expected a list of strings"),
+            ({"body_flags": 5}, "body_flags: expected a list, got int"),
             ({"client_ip": ["10.0.0.1"]}, "client_ip: expected a string, got list"),
             ({"headers": {"Cookie": [5]}}, "headers.Cookie: expected a string or a list of strings"),
             ({"time": 1e400}, "time: expected an integer, got float"),
-            ({"body_flags": "has_history_link"}, "body_flags: expected a list of strings"),
+            ({"body_flags": "has_history_link"}, "body_flags: expected a list, got str"),
             ({"body_flags": [1]}, "body_flags: expected a list of strings"),
             ("[1,2]", "record: expected an object"),
         ],

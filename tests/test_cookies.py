@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from historiographer import cli
 from historiographer.cookies import (
+    _TRACE_FIELDS,
+    _TRACE_OPTIONAL,
     CatalogError,
     Cookie,
     MalformedHeaderError,
@@ -28,8 +30,10 @@ from historiographer.cookies import (
     load_catalog,
     load_trace,
     parse_set_cookie,
+    _trace_fields,
     write_audit_csv,
 )
+from historiographer.history import field_problem
 
 SID = Cookie(name="SID", value="abc", domain="google.com", path="/", secure=False)
 SSID = Cookie(name="SSID", value="sec", domain="google.com", path="/", secure=True)
@@ -573,11 +577,11 @@ MALFORMED_RECORDS = [
     ({"client_ip": None}, "client_ip: missing"),
     ({"time": "x"}, "time: expected an integer, got str"),
     ({"headers": []}, "headers: expected an object, got list"),
-    ({"body_flags": 5}, "body_flags: expected a list of strings"),
+    ({"body_flags": 5}, "body_flags: expected a list, got int"),
     ({"client_ip": ["10.0.0.1"]}, "client_ip: expected a string, got list"),
     ({"headers": {"Cookie": [5]}}, "headers.Cookie: expected a string or a list of strings"),
     ({"time": 1e400}, "time: expected an integer, got float"),
-    ({"body_flags": "has_history_link"}, "body_flags: expected a list of strings"),
+    ({"body_flags": "has_history_link"}, "body_flags: expected a list, got str"),
     ({"body_flags": [1]}, "body_flags: expected a list of strings"),
     ("[1,2]", "record: expected an object"),
     # an exact integer only, not one int() would make of it
@@ -600,6 +604,50 @@ def test_both_trace_readers_refuse_a_bad_record_alike(tmp_path, change, message)
     with pytest.raises(TraceError) as by_tally:
         TraceTally.read(path)
     assert str(by_records.value) == str(by_tally.value) == f"{path}:2: {message}"
+
+
+# every JSON kind, with lists of strings or not and objects of good header values
+JSON_KINDS = st.one_of(
+    st.integers(), st.booleans(), st.floats(), st.text(max_size=4), st.none(),
+    st.lists(st.sampled_from(["has_history_link", "x"]) | st.integers(), max_size=3),
+    st.dictionaries(
+        st.sampled_from(["Cookie", "cookie", "Host"]),
+        st.sampled_from(["SID=a", "NID=b; SID=c", "x"]) | st.lists(st.sampled_from(["SID=d", ""]), max_size=2),
+        max_size=2,
+    ),
+)
+TRACE_KEYS = [*_TRACE_FIELDS, *_TRACE_OPTIONAL, "extra"]
+DROP = object()
+# a value of each JSON kind, lists of strings or not, or no value at all
+KIND_VALUES = [5, True, 2.5, "x", [], ["has_history_link"], [1], {}, {"Cookie": "SID=a"}, None, DROP]
+
+
+def check_trace_fast_path_follows_the_tables(changes):
+    trace_record = {k: v for k, v in {**GOOD_RECORD, **changes}.items() if v is not DROP}
+    problem = field_problem(trace_record, _TRACE_FIELDS, _TRACE_OPTIONAL)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.jsonl"
+        path.write_text(json.dumps(GOOD_RECORD) + "\n" + json.dumps(trace_record) + "\n")
+        if problem is None:
+            assert len(list(_trace_fields(path))) == 2
+        else:
+            with pytest.raises(TraceError) as refused:
+                list(_trace_fields(path))
+            assert str(refused.value) == f"{path}:2: {problem}"
+
+
+def test_trace_fast_path_follows_the_tables_on_one_change():
+    for key in TRACE_KEYS:
+        for value in KIND_VALUES:
+            check_trace_fast_path_follows_the_tables({key: value})
+
+
+@given(st.dictionaries(st.sampled_from(TRACE_KEYS), st.just(DROP) | JSON_KINDS, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_trace_fast_path_follows_the_tables(changes):
+    # several fields dropped or set to a value of some JSON kind: a record
+    # with more than one fault is named by its first in table order
+    check_trace_fast_path_follows_the_tables(changes)
 
 
 # jars of cookies whose every attribute audit_services reads varies: secure,

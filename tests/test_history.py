@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from historiographer import cookies, history, planner
 from historiographer.history import (
     DEFAULT_ALPHABET,
     EmptyQueryError,
@@ -23,6 +24,26 @@ from historiographer.history import (
     normalize,
     save_histories,
 )
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        history._HISTORY_FIELDS, history._HISTORY_OPTIONAL, history._ENTRY_FIELDS,
+        history._ENTRY_OPTIONAL, cookies._TRACE_FIELDS, cookies._TRACE_OPTIONAL,
+        cookies._CATALOG_FIELDS, planner._PLAN_FIELDS, planner._PLAN_OPTIONAL,
+    ],
+    ids=[
+        "history", "history-optional", "entry", "entry-optional", "trace", "trace-optional",
+        "catalog", "plan", "plan-optional",
+    ],
+)
+def test_field_problem_words_every_declared_kind(table):
+    # a kind with no wording would refuse a record with a bare KeyError
+    for key, kind in table.items():
+        message = field_problem({key: object()}, {key: kind})
+        assert message.startswith(f"{key}: expected ") and message.endswith(", got object")
+        assert field_problem({}, {key: kind}) == f"{key}: missing"
 
 
 class TestNormalize:
@@ -366,7 +387,7 @@ def bad_entries(draw):
     entry = draw(GOOD_ENTRIES)
     spoil = draw(st.sampled_from([
         "missing", "bool for int", "int for bool", "str for list", "object for list",
-        "null for list", "not an object", "non-string url",
+        "null for list", "number for list", "not an object", "non-string url",
     ]))
     if spoil == "missing":
         del entry[draw(st.sampled_from(list(ENTRY_FIELDS)))]
@@ -380,6 +401,8 @@ def bad_entries(draw):
         entry["clicked_urls"] = draw(st.dictionaries(st.text(max_size=2), st.text(max_size=2)))
     elif spoil == "null for list":
         entry["clicked_urls"] = None
+    elif spoil == "number for list":
+        entry["clicked_urls"] = draw(st.sampled_from([3, 2.5, True]))
     elif spoil == "not an object":
         entry = draw(st.sampled_from([[], [entry], "query", 3, None]))
     else:
