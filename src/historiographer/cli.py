@@ -26,7 +26,7 @@ from .history import load_histories  # noqa: F401
 from .oracle import MIN_PREFIX_LEN, SuggestIndex
 from .planner import (
     PLANNER_ALPHABET, PlannerError, PrefixPlan, build_plan, bundled_wordlist, load_corpus,
-    query_alphabet_problem,
+    query_alphabet_problem, write_stats_csv,
 )
 
 EXIT_OK = 0
@@ -77,8 +77,8 @@ def cmd_plan(args) -> int:
     out = Path(args.output)
     plan.save(out)
     stem = out.with_suffix("")
-    for n, stats in plan.stats_by_length.items():
-        stats.write_csv(Path(f"{stem}.stats{n}.csv"))
+    for n, counts in plan.stats_by_length.items():
+        write_stats_csv(counts, Path(f"{stem}.stats{n}.csv"))
     Path(f"{stem}.seeds.txt").write_text("\n".join(plan.seeds) + "\n")
     # the manifest names the one seed selection there is
     _write_manifest(out, args, selection="mass")

@@ -9,7 +9,7 @@ from importlib import resources
 from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, get_origin, get_type_hints
 
-from .history import STRINGS, field_problem, json_lines, read_json
+from .history import STRINGS, field_problem, json_lines, read_json, surrogate_problem
 
 HISTORY_LINK_FLAG = "has_history_link"
 
@@ -241,7 +241,8 @@ _CATALOG_VALUES = {"default_scheme": ("http", "https"), "https_support": ("no", 
 def load_catalog(path) -> List[ServiceCatalogEntry]:
     """Read the service catalog, a JSON array of entries. A file that is not
     such an array, or an entry with a missing, ill-typed or unknown field
-    value, raises CatalogError naming the file, the entry and the field."""
+    value or a string holding a lone surrogate, raises CatalogError naming
+    the file, the entry and the field."""
     entries = read_json(path, CatalogError)
     if type(entries) is not list:
         raise CatalogError(f"{path}: expected a JSON array, got {type(entries).__name__}")
@@ -250,6 +251,10 @@ def load_catalog(path) -> List[ServiceCatalogEntry]:
         problem = field_problem(d, _CATALOG_FIELDS, where=f"[{i}].")
         if problem:
             raise CatalogError(f"{path}: {problem}")
+        for key, kind in _CATALOG_FIELDS.items():
+            problem = surrogate_problem(d[key]) if kind is str else None
+            if problem:
+                raise CatalogError(f"{path}: [{i}].{key}: {problem}")
         entry = ServiceCatalogEntry(**{key: d[key] for key in _CATALOG_FIELDS})
         for key, allowed in _CATALOG_VALUES.items():
             if getattr(entry, key) not in allowed:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import gc
 import json
 from dataclasses import dataclass, field
 from itertools import chain
@@ -60,6 +59,17 @@ def field_problem(
     return None
 
 
+def surrogate_problem(text: str) -> Optional[str]:
+    """"holds a lone surrogate" if text holds one, which JSON can escape but
+    no output file can hold; None if not."""
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            return "holds a lone surrogate"
+    return None
+
+
 class _QueryTable(dict):
     """A ``str.translate`` table that restricts lowercased text to
     DEFAULT_ALPHABET: an alphabet character maps to itself, other whitespace
@@ -113,9 +123,15 @@ class HistoryEntry:
 
 
 _ENTRY_COLUMNS = [(itemgetter(key), kind) for key, kind in _ENTRY_FIELDS.items()]
-# no JSON value decodes to a tuple, so () marks an entry with no clicked_urls;
-# it is empty, so it joins as no URL
-_entry_urls = methodcaller("get", "clicked_urls", ())
+
+
+class _NoUrls(tuple):
+    """The type of _NO_URLS, which marks an entry with no clicked_urls: it
+    is empty, so it joins as no URL, and no record's own value has it."""
+
+
+_NO_URLS = _NoUrls()
+_entry_urls = methodcaller("get", "clicked_urls", _NO_URLS)
 
 
 def _entry_columns(entries: list) -> Optional[List[list]]:
@@ -135,13 +151,10 @@ def _entry_columns(entries: list) -> Optional[List[list]]:
         if not set(map(type, column)) <= {kind}:
             return None
     kinds = set(map(type, urls))
-    if not kinds <= {list, tuple}:
+    if not kinds <= {list, _NoUrls}:
         return None
-    if tuple in kinds:
-        # only the empty marker; a record's own tuple is refused as not a list
-        if any(type(u) is tuple and u for u in urls):
-            return None
-        urls = [[] if type(u) is tuple else u for u in urls]
+    if _NoUrls in kinds:
+        urls = [[] if u is _NO_URLS else u for u in urls]
     columns.append(urls)
     return columns
 
@@ -211,12 +224,9 @@ class SearchHistory:
         if problem:
             raise HistoryError(problem)
         user_id = d["user_id"]
-        if not user_id.isascii():
-            # JSON can escape a lone surrogate, which no output file can hold
-            try:
-                user_id.encode("utf-8")
-            except UnicodeEncodeError:
-                raise HistoryError("user_id: holds a lone surrogate") from None
+        problem = surrogate_problem(user_id)
+        if problem:
+            raise HistoryError(f"user_id: {problem}")
         entries = d.get("entries", [])
         columns = _entry_columns(entries)
         if columns is None:
@@ -307,15 +317,5 @@ def iter_histories(path) -> Iterator[SearchHistory]:
 
 def load_histories(path) -> Dict[str, SearchHistory]:
     """Every SearchHistory of iter_histories, keyed by user id: of lines
-    with the same user id, the last one's. The cyclic collector is paused
-    while the file loads and left as it was found.
-    """
-    # Everything the load allocates is kept, so a collector pass would walk
-    # a growing heap and free nothing; it is paused until the load ends.
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return {hist.user_id: hist for hist in iter_histories(path)}
-    finally:
-        if enabled:
-            gc.enable()
+    with the same user id, the last one's."""
+    return {hist.user_id: hist for hist in iter_histories(path)}

@@ -27,31 +27,24 @@ class EmptyCorpusError(PlannerError):
     pass
 
 
-@dataclass(frozen=True)
-class PrefixStats:
-    counts: Mapping[str, int]
-
-    def __post_init__(self):
-        # a read-only copy: a plan ranks its requests by these counts
-        object.__setattr__(self, "counts", MappingProxyType(dict(self.counts)))
-
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def ordered(self) -> List[str]:
-        """Canonical order: count descending, then lexicographic."""
-        return sorted(self.counts, key=lambda p: (-self.counts[p], p))
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["prefix", "count"])
-            for p in self.ordered():
-                writer.writerow([p, self.counts[p]])
+def _ordered(counts: Mapping[str, int]) -> List[str]:
+    """Canonical order: count descending, then lexicographic."""
+    return sorted(counts, key=lambda p: (-counts[p], p))
 
 
-def build_stats(corpus: Sequence[str], length: int, alphabet: str = PLANNER_ALPHABET) -> PrefixStats:
-    """Tally the first `length` characters of every corpus item.
+def write_stats_csv(counts: Mapping[str, int], path) -> None:
+    """One stats level as CSV: a prefix,count header, then each prefix in
+    canonical order."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["prefix", "count"])
+        for p in _ordered(counts):
+            writer.writerow([p, counts[p]])
+
+
+def build_stats(corpus: Sequence[str], length: int, alphabet: str = PLANNER_ALPHABET) -> Dict[str, int]:
+    """Tally the first `length` characters of every corpus item, as
+    {prefix: count}.
 
     Items shorter than `length`, or whose prefix uses characters outside the
     alphabet, do not contribute.
@@ -68,24 +61,23 @@ def build_stats(corpus: Sequence[str], length: int, alphabet: str = PLANNER_ALPH
         prefix = item[:length]
         if all(c in allowed for c in prefix):
             counts[prefix] += 1
-    return PrefixStats(counts)
+    return counts
 
 
-def select_mass(stats: PrefixStats, mass_fraction: float) -> List[str]:
+def select_mass(counts: Mapping[str, int], mass_fraction: float) -> List[str]:
     """Smallest frequency-ordered head of the prefix list covering the
     requested fraction of corpus items. mass_fraction=1 returns every
     nonzero prefix."""
     if not 0 < mass_fraction <= 1:
         raise PlannerError(f"mass_fraction must be in (0, 1], got {mass_fraction}")
-    ordered = stats.ordered()
-    target = mass_fraction * stats.total()
+    target = mass_fraction * sum(counts.values())
     picked: List[str] = []
     cum = 0
-    for p in ordered:
+    for p in _ordered(counts):
         if cum >= target:
             break
         picked.append(p)
-        cum += stats.counts[p]
+        cum += counts[p]
     return picked
 
 
@@ -204,13 +196,14 @@ class PrefixPlan:
     """A plan fixes the attack's request order when it is made. Every way to
     make one (build_plan, from_dict, load, dataclasses.replace) runs
     __post_init__, which keeps read-only copies of the data less repeated
-    seeds and unigram_order characters, raises PlannerError("field:
-    problem") where _order_problem names one, and works out the walk order
-    and the extend children of each stats level."""
+    seeds and unigram_order characters (each stats level a {prefix: count}
+    mapping), raises PlannerError("field: problem") where _order_problem
+    names one, and works out the walk order and the extend children of each
+    stats level."""
 
     seeds: Sequence[str]
     mass_fraction: float
-    stats_by_length: Mapping[int, PrefixStats]
+    stats_by_length: Mapping[int, Mapping[str, int]]
     alphabet: str
     unigram_order: str
     selected_by_length: Mapping[int, FrozenSet[str]] = field(default_factory=dict)
@@ -221,16 +214,18 @@ class PrefixPlan:
     def __post_init__(self):
         seeds = tuple(dict.fromkeys(self.seeds))
         unigram_order = "".join(dict.fromkeys(self.unigram_order))
-        stats = MappingProxyType(dict(self.stats_by_length))
+        # copies, not views: a plan ranks its requests by these counts
+        stats = MappingProxyType({
+            n: MappingProxyType(dict(counts)) for n, counts in self.stats_by_length.items()
+        })
         # checked in the order given, so that the first problem is named
         selected = {n: tuple(s) for n, s in self.selected_by_length.items()}
-        counts = {n: s.counts for n, s in stats.items()}
-        problem = _order_problem(seeds, unigram_order, counts, selected)
+        problem = _order_problem(seeds, unigram_order, stats, selected)
         if problem:
             raise PlannerError(problem)
         selected = MappingProxyType({n: frozenset(s) for n, s in selected.items()})
         # one dict: each level's prefixes are of its own length
-        count = {p: c for level in counts.values() for p, c in level.items()}
+        count = {p: c for level in stats.values() for p, c in level.items()}
         ranked = sorted(set(seeds).union(count), key=lambda p: (-count.get(p, 0), len(p), p))
         chars = tuple(sorted(unigram_order))
         order = WalkOrder(
@@ -261,10 +256,6 @@ class PrefixPlan:
             ]
         return list(groups.get(prefix, ()))
 
-    def seed_count(self, prefix: str) -> int:
-        stats = self.stats_by_length.get(len(prefix))
-        return 0 if stats is None else stats.counts.get(prefix, 0)
-
     def to_dict(self) -> dict:
         return {
             "seeds": list(self.seeds),
@@ -276,7 +267,7 @@ class PrefixPlan:
             "selection": "mass",
             "filter_extensions": True,
             "stats": {
-                str(n): dict(s.counts) for n, s in sorted(self.stats_by_length.items())
+                str(n): dict(counts) for n, counts in sorted(self.stats_by_length.items())
             },
             "selected": {
                 str(n): sorted(sel)
@@ -290,11 +281,15 @@ class PrefixPlan:
             fh.write("\n")
 
     @classmethod
-    def from_dict(cls, d: dict) -> "PrefixPlan":
-        """The plan to_dict gave. A plan saved with filter_extensions false
-        extended a prefix to every child with a count, so it selects those;
-        its selected is still checked as written."""
-        stats_by_length = {int(n): PrefixStats(counts) for n, counts in d["stats"].items()}
+    def from_dict(cls, d) -> "PrefixPlan":
+        """The plan to_dict gave; PlannerError("field: problem") if d is not
+        one. A plan saved with filter_extensions false extended a prefix to
+        every child with a count, so it selects those; its selected is still
+        checked as written."""
+        problem = _plan_problem(d)
+        if problem:
+            raise PlannerError(problem)
+        stats_by_length = {int(n): counts for n, counts in d["stats"].items()}
         plan = cls(
             seeds=d["seeds"],
             mass_fraction=d["mass_fraction"],
@@ -306,24 +301,19 @@ class PrefixPlan:
         if d.get("filter_extensions", True):
             return plan
         return replace(plan, selected_by_length={
-            n: [p for p, count in s.counts.items() if count > 0]
-            for n, s in stats_by_length.items()
+            n: [p for p, count in counts.items() if count > 0]
+            for n, counts in stats_by_length.items()
         })
 
     @classmethod
     def load(cls, path) -> "PrefixPlan":
-        """The plan that save wrote. A file that is not a JSON object, a
-        field or nested value that is missing or of the wrong JSON type, or
-        a plan that from_dict refuses raises PlannerError naming the file
-        and the field."""
+        """The plan that save wrote. A file that is not UTF-8 JSON, or a
+        plan that from_dict refuses, raises PlannerError naming the file."""
         d = read_json(path, PlannerError)
-        problem = _plan_problem(d)
-        if problem is None:
-            try:
-                return cls.from_dict(d)
-            except PlannerError as exc:
-                problem = exc
-        raise PlannerError(f"{path}: {problem}")
+        try:
+            return cls.from_dict(d)
+        except PlannerError as exc:
+            raise PlannerError(f"{path}: {exc}") from None
 
 
 def build_plan(

@@ -24,7 +24,7 @@ from historiographer.attack import (
 from historiographer.harness import brute_force_recoverable, gen_synthetic
 from historiographer.history import SearchHistory
 from historiographer.oracle import SuggestIndex, UnnormalizedPrefixError, prefix_problem, suggest
-from historiographer.planner import PlannerError, PrefixPlan, PrefixStats, build_plan, build_stats
+from historiographer.planner import PlannerError, PrefixPlan, build_plan, build_stats
 
 FULL_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789 "
 
@@ -206,9 +206,14 @@ class ReferenceRun:
         self.frontier_exhausted = False
 
 
+def stats_count(plan, prefix):
+    """A prefix's count at its own stats level; 0 where it has none."""
+    return plan.stats_by_length.get(len(prefix), {}).get(prefix, 0)
+
+
 def reference_reconstruct(oracle, config):
-    """The frontier loop as first written: priorities from plan.seed_count
-    on every push, (priority, prefix) pairs on the heap and config read on
+    """The frontier loop as first written: priorities from the plan's stats
+    counts on every push, (priority, prefix) pairs on the heap and config read on
     every request. reconstruct must make the same requests and recover the
     same queries."""
     plan = config.plan
@@ -216,7 +221,7 @@ def reference_reconstruct(oracle, config):
         raise AttackError("plan has no seeds")
 
     def priority(prefix):
-        return (-plan.seed_count(prefix), len(prefix), prefix)
+        return (-stats_count(plan, prefix), len(prefix), prefix)
 
     heap = [(priority(p), p) for p in plan.seeds]
     heapq.heapify(heap)
@@ -430,7 +435,7 @@ class TestFixedOrderWalk:
             got = run_outcome(reconstruct, index, config)
             assert got == run_outcome(reference_reconstruct, index, config)
             assert [p for p, _ in got[0] if len(p) == 2] == sorted(
-                set(seeds), key=lambda p: (-plan.seed_count(p), p)
+                set(seeds), key=lambda p: (-stats_count(plan, p), p)
             )
 
     def test_changed_unigram_order_is_checked(self, wordlist):
@@ -451,13 +456,18 @@ class TestFixedOrderWalk:
         plan = build_plan(wordlist, 0.9)
         index = SuggestIndex(histories[-1])
         reconstruct(index, AttackConfig(plan=plan))
-        child = next(iter(plan.stats_by_length[3].counts))
+        child = next(iter(plan.stats_by_length[3]))
         with pytest.raises(TypeError):
-            plan.stats_by_length[3].counts[child] = 1
+            plan.stats_by_length[3][child] = 1
         with pytest.raises(TypeError):
-            plan.stats_by_length[4] = PrefixStats({})
+            plan.stats_by_length[4] = {}
         with pytest.raises(dataclasses.FrozenInstanceError):
-            plan.stats_by_length[3].counts = {}
+            plan.stats_by_length = {}
+        # the plan keeps a copy of the counts it is given, not a view
+        counts = {n: dict(level) for n, level in plan.stats_by_length.items()}
+        copied = dataclasses.replace(plan, stats_by_length=counts)
+        counts[3][child] += 1
+        assert copied.stats_by_length[3][child] == plan.stats_by_length[3][child]
         with pytest.raises(dataclasses.FrozenInstanceError):
             plan.seeds = ["th", "qz"]
         with pytest.raises(AttributeError):
@@ -593,7 +603,7 @@ def heap_loop_plans(wordlist):
         "duplicate-seed": changed(lambda d: d["seeds"].append(d["seeds"][3])),
         "repeated-unigram": changed(lambda d: d.update(unigram_order=d["unigram_order"] + "e")),
         "lengths-2-4": changed(lambda d: (
-            d["stats"].pop("3"), d["stats"].update({"4": dict(build_stats(wordlist, 4).counts)})
+            d["stats"].pop("3"), d["stats"].update({"4": dict(build_stats(wordlist, 4))})
         )),
         "negative-count": changed(lambda d: d["stats"]["2"].update(qz=-1)),
         "key-longer-than-level": changed(lambda d: d["stats"]["2"].update(abc=0)),
@@ -657,7 +667,7 @@ class TestHeapLoopPlans:
         d = plans[name]
         fields = dict(
             seeds=d["seeds"],
-            stats_by_length={int(n): PrefixStats(counts) for n, counts in d["stats"].items()},
+            stats_by_length={int(n): counts for n, counts in d["stats"].items()},
             unigram_order=d["unigram_order"],
             selected_by_length={int(n): sel for n, sel in d["selected"].items()},
         )
@@ -706,7 +716,7 @@ class TestHeapLoopPlans:
         plan = PrefixPlan.from_dict(build_plan(wordlist, 0.9).to_dict())
         rank = plan.walk_order.rank
         assert sorted(rank, key=rank.get) == sorted(
-            rank, key=lambda p: (-plan.seed_count(p), len(p), p)
+            rank, key=lambda p: (-stats_count(plan, p), len(p), p)
         )
         assert set(plan.seeds) <= set(rank)
 

@@ -19,7 +19,9 @@ from historiographer.attack import AttackConfig, RecallReport, format_recall, re
 from historiographer.cli import main
 from historiographer.history import DEFAULT_ALPHABET, SearchHistory, iter_histories, save_histories
 from historiographer.oracle import SuggestIndex
-from historiographer.planner import PLANNER_ALPHABET, PrefixPlan, build_plan, bundled_wordlist
+from historiographer.planner import (
+    PLANNER_ALPHABET, PlannerError, PrefixPlan, build_plan, bundled_wordlist,
+)
 
 
 @pytest.fixture
@@ -438,9 +440,12 @@ class TestEval:
     def test_malformed_plan_exit_2(self, tmp_path, capsys, plan_file, change, message):
         if isinstance(change, dict):
             plan = {**json.loads(plan_file.read_text()), **change}
-            plan_file.write_text(json.dumps({k: v for k, v in plan.items() if v is not None}))
-        else:
-            plan_file.write_text(json.dumps(change))
+            change = {k: v for k, v in plan.items() if v is not None}
+        plan_file.write_text(json.dumps(change))
+        # from_dict refuses the same value with the same words, no file named
+        with pytest.raises(PlannerError) as exc_info:
+            PrefixPlan.from_dict(json.loads(plan_file.read_text()))
+        assert str(exc_info.value) == message
         fixture = resources.files("historiographer.data").joinpath("volunteers.jsonl")
         for command in ("eval", "reconstruct"):
             assert run([command, str(fixture), plan_file, "-o", tmp_path / "r.json"]) == 2
@@ -641,6 +646,8 @@ class TestAudit:
             ),
             (0, {"default_scheme": "ftp"}, "[0].default_scheme: expected one of http, https, got 'ftp'"),
             (3, {"https_support": ""}, "[3].https_support: expected one of no, optional, mandatory, got ''"),
+            # JSON can escape a lone surrogate, which no output file can hold
+            (0, {"service": "\ud800"}, "[0].service: holds a lone surrogate"),
         ],
     )
     def test_malformed_catalog_exit_2(self, tmp_path, capsys, index, change, message):
@@ -656,6 +663,7 @@ class TestAudit:
         catalog_file.write_text(json.dumps(catalog))
         assert run(["audit", trace, catalog_file, "-o", tmp_path / "a.json"]) == 2
         assert capsys.readouterr().err == f"error: {catalog_file}: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["services.json", "trace.jsonl"]
 
 
 GOOD_LINES = {

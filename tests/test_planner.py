@@ -19,6 +19,7 @@ from historiographer.planner import (
     bundled_wordlist,
     load_corpus,
     select_mass,
+    write_stats_csv,
 )
 
 LETTERS = string.ascii_lowercase
@@ -38,19 +39,19 @@ def brute_tally(corpus, length):
 class TestBuildStats:
     def test_direct_count(self):
         stats = build_stats(["aa", "ab", "aa x"], 2)
-        assert stats.counts == {"aa": 2, "ab": 1}
+        assert stats == {"aa": 2, "ab": 1}
 
     def test_absent_prefix_is_zero(self):
         stats = build_stats(["aa", "ab"], 2)
-        assert stats.counts.get("qr", 0) == 0
+        assert stats.get("qr", 0) == 0
 
     def test_against_independent_tally(self, wordlist):
         stats = build_stats(wordlist, 3)
-        assert stats.counts == brute_tally(wordlist, 3)
+        assert stats == brute_tally(wordlist, 3)
 
     def test_short_items_skipped(self):
         stats = build_stats(["a", "abc"], 2)
-        assert stats.total() == 1
+        assert sum(stats.values()) == 1
 
     def test_empty_corpus(self):
         with pytest.raises(EmptyCorpusError):
@@ -187,11 +188,11 @@ def reference_extend(plan, prefix, filter_extensions=True):
     stats = plan.stats_by_length.get(child_len)
     if stats is None:
         return [prefix + c for c in plan.unigram_order if not (c == " " and prefix.endswith(" "))]
-    children = [p for p in stats.counts if p.startswith(prefix) and stats.counts[p] > 0]
+    children = [p for p in stats if p.startswith(prefix) and stats[p] > 0]
     if filter_extensions:
         selected = plan.selected_by_length.get(child_len, set())
         children = [p for p in children if p in selected]
-    return sorted(children, key=lambda p: (-stats.counts[p], p))
+    return sorted(children, key=lambda p: (-stats[p], p))
 
 
 def legacy_unfiltered(plan):
@@ -213,7 +214,7 @@ class TestExtendCache:
         if round_trip:
             plan = PrefixPlan.from_dict(json.loads(json.dumps(plan.to_dict())))
         prefixes = [a + b for a in LETTERS for b in LETTERS]
-        prefixes += sorted(plan.stats_by_length[3].counts) + ["qjx", "zzz"]
+        prefixes += sorted(plan.stats_by_length[3]) + ["qjx", "zzz"]
         for prefix in prefixes:
             expected = reference_extend(plan, prefix, filter_extensions)
             assert plan.extend(prefix) == expected, prefix
@@ -259,9 +260,55 @@ class TestBundledWordlist:
     def test_seed_ordering(self, wordlist):
         plan = build_plan(wordlist, 0.9)
         stats = plan.stats_by_length[2]
-        keys = [(-stats.counts[p], p) for p in plan.seeds]
+        keys = [(-stats[p], p) for p in plan.seeds]
         assert keys == sorted(keys)
         assert len(set(plan.seeds)) == len(plan.seeds)
+
+
+# any JSON value, small
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.floats() | st.text("cod Z0", max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text("023co", max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def value_paths(value, path=()):
+    """The path of value and of every value nested in it."""
+    yield path
+    items = value.items() if type(value) is dict else enumerate(value) if type(value) is list else ()
+    for key, nested in items:
+        yield from value_paths(nested, (*path, key))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_from_dict_refuses_only_with_planner_error(data):
+    """A saved plan with one value replaced, removed or added loads or
+    raises PlannerError, never another exception."""
+    d = build_plan(["cobalt", "code", "dog"], 1.0).to_dict()
+    path = data.draw(st.sampled_from(list(value_paths(d))))
+    value = data.draw(JSON_VALUES)
+    if not path:
+        d = value
+    else:
+        parent = d
+        for key in path[:-1]:
+            parent = parent[key]
+        action = data.draw(st.sampled_from(["replace", "remove", "add"]))
+        if action == "replace":
+            parent[path[-1]] = value
+        elif action == "remove":
+            del parent[path[-1]]
+        elif type(parent) is dict:
+            parent[data.draw(st.text("023co", max_size=3))] = value
+        else:
+            parent.append(value)
+    try:
+        PrefixPlan.from_dict(d)
+    except PlannerError:
+        pass
 
 
 def test_plan_round_trip(tmp_path, wordlist):
@@ -313,10 +360,10 @@ def test_load_refuses_each_prefix_the_oracle_refuses(prefix):
 def test_stats_csv(tmp_path, wordlist):
     stats = build_stats(wordlist, 2)
     path = tmp_path / "stats.csv"
-    stats.write_csv(path)
+    write_stats_csv(stats, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "prefix,count"
-    assert len(lines) == 1 + len(stats.counts)
+    assert len(lines) == 1 + len(stats)
 
 
 @pytest.mark.parametrize(
