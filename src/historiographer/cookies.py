@@ -7,6 +7,7 @@ import csv
 from dataclasses import dataclass, field
 from importlib import resources
 from operator import itemgetter
+from sys import intern
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, get_origin, get_type_hints
 
 from .history import STRINGS, field_problem, json_lines, read_json, surrogate_problem
@@ -101,7 +102,8 @@ def parse_cookie_header(header_value: str) -> Dict[str, str]:
     for crumb in header_value.split(";"):
         name, eq, value = crumb.partition("=")
         if eq:
-            out[name.strip()] = value.strip()
+            # a trace repeats a few names: one copy of each is kept
+            out[intern(name.strip())] = value.strip()
     return out
 
 
@@ -160,15 +162,24 @@ def _trace_problem(record) -> Optional[str]:
     return problem
 
 
+# how many distinct runs of Cookie values one read keeps parsed, at most
+_CRUMBS_CAP = 4096
+
+
 def _trace_fields(path) -> Iterator[tuple]:
     """Each valid record of a JSON-lines trace as the plain tuple (time,
     scheme, client_ip, host, path, crumbs, flags), its Cookie headers parsed
-    once into crumbs, which an HTTPS record leaves empty; flags is the
-    record's body_flags list.
+    into crumbs, which an HTTPS record leaves empty; flags is the record's
+    body_flags list. A capture repeats each client's Cookie headers, so the
+    read parses each distinct run of Cookie values once, in a memo of its
+    own emptied at _CRUMBS_CAP runs, and the records that send a run share
+    its crumbs: a caller must not change them.
 
     A bad line (not UTF-8, not JSON) or a record with a missing or ill-typed
     field raises TraceError naming the file, the line and the field.
     """
+    memo: Dict[object, Dict[str, str]] = {}
+    no_crumbs: Dict[str, str] = {}
     for lineno, d in json_lines(path, TraceError):
         try:
             time, scheme, client_ip, host, req_path = _trace_values(d)
@@ -179,33 +190,46 @@ def _trace_fields(path) -> Iterator[tuple]:
             ) != _TRACE_KINDS or flags and any(type(f) is not str for f in flags):
                 raise TypeError
             scheme = scheme.lower()
-            crumbs: Dict[str, str] = {}
-            # every header is type-checked; Cookie crumbs merge in order, later ones win
+            # every header is type-checked; the values of each Cookie header,
+            # in order, make the record's run
+            run: tuple = ()
             for name, values in headers.items():
                 if type(values) is str:
                     values = (values,)
                 elif type(values) is not list or any(type(v) is not str for v in values):
                     raise TypeError
                 if scheme != "https" and name.lower() == "cookie":
-                    for value in values:
-                        crumbs.update(parse_cookie_header(value))
+                    run += tuple(values)
         except (AttributeError, KeyError, TypeError):
             # which field, worked out only on this rare path
             raise TraceError(f"{path}:{lineno}: {_trace_problem(d)}") from None
+        if not run:
+            crumbs = no_crumbs
+        else:
+            key = run[0] if len(run) == 1 else run
+            crumbs = memo.get(key)
+            if crumbs is None:
+                if len(memo) >= _CRUMBS_CAP:
+                    memo.clear()
+                crumbs = memo[key] = parse_cookie_header(run[0])
+                # crumbs merge in order, later ones win
+                for value in run[1:]:
+                    crumbs.update(parse_cookie_header(value))
         yield time, scheme, client_ip, host, req_path, crumbs, flags
 
 
 def iter_trace(path) -> Iterator[TrafficRecord]:
-    """Read a JSON-lines trace lazily, record by record, each record's Cookie
-    headers parsed once; an HTTPS record keeps no cookies, because an
+    """Read a JSON-lines trace lazily, record by record; each distinct run
+    of Cookie values is parsed once per read, and each record gets its own
+    copy of the crumbs. An HTTPS record keeps no cookies, because an
     eavesdropper never sees them.
 
     A bad line (not UTF-8, not JSON) or a record with a missing or ill-typed
     field raises TraceError naming the file, the line and the field, the
     same error TraceTally.read raises.
     """
-    for *head, flags in _trace_fields(path):
-        yield TrafficRecord(*head, set(flags))
+    for *head, crumbs, flags in _trace_fields(path):
+        yield TrafficRecord(*head, dict(crumbs), set(flags))
 
 
 def load_trace(path) -> List[TrafficRecord]:
@@ -355,7 +379,8 @@ class TraceTally:
 
     @classmethod
     def read(cls, path) -> "TraceTally":
-        """The tally of a trace file, read once; a bad record raises the
+        """The tally of a trace file, read once, each distinct run of Cookie
+        values parsed once (see _trace_fields); a bad record raises the
         TraceError that iter_trace gives."""
         tally = cls()
         fold = tally._fold

@@ -435,6 +435,10 @@ class TestEval:
             # two keys could name one length
             ({"stats": {"2": {"ab": 3}, "02": {}}}, "stats.02: expected an integer key with no leading zero"),
             ({"selected": {"02": ["ab"]}}, "selected.02: expected an integer key with no leading zero"),
+            # a share of the corpus that no build could be given
+            ({"mass_fraction": -1}, "mass_fraction: -1 is not in (0, 1]"),
+            ({"mass_fraction": 7}, "mass_fraction: 7 is not in (0, 1]"),
+            ({"mass_fraction": float("nan")}, "mass_fraction: nan is not in (0, 1]"),
         ],
     )
     def test_malformed_plan_exit_2(self, tmp_path, capsys, plan_file, change, message):

@@ -29,6 +29,7 @@ from historiographer.cookies import (
     iter_trace,
     load_catalog,
     load_trace,
+    parse_cookie_header,
     parse_set_cookie,
     _trace_fields,
     write_audit_csv,
@@ -568,6 +569,153 @@ def test_tally_read_builds_no_record(monkeypatch, trace_file):
     assert TraceTally.read(trace_file).user_counts() == {
         "signed_in": 3, "anonymous": 2, "history_enabled": 2,
     }
+
+
+def write_raws(path, raws) -> None:
+    path.write_text("".join(json.dumps(raw) + "\n" for raw in raws), encoding="utf-8")
+
+
+def check_tally_read_matches_the_references(raws) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.jsonl"
+        write_raws(path, raws)
+        tally = TraceTally.read(path)
+    assert tally.user_counts() == reference_count_users(raws)
+    catalog = bundled_catalog()
+    for binding, replay_ip in [(False, ""), (True, ""), (True, "10.0.0.1"), (True, "10.0.0.2")]:
+        assert tally.reports(catalog, binding, replay_ip) == reference_audit(
+            raws, catalog, binding, replay_ip
+        )
+
+
+# Cookie headers, in any name case, each a string or a list of values
+COOKIE_HEADERS = st.dictionaries(
+    st.sampled_from(["Cookie", "cookie", "COOKIE", "User-Agent"]),
+    st.one_of(COOKIE_VALUE, st.lists(COOKIE_VALUE, max_size=3)),
+    max_size=2,
+)
+
+
+@st.composite
+def repeating_traces(draw):
+    """Records drawn from a small pool of (client, Cookie headers) pairs,
+    the same headers sent by more than one client, so that most records
+    repeat a run of Cookie values that an earlier one sent; the scheme, in
+    any case, and the history link vary from record to record."""
+    headers_pool = draw(st.lists(COOKIE_HEADERS, min_size=1, max_size=3))
+    pairs = draw(st.lists(
+        st.tuples(st.sampled_from(["10.0.0.1", "10.0.0.2", "10.0.0.3"]), st.sampled_from(headers_pool)),
+        min_size=1, max_size=4,
+    ))
+    raws = []
+    for time in range(draw(st.integers(0, 30))):
+        client_ip, headers = draw(st.sampled_from(pairs))
+        raw = {
+            "time": time, "scheme": draw(st.sampled_from(["http", "HTTP", "https", "HTTPS", "ftp"])),
+            "client_ip": client_ip, "host": "www.google.com", "path": "/search", "headers": headers,
+        }
+        if draw(st.booleans()):
+            raw["body_flags"] = ["has_history_link"]
+        raws.append(raw)
+    return raws
+
+
+@given(repeating_traces())
+@settings(max_examples=300, deadline=None)
+def test_tally_read_of_repeated_cookie_headers_matches_the_references(raws):
+    """TraceTally.read parses each distinct run of Cookie values once and
+    shares its crumbs among the records that repeat it; the tally is still
+    what the header rules give record by record."""
+    check_tally_read_matches_the_references(raws)
+
+
+def counted_parses(monkeypatch) -> list:
+    """The values parse_cookie_header is called with from now on, in order."""
+    parsed = []
+    real = parse_cookie_header
+
+    def counting(value):
+        parsed.append(value)
+        return real(value)
+
+    monkeypatch.setattr("historiographer.cookies.parse_cookie_header", counting)
+    return parsed
+
+
+def raw_record(headers, scheme="http", client_ip="10.0.0.1", **kw) -> dict:
+    return {"time": 1, "scheme": scheme, "client_ip": client_ip, "host": "www.google.com",
+            "path": "/search", "headers": headers, **kw}
+
+
+def test_one_read_parses_each_distinct_cookie_run_once(tmp_path, monkeypatch):
+    raws = [
+        raw_record({"Cookie": "SID=s1; NID=n1"}),
+        raw_record({"Cookie": "SID=s1; NID=n1"}, client_ip="10.0.0.2"),
+        # an HTTPS record's cookies are never read
+        raw_record({"Cookie": "SID=s1; NID=n1"}, scheme="https"),
+        raw_record({"Cookie": "SID=s9"}, scheme="HTTPS"),
+        # one run: a list of one value is that value, and headers in any
+        # name case join in header order
+        raw_record({"Cookie": ["SID=s1; NID=n1"]}, scheme="HTTP"),
+        raw_record({"cookie": "SID=s2", "COOKIE": ["NID=n2", "HSID=h2"]}),
+        raw_record({"Cookie": ["SID=s2", "NID=n2", "HSID=h2"]}, body_flags=["has_history_link"]),
+        # the same values in another order are another run
+        raw_record({"Cookie": ["NID=n2", "SID=s2", "HSID=h2"]}),
+        raw_record({"User-Agent": "Mozilla/5.0"}),
+        raw_record({"Cookie": "SID=s1; NID=n1"}, scheme="ftp"),
+    ]
+    path = tmp_path / "trace.jsonl"
+    write_raws(path, raws)
+    parsed = counted_parses(monkeypatch)
+    distinct = ["SID=s1; NID=n1", "SID=s2", "NID=n2", "HSID=h2", "NID=n2", "SID=s2", "HSID=h2"]
+    TraceTally.read(path)
+    assert parsed == distinct
+    # no parse outlives its read
+    parsed.clear()
+    tally = TraceTally.read(path)
+    assert parsed == distinct
+    parsed.clear()
+    assert [record.cookies for record in iter_trace(path)] == [reference_cookies(raw) for raw in raws]
+    assert parsed == distinct
+    assert tally.user_counts() == reference_count_users(raws)
+
+
+def test_records_that_share_a_cookie_run_get_their_own_cookies(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    write_raws(path, [raw_record({"Cookie": "SID=s1; NID=n1"}, client_ip=ip) for ip in ("10.0.0.1", "10.0.0.2")])
+    records = iter_trace(path)
+    first = next(records)
+    first.cookies["SID"] = "changed"
+    first.cookies["HSID"] = "added"
+    second = next(records)
+    assert second.cookies == {"SID": "s1", "NID": "n1"}
+    assert second.cookies is not first.cookies
+    assert TraceTally.read(path).accounts() == {
+        "s1": [Cookie("SID", "s1", "google.com"), Cookie("NID", "n1", "google.com")],
+    }
+
+
+def test_a_full_memo_is_emptied_and_the_tally_holds(tmp_path, monkeypatch):
+    monkeypatch.setattr("historiographer.cookies._CRUMBS_CAP", 2)
+    runs = [
+        {"Cookie": "SID=s1; NID=n1"},
+        {"Cookie": ["SID=s2", "HSID=h2"]},
+        {"Cookie": "NID=n3"},
+        {"cookie": "SID=s1", "COOKIE": "PREF=p; NID=n4"},
+        {"Cookie": "SID=s5; NID=n1"},
+    ]
+    order = [0, 1, 2, 3, 4, 0, 2, 4, 1, 3, 0, 4, 2]
+    raws = [
+        raw_record(
+            runs[k], scheme=("http", "HTTP", "https")[i % 3], client_ip=f"10.0.0.{k % 3 + 1}",
+            body_flags=["has_history_link"] if i % 4 == 1 else [],
+        )
+        for i, k in enumerate(order)
+    ]
+    parsed = counted_parses(monkeypatch)
+    check_tally_read_matches_the_references(raws)
+    # the cap emptied the memo, so some runs were parsed again
+    assert len(parsed) > sum(len(h) if isinstance(h, list) else 1 for r in runs for h in r.values())
 
 
 # the malformed records CLI audit refuses, each with its message
