@@ -206,6 +206,7 @@ def _trace_fields(path) -> Iterator[tuple]:
         if not run:
             crumbs = no_crumbs
         else:
+            # the usual one value is its own key, cheaper to hash and compare than a 1-tuple
             key = run[0] if len(run) == 1 else run
             crumbs = memo.get(key)
             if crumbs is None:
