@@ -167,7 +167,7 @@ def _walk(index: SuggestIndex, config: AttackConfig) -> ReconstructionResult:
     chars, spaceless = order.chars, order.spaceless
     ranked, fallback, served = [], [], {}
     level, n = plan.seeds, len(plan.seeds[0])
-    candidates = index.ranked_queries()
+    groups = _groups(index.ranked_queries(), n)
     while level:
         stats_level = n in plan.stats_by_length  # contiguous from the seeds' length
         if stats_level:
@@ -176,26 +176,24 @@ def _walk(index: SuggestIndex, config: AttackConfig) -> ReconstructionResult:
             break  # this level and every later one would be cut
         else:
             fallback += level
-        tops = _tops(candidates, n)
         if stats_level:
             # a dict's keys intersect an exact set from the smaller side;
             # ranked takes the seeds as listed, which build_plan lists in
             # rank order, so the sort below finds that run already sorted
-            hits = tops.keys() & (order.seeds if level is plan.seeds else level)
+            hits = groups.keys() & (order.seeds if level is plan.seeds else level)
         else:
-            # Each key is a saturated parent plus one character (see
-            # candidates below), so the level asked it unless that character
+            # Each key is a saturated parent plus one character (see the
+            # grouping below), so the level asked it unless that character
             # is not in unigram_order or is a space after a space: queries
             # are not normalized on load.
-            hits = [p for p in tops if p[-1] in plan.unigram_order and not p.endswith("  ")]
-        served.update((p, tops[p]) for p in hits)
+            hits = [p for p in groups if p[-1] in plan.unigram_order and not p.endswith("  ")]
+        served.update((p, groups[p][:MAX_HISTORY_SUGGESTIONS]) for p in hits)
         if max_depth is not None and n >= max_depth:
             break
-        # descent_threshold is at most the cap, so a kept list this long
-        # means as many matches
-        saturated = {p for p in hits if len(tops[p]) >= config.descent_threshold}
-        # every next-level prefix extends a saturated one
-        candidates = [q for q in candidates if len(q) > n and q[:n] in saturated]
+        saturated = [p for p in hits if len(groups[p]) >= config.descent_threshold]
+        # every next-level prefix extends a saturated one, and each child's
+        # queries all come from its one parent's group, in rank order
+        groups = _groups([q for p in saturated for q in groups[p] if len(q) > n], n + 1)
         n += 1
         if n in plan.stats_by_length:
             level = [c for p in saturated for c in plan.extend(p)]
@@ -215,20 +213,16 @@ def _walk(index: SuggestIndex, config: AttackConfig) -> ReconstructionResult:
     return ReconstructionResult(requested, served, recovered, frontier_exhausted=exhausted)
 
 
-def _tops(ranked: Iterable[str], n: int) -> Dict[str, List[str]]:
-    """The first MAX_HISTORY_SUGGESTIONS queries under each q[:n], in the
-    order given: over ranked_queries, what the index serves each prefix of
-    length n. A query shorter than n sits under itself, which no prefix of
-    length n equals."""
-    tops: Dict[str, List[str]] = {}
-    for q in ranked:
-        key = q[:n]
-        top = tops.get(key)
-        if top is None:
-            tops[key] = [q]
-        elif len(top) < MAX_HISTORY_SUGGESTIONS:
-            top.append(q)
-    return tops
+def _groups(queries: Iterable[str], n: int) -> Dict[str, List[str]]:
+    """Every query under each q[:n], in the order given: over
+    ranked_queries, a group's first MAX_HISTORY_SUGGESTIONS are what the
+    index serves that prefix of length n, and its size says whether the
+    prefix is saturated. A query shorter than n sits under itself, which no
+    prefix of length n equals."""
+    groups: Dict[str, List[str]] = {}
+    for q in queries:
+        groups.setdefault(q[:n], []).append(q)
+    return groups
 
 
 @dataclass

@@ -26,7 +26,7 @@ from .history import load_histories  # noqa: F401
 from .oracle import MIN_PREFIX_LEN, SuggestIndex
 from .planner import (
     PLANNER_ALPHABET, PlannerError, PrefixPlan, build_plan, bundled_wordlist, load_corpus,
-    query_alphabet_problem, write_stats_csv,
+    mass_problem, query_alphabet_problem, write_stats_csv,
 )
 
 EXIT_OK = 0
@@ -64,9 +64,11 @@ def _load_corpus_arg(corpus: str):
 
 
 def cmd_plan(args) -> int:
-    problem = query_alphabet_problem(args.alphabet)
-    if problem:
-        raise InputError(f"--alphabet: {problem}")
+    for flag, problem in [
+        ("--alphabet", query_alphabet_problem(args.alphabet)), ("--mass", mass_problem(args.mass)),
+    ]:
+        if problem:
+            raise InputError(f"{flag}: {problem}")
     corpus = _load_corpus_arg(args.corpus)
     plan = build_plan(
         corpus,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import chain
-from operator import itemgetter, methodcaller
+from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 DEFAULT_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789 "
@@ -131,7 +131,6 @@ class _NoUrls(tuple):
 
 
 _NO_URLS = _NoUrls()
-_entry_urls = methodcaller("get", "clicked_urls", _NO_URLS)
 
 
 def _entry_columns(entries: list) -> Optional[List[list]]:
@@ -141,7 +140,7 @@ def _entry_columns(entries: list) -> Optional[List[list]]:
     fresh empty list, and the others keep the record's own list."""
     try:
         columns = [list(map(get, entries)) for get, _ in _ENTRY_COLUMNS]
-        urls = list(map(_entry_urls, entries))
+        urls = [e.get("clicked_urls", _NO_URLS) for e in entries]
         # join refuses an item that is not a string, faster than a loop
         "".join(chain.from_iterable(urls))
     except (AttributeError, KeyError, TypeError):

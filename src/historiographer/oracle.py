@@ -7,10 +7,12 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import List, Optional, Tuple
 
-from .history import HistoryEntry, SearchHistory, normalize
+from .history import DEFAULT_ALPHABET, HistoryEntry, SearchHistory
 
 MAX_HISTORY_SUGGESTIONS = 3
 MIN_PREFIX_LEN = 2
+
+_ALPHABET = frozenset(DEFAULT_ALPHABET)
 
 
 class OracleError(Exception):
@@ -48,9 +50,10 @@ def prefix_problem(prefix: str) -> Optional[str]:
     oracle serves it."""
     if len(prefix) < MIN_PREFIX_LEN:
         return f"{prefix!r} shorter than {MIN_PREFIX_LEN}"
-    # A valid prefix is any leading slice of a normalized query, so a
-    # single trailing space is legal mid-word-boundary.
-    if normalize(prefix) != prefix.rstrip(" ") or prefix.endswith("  "):
+    # A valid prefix is any leading slice of a normalized query: characters
+    # of DEFAULT_ALPHABET, which is all normalize gives, with single spaces
+    # between words, so a single trailing space is legal mid-word-boundary.
+    if not _ALPHABET.issuperset(prefix) or prefix[0] == " " or "  " in prefix:
         return f"{prefix!r} is not normalized"
     return None
 

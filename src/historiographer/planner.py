@@ -59,16 +59,16 @@ def build_stats(corpus: Sequence[str], length: int, alphabet: str = PLANNER_ALPH
         if len(item) < length:
             continue
         prefix = item[:length]
-        if all(c in allowed for c in prefix):
+        if allowed.issuperset(prefix):
             counts[prefix] += 1
     return counts
 
 
-def _mass_problem(mass_fraction: float) -> Optional[str]:
-    """What keeps mass_fraction from being a share of the corpus, as
-    "mass_fraction: problem"; None if nothing does."""
+def mass_problem(mass_fraction: float) -> Optional[str]:
+    """What keeps mass_fraction from being a share of the corpus, as a
+    message; None if nothing does."""
     if not 0 < mass_fraction <= 1:
-        return f"mass_fraction: {mass_fraction} is not in (0, 1]"
+        return f"{mass_fraction} is not in (0, 1]"
     return None
 
 
@@ -76,9 +76,9 @@ def select_mass(counts: Mapping[str, int], mass_fraction: float) -> List[str]:
     """Smallest frequency-ordered head of the prefix list covering the
     requested fraction of corpus items. mass_fraction=1 returns every
     nonzero prefix."""
-    problem = _mass_problem(mass_fraction)
+    problem = mass_problem(mass_fraction)
     if problem:
-        raise PlannerError(problem)
+        raise PlannerError(f"mass_fraction: {problem}")
     target = mass_fraction * sum(counts.values())
     picked: List[str] = []
     cum = 0
@@ -206,7 +206,7 @@ class PrefixPlan:
     make one (build_plan, from_dict, load, dataclasses.replace) runs
     __post_init__, which keeps read-only copies of the data less repeated
     seeds and unigram_order characters (each stats level a {prefix: count}
-    mapping), raises PlannerError("field: problem") where _mass_problem or
+    mapping), raises PlannerError("field: problem") where mass_problem or
     _order_problem names one, and works out the walk order and the extend
     children of each stats level."""
 
@@ -229,7 +229,8 @@ class PrefixPlan:
         })
         # checked in the order given, so that the first problem is named
         selected = {n: tuple(s) for n, s in self.selected_by_length.items()}
-        problem = _mass_problem(self.mass_fraction) or _order_problem(
+        mass = mass_problem(self.mass_fraction)
+        problem = f"mass_fraction: {mass}" if mass else _order_problem(
             seeds, unigram_order, stats, selected
         )
         if problem:

@@ -352,9 +352,9 @@ class TestFixedOrderWalk:
     def test_same_run_as_reference_loop(self, wordlist, histories, monkeypatch, extra_seeds):
         plan = bundled_plan_with(wordlist, extra_seeds)
         passes = []
-        level_pass = attack._tops
+        level_pass = attack._groups
         monkeypatch.setattr(
-            attack, "_tops", lambda ranked, n: passes.append(level_pass(ranked, n)) or passes[-1]
+            attack, "_groups", lambda ranked, n: passes.append(level_pass(ranked, n)) or passes[-1]
         )
         n = len(plan.seeds)
         seen = {"fallback": 0, "cut_short": 0}
@@ -374,11 +374,53 @@ class TestFixedOrderWalk:
                 assert error is None
                 # the per-level passes serve exactly the requests that serve
                 # something, as many texts as the index does
-                served = {p: top for tops in passes for p, top in tops.items()}
+                served = {p: group[:3] for groups in passes for p, group in groups.items()}
                 assert [(p, len(served.get(p, ()))) for p, _ in request_log] == request_log
                 seen["fallback"] += any(len(p) > 3 for p, _ in request_log)
                 seen["cut_short"] += not exhausted
         assert seen["cut_short"] and seen["fallback"]
+
+    @pytest.mark.parametrize("threshold", [1, 2, 3])
+    def test_each_level_groups_only_the_queries_under_saturated_parents(
+        self, wordlist, histories, monkeypatch, threshold
+    ):
+        plan = build_plan(wordlist, 0.9)
+        first = len(plan.seeds[0])
+        calls = []  # (n, the queries given) for each level pass
+        level_pass = attack._groups
+
+        def recorded(queries, n):
+            calls.append((n, list(queries)))
+            return level_pass(calls[-1][1], n)
+
+        monkeypatch.setattr(attack, "_groups", recorded)
+        fallback = 0
+        for max_depth in (None, 3, 5):
+            config = AttackConfig(plan=plan, max_depth=max_depth, descent_threshold=threshold)
+            for hist in histories:
+                index = SuggestIndex(hist)
+                ranked = index.ranked_queries()
+                rank = {q: i for i, q in enumerate(ranked)}
+                # what the heap loop finds saturated: it serves at most the
+                # cap, and the threshold is at most the cap
+                saturated = {
+                    p for p, served in reference_reconstruct(index, config).request_log
+                    if served >= threshold
+                }
+                calls.clear()
+                reconstruct(index, config)
+                assert calls[0] == (first, ranked)
+                assert [n for n, _ in calls] == list(range(first, first + len(calls)))
+                for n, queries in calls[1:]:
+                    want = [q for q in ranked if len(q) > n - 1 and q[: n - 1] in saturated]
+                    assert sorted(queries, key=rank.__getitem__) == want
+                    # each parent's queries come in rank order
+                    for parent in {q[: n - 1] for q in want}:
+                        assert [q for q in queries if q.startswith(parent)] == [
+                            q for q in want if q.startswith(parent)
+                        ]
+                fallback += any(n > max(plan.stats_by_length) and q for n, q in calls)
+        assert fallback
 
     @pytest.mark.parametrize("order", ["reversed", "shuffled"])
     @pytest.mark.parametrize("threshold", [1, 2, 3])
@@ -541,14 +583,14 @@ def test_fallback_on_histories_not_normalized(wordlist, monkeypatch):
     plan = build_plan(wordlist, 0.9)
     plan = dataclasses.replace(plan, unigram_order=plan.unigram_order + " ")
     keys = []  # the keys of each level pass past the stats levels
-    level_pass = attack._tops
+    level_pass = attack._groups
 
-    def recorded(ranked, n):
-        tops = level_pass(ranked, n)
-        keys.extend(tops if n > max(plan.stats_by_length) else ())
-        return tops
+    def recorded(queries, n):
+        groups = level_pass(queries, n)
+        keys.extend(groups if n > max(plan.stats_by_length) else ())
+        return groups
 
-    monkeypatch.setattr(attack, "_tops", recorded)
+    monkeypatch.setattr(attack, "_groups", recorded)
     rng = random.Random(8)
     words = [w for w in wordlist if w[:2] in ("co", "re") and len(w) > 3]
     cut_inside = 0

@@ -69,6 +69,18 @@ class TestPlan:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "p.json").exists()
 
+    @pytest.mark.parametrize(
+        "mass, shown", [("7", "7.0"), ("0", "0.0"), ("-1", "-1.0"), ("nan", "nan")]
+    )
+    def test_mass_outside_the_unit_interval_exit_2(self, tmp_path, capsys, mass, shown):
+        # refused by its flag's name before the corpus is read: this one
+        # does not exist
+        out = tmp_path / "p.json"
+        rc = run(["plan", tmp_path / "nope.txt", "--mass", mass, "-o", out])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: --mass: {shown} is not in (0, 1]\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("char", ["é", "A", "-"])
     def test_alphabet_outside_the_query_alphabet_exit_2(self, tmp_path, capsys, char):
         # the oracle refuses every prefix holding such a character, so an

@@ -2,10 +2,10 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from historiographer.attack import _tops
+from historiographer.attack import _groups
 from historiographer.history import DEFAULT_ALPHABET, SearchHistory, normalize
 from historiographer.oracle import (
     PrefixTooShortError,
@@ -232,11 +232,14 @@ class TestSuggestIndex:
         clicked = [e for e in hist.entries.values() if e.clicked]
         assert ranked == [e.query for e in sorted(clicked, key=default_ranking)]
         for n in range(2, 8):
-            tops = _tops(ranked, n)
+            groups = _groups(ranked, n)
             # a query shorter than n is served under no prefix of length n
-            assert {p for p in tops if len(p) == n} == {q[:n] for q in ranked if len(q) >= n}
+            assert {p for p in groups if len(p) == n} == {q[:n] for q in ranked if len(q) >= n}
             for prefix in {q[:n] for q in hist.entries if len(q) >= n}:
-                assert tops.get(prefix, []) == scan_suggest(hist, prefix).texts
+                group = groups.get(prefix, [])
+                assert group[:3] == scan_suggest(hist, prefix).texts
+                # the whole group, in rank order
+                assert group == [q for q in ranked if q.startswith(prefix)]
 
 
 def old_prefix_check(prefix):
@@ -259,6 +262,16 @@ class TestPrefixCheck:
         return None
 
     @given(st.lists(st.one_of(st.text(max_size=6), st.text("abzq1 C", max_size=5)), max_size=10))
+    @example([" a"])
+    @example(["a  "])
+    @example(["ab  c"])
+    @example(["  "])
+    @example(["AB"])
+    @example(["İa"])
+    @example(["ẞa"])
+    @example(["a\tb"])
+    @example(["a\xa0b"])
+    @example(["ab "])
     @settings(max_examples=200, deadline=None)
     def test_accepts_what_normalize_accepts(self, texts):
         index = SuggestIndex(SearchHistory("u"))
