@@ -7,9 +7,9 @@ import csv
 import heapq
 import json
 from dataclasses import dataclass, field, fields
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
 
-from .history import SearchHistory
+from .history import RankedHistory, SearchHistory
 from .oracle import MAX_HISTORY_SUGGESTIONS, MIN_PREFIX_LEN, SuggestIndex, SuggestionResponse
 from .planner import PrefixPlan
 
@@ -260,7 +260,7 @@ def compute_recall(n_c: int, n_s: int) -> float:
     return n_s / n_c
 
 
-def score(result: ReconstructionResult, truth: SearchHistory) -> RecallReport:
+def score(result: ReconstructionResult, truth: Union[SearchHistory, RankedHistory]) -> RecallReport:
     n_c = truth.n_c
     n_s = len(result.recovered)
     return RecallReport(

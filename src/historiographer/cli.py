@@ -20,7 +20,7 @@ from .cookies import (
 # unused here, but perfbench/tracing.py looks these up on this module to patch them
 from .cookies import audit_trace, count_users, load_trace  # noqa: F401
 from .harness import HarnessError, gen_synthetic, ingest_query_log_counted, run_batch
-from .history import HistoryError, iter_histories, save_histories
+from .history import HistoryError, iter_ranked, save_histories
 # unused here, but perfbench/tracing.py looks it up on this module to patch it
 from .history import load_histories  # noqa: F401
 from .oracle import MIN_PREFIX_LEN, SuggestIndex
@@ -88,13 +88,13 @@ def cmd_plan(args) -> int:
 
 
 def _load_single_history(path: str, user: str | None):
-    """The history of the given user, or with no user the smallest user
-    id's; of lines with that id, the last one's. The file is read one line
-    at a time and only the chosen history is kept, but it is read to its
-    end, so a bad line anywhere is reported."""
+    """The RankedHistory of the given user, or with no user the smallest
+    user id's; of lines with that id, the last one's. The file is read one
+    line at a time and only the chosen history is kept, but it is read to
+    its end, so a bad line anywhere is reported."""
     chosen = None
     empty = True
-    for hist in iter_histories(_input_file(path, "history file")):
+    for hist in iter_ranked(_input_file(path, "history file")):
         empty = False
         if user is None:
             better = chosen is None or hist.user_id <= chosen.user_id
@@ -132,8 +132,8 @@ def cmd_reconstruct(args) -> int:
 def _dataset_histories(path: str):
     """The histories of a dataset file that exists. An AOL-format TSV is
     loaded whole, since one user's rows may appear anywhere in the log. A
-    history JSON-lines file is read one history at a time, as the batch
-    asks for the next one."""
+    history JSON-lines file is read one RankedHistory at a time, as the
+    batch asks for the next one."""
     p = Path(path)
     with open(p, "rb") as fh:
         first = fh.readline()
@@ -142,7 +142,7 @@ def _dataset_histories(path: str):
         if skipped:
             print(f"{path}: skipped {skipped} malformed rows", file=sys.stderr)
         return histories
-    return iter_histories(p)
+    return iter_ranked(p)
 
 
 def _at_least(flag: str, value: int | None, low: int = 1) -> None:

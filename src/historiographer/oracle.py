@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import List, Optional, Tuple
+from itertools import islice
+from typing import List, Optional, Tuple, Union
 
-from .history import DEFAULT_ALPHABET, HistoryEntry, SearchHistory
+from .history import DEFAULT_ALPHABET, HistoryEntry, RankedHistory, SearchHistory
 
 MAX_HISTORY_SUGGESTIONS = 3
 MIN_PREFIX_LEN = 2
@@ -68,39 +67,26 @@ def _check_prefix(prefix: str) -> None:
 class SuggestIndex:
     """One history's suggestion server, built once and asked many times.
 
-    The clicked entries are sorted once by query, so the entries a prefix
-    matches form one contiguous run found by bisection. A request ranks only
-    that run: O(log n + matches) instead of a scan over the whole history,
-    and a prefix that matches nothing costs one bisection.
+    It keeps only the history's clicked queries, best first (its ranked),
+    so a request is the first MAX_HISTORY_SUGGESTIONS of them that start
+    with the prefix, and the scan stops once it has them. The history is a
+    SearchHistory or a RankedHistory, and ranked ranks both by one rule.
     """
 
-    def __init__(self, history: SearchHistory):
-        self._entries = sorted(
-            (e for e in history.entries.values() if e.clicked), key=attrgetter("query")
-        )
-        self._queries = [e.query for e in self._entries]
+    def __init__(self, history: Union[SearchHistory, RankedHistory]):
+        # a tuple, so no caller can change what the index serves
+        self._ranked = history.ranked
 
     def __call__(self, prefix: str) -> SuggestionResponse:
-        """The top-3 clicked entries whose query starts with the prefix,
-        under default_ranking."""
+        """The top-3 clicked queries that start with the prefix, under
+        default_ranking."""
         _check_prefix(prefix)
-        queries = self._queries
-        lo = bisect_left(queries, prefix)
-        if lo == len(queries) or not queries[lo].startswith(prefix):
-            return SuggestionResponse(prefix, [])
-        hi = lo + 1
-        while hi < len(queries) and queries[hi].startswith(prefix):
-            hi += 1
-        ranked = sorted(self._entries[lo:hi], key=default_ranking)
-        return SuggestionResponse(prefix, [e.query for e in ranked[:MAX_HISTORY_SUGGESTIONS]])
+        matches = (q for q in self._ranked if q.startswith(prefix))
+        return SuggestionResponse(prefix, list(islice(matches, MAX_HISTORY_SUGGESTIONS)))
 
     def ranked_queries(self) -> List[str]:
         """Every clicked query, best first under default_ranking."""
-        # Stable sorts from the last key to the first over entries already in
-        # query order; queries are unique, so no tie is left to break.
-        ranked = sorted(self._entries, key=attrgetter("last_time"), reverse=True)
-        ranked.sort(key=attrgetter("count"), reverse=True)
-        return [e.query for e in ranked]
+        return list(self._ranked)
 
 
 def suggest(history: SearchHistory, prefix: str) -> SuggestionResponse:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from historiographer.history import SearchHistory
+from historiographer.history import HistoryError, SearchHistory, iter_histories, iter_ranked
 
 
 def random_history(rng, vocabulary, max_entries=50, clicked_fraction=0.6, user_id="u"):
@@ -14,6 +14,23 @@ def random_history(rng, vocabulary, max_entries=50, clicked_fraction=0.6, user_i
         url = f"http://example.com/{query.replace(' ', '-')}" if clicked else None
         hist.insert_search(query, time, url)
     return hist
+
+
+def read_both(path):
+    """What iter_histories and iter_ranked each read from a history file:
+    the user id, n_h, n_c and ranked queries of each history, and the text
+    of the error that stopped the reading, or None."""
+
+    def read(histories):
+        got = []
+        try:
+            for hist in histories:
+                got.append((hist.user_id, hist.n_h, hist.n_c, hist.ranked))
+        except HistoryError as exc:
+            return got, str(exc)
+        return got, None
+
+    return read(iter_histories(path)), read(iter_ranked(path))
 
 
 @pytest.fixture(scope="session")

@@ -14,10 +14,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import read_both
 from historiographer import cli, cookies
 from historiographer.attack import AttackConfig, RecallReport, format_recall, reconstruct
 from historiographer.cli import main
-from historiographer.history import DEFAULT_ALPHABET, SearchHistory, iter_histories, save_histories
+from historiographer.history import DEFAULT_ALPHABET, SearchHistory, iter_ranked, save_histories
 from historiographer.oracle import SuggestIndex
 from historiographer.planner import (
     PLANNER_ALPHABET, PlannerError, PrefixPlan, build_plan, bundled_wordlist,
@@ -476,13 +477,13 @@ class TestEval:
         refs, alive = [], []
 
         def watched(path):
-            for hist in iter_histories(path):
+            for hist in iter_ranked(path):
                 refs.append(weakref.ref(hist))
                 # the histories still alive as history k is handed on
                 alive.append([i for i, ref in enumerate(refs) if ref() is not None])
                 yield hist
 
-        monkeypatch.setattr(cli, "iter_histories", watched)
+        monkeypatch.setattr(cli, "iter_ranked", watched)
         assert run(["eval", dataset, "-o", tmp_path / "r.json"]) == 0
         assert len(alive) == 6
         assert [k for k, indices in enumerate(alive) if min(indices) < k - 1] == []
@@ -922,6 +923,38 @@ class TestDatasetExitCodes:
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_any_history_lines(self, command, lines):
         assert exit_code(command, b"".join(line + b"\n" for line in lines)) in (0, 2)
+
+
+# history files that the existing cases above refuse, each with a bad line
+BAD_HISTORY_FILES = {
+    "missing-field": json.dumps({"user_id": "u", "entries": []}).encode() + b"\n",
+    "bad-line-after-the-user": b'{"user_id": "u", "history_enabled": true}\n{"user_id": "v"}\n',
+    "over-long-integer": GOOD_LINES["eval"] + b'\n{"user_id": "u", "count": ' + b"9" * 5000 + b"}\n",
+    "deep-nesting": GOOD_LINES["eval"] + b"\n" + b"[" * 100_000 + b"]" * 100_000 + b"\n",
+    "not-utf8-first-line": b"\xff\xfe{}\n",
+    "not-utf8-third-line": GOOD_LINES["eval"] + b"\n" + GOOD_LINES["eval"] + b'\n{"note": "caf\xe9"}\n',
+    "surrogate-user-id": b'{"user_id": "\\ud800", "history_enabled": true}\n',
+}
+
+
+@pytest.mark.parametrize("data", list(BAD_HISTORY_FILES.values()), ids=list(BAD_HISTORY_FILES))
+def test_eval_reads_a_bad_history_file_as_iter_histories_does(tmp_path, data):
+    path = tmp_path / "hist.jsonl"
+    path.write_bytes(data)
+    histories, ranked = read_both(path)
+    assert histories[1] is not None
+    assert ranked == histories
+
+
+@given(lines=st.lists(history_lines(), max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_eval_reads_any_history_lines_as_iter_histories_does(lines):
+    # the same histories, or the same first error in the same words
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "hist.jsonl"
+        path.write_bytes(b"".join(line + b"\n" for line in lines))
+        histories, ranked = read_both(path)
+    assert ranked == histories
 
 
 class TestGen:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import read_both
 from historiographer import cookies, history, planner
 from historiographer.history import (
     DEFAULT_ALPHABET,
@@ -18,11 +19,13 @@ from historiographer.history import (
     SearchHistory,
     field_problem,
     iter_histories,
+    iter_ranked,
     json_lines,
     load_histories,
     normalize,
     save_histories,
 )
+from historiographer.oracle import SuggestIndex, default_ranking
 
 
 @pytest.mark.parametrize(
@@ -218,21 +221,22 @@ def _record(**changes):
     return record
 
 
-@pytest.mark.parametrize(
-    "changes, field",
-    [
-        ({"history_enabled": None}, "history_enabled: missing"),
-        ({"user_id": 7}, "user_id: expected a string, got int"),
-        ({"history_enabled": "yes"}, "history_enabled: expected a boolean"),
-        ({"entries": {}}, "entries: expected a list"),
-        ({"clicked": None}, "entries[0].clicked: missing"),
-        ({"count": "x"}, "entries[0].count: expected an integer, got str"),
-        ({"first_time": True}, "entries[0].first_time: expected an integer, got bool"),
-        ({"clicked_urls": "http://x"}, "entries[0].clicked_urls: expected a list"),
-        ({"clicked_urls": [1, None]}, "entries[0].clicked_urls: expected a list of strings"),
-        ({"clicked_urls": ["http://x", 2]}, "entries[0].clicked_urls: expected a list of strings"),
-    ],
-)
+# (changes to a good record, the field its refusal names)
+LOAD_FIELD_CASES = [
+    ({"history_enabled": None}, "history_enabled: missing"),
+    ({"user_id": 7}, "user_id: expected a string, got int"),
+    ({"history_enabled": "yes"}, "history_enabled: expected a boolean"),
+    ({"entries": {}}, "entries: expected a list"),
+    ({"clicked": None}, "entries[0].clicked: missing"),
+    ({"count": "x"}, "entries[0].count: expected an integer, got str"),
+    ({"first_time": True}, "entries[0].first_time: expected an integer, got bool"),
+    ({"clicked_urls": "http://x"}, "entries[0].clicked_urls: expected a list"),
+    ({"clicked_urls": [1, None]}, "entries[0].clicked_urls: expected a list of strings"),
+    ({"clicked_urls": ["http://x", 2]}, "entries[0].clicked_urls: expected a list of strings"),
+]
+
+
+@pytest.mark.parametrize("changes, field", LOAD_FIELD_CASES)
 def test_load_names_line_and_field(tmp_path, changes, field):
     import json
 
@@ -243,14 +247,15 @@ def test_load_names_line_and_field(tmp_path, changes, field):
     assert str(exc_info.value).startswith(f"{path}:3: {field}")
 
 
-@pytest.mark.parametrize(
-    "line, message",
-    [
-        ("{not json", "invalid JSON"),
-        ("[1, 2]", "record: expected an object"),
-        ('{"user_id": "u", "history_enabled": true, "entries": [3]}', "entries[0]: expected an object"),
-    ],
-)
+# (a line, the start of its refusal)
+MALFORMED_LINES = [
+    ("{not json", "invalid JSON"),
+    ("[1, 2]", "record: expected an object"),
+    ('{"user_id": "u", "history_enabled": true, "entries": [3]}', "entries[0]: expected an object"),
+]
+
+
+@pytest.mark.parametrize("line, message", MALFORMED_LINES)
 def test_load_rejects_malformed_lines(tmp_path, line, message):
     path = tmp_path / "hist.jsonl"
     path.write_text(line + "\n")
@@ -448,6 +453,101 @@ def test_from_dict_refuses_a_tuple_of_urls():
             HistoryError, match=r"^entries\[1\]\.clicked_urls: expected a list, got tuple$"
         ):
             SearchHistory.from_dict(record)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [json.dumps(_record()) + "\n\n" + json.dumps(_record(**changes)) + "\n" for changes, _ in LOAD_FIELD_CASES]
+    + [json.dumps(_record()) + "\n" + line + "\n" for line, _ in MALFORMED_LINES]
+    + [json.dumps(_record(user_id="\ud800")) + "\n"],
+    ids=[field for _, field in LOAD_FIELD_CASES] + [m for _, m in MALFORMED_LINES] + ["surrogate"],
+)
+def test_both_readers_refuse_alike(tmp_path, text):
+    path = tmp_path / "hist.jsonl"
+    path.write_text(text)
+    histories, ranked = read_both(path)
+    assert histories[1] is not None
+    assert ranked == histories
+
+
+@given(history_records())
+@settings(max_examples=100, deadline=None)
+def test_both_readers_find_the_same_first_error(records):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "hist.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        histories, ranked = read_both(path)
+    assert ranked == histories
+
+
+RANK_ENTRIES = st.fixed_dictionaries(
+    {
+        # normalized or not, so that both readers keep a query as written
+        "query": st.sampled_from(["aa", "ab", "abc", "ab c", "Ab", " ab", "ab  c"]) | st.text(max_size=3),
+        "clicked": st.booleans(),
+        "first_time": st.integers(0, 3),
+        # few values, so that counts and times tie
+        "last_time": st.integers(0, 3),
+        "count": st.integers(0, 3),
+    },
+    optional={"clicked_urls": st.lists(st.text(max_size=2), max_size=2)},
+)
+
+
+@st.composite
+def ranked_records(draw):
+    """A good history record, perhaps with no entries field, whose later
+    rows may repeat an earlier query with clicked, count or last_time
+    changed."""
+    entries = draw(st.lists(RANK_ENTRIES, max_size=8))
+    for _ in range(draw(st.integers(0, 3)) if entries else 0):
+        row = dict(draw(st.sampled_from(entries)))
+        key = draw(st.sampled_from(["clicked", "count", "last_time"]))
+        row[key] = not row[key] if key == "clicked" else row[key] + draw(st.sampled_from([-1, 1]))
+        entries.append(row)
+    record = {"user_id": draw(st.sampled_from(["u", "", "ü"])), "history_enabled": draw(st.booleans())}
+    if entries or draw(st.booleans()):
+        record["entries"] = entries
+    return record
+
+
+def served(index, prefix):
+    try:
+        return index(prefix)
+    except Exception as exc:
+        return type(exc)
+
+
+@given(st.lists(ranked_records(), max_size=3))
+@settings(max_examples=150, deadline=None)
+@example([{"user_id": "u", "history_enabled": True}, {"user_id": "u", "history_enabled": True, "entries": []}])
+@example([{"user_id": "u", "history_enabled": True, "entries": [
+    {"query": "ab", "clicked": True, "first_time": 1, "last_time": 5, "count": 2},
+    {"query": "abc", "clicked": True, "first_time": 1, "last_time": 3, "count": 2},
+    {"query": "ab", "clicked": False, "first_time": 1, "last_time": 5, "count": 2},
+    {"query": "abc", "clicked": True, "first_time": 1, "last_time": 3, "count": 1},
+    {"query": "abd", "clicked": True, "first_time": 1, "last_time": 3, "count": 1},
+    {"query": "abd", "clicked": True, "first_time": 1, "last_time": 4, "count": 1},
+]}])
+def test_ranked_reader_matches_from_dict(records):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "hist.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        got = list(iter_ranked(path))
+    assert len(got) == len(records)
+    for ranked, record in zip(got, records):
+        hist = SearchHistory.from_dict(record)
+        clicked = [e for e in hist.entries.values() if e.clicked]
+        expected = tuple(e.query for e in sorted(clicked, key=default_ranking))
+        assert hist.ranked == expected
+        assert (ranked.user_id, ranked.n_h, ranked.n_c, ranked.ranked) == (
+            hist.user_id, hist.n_h, hist.n_c, expected
+        )
+        # the index over either serves every prefix alike
+        by_ranked, by_history = SuggestIndex(ranked), SuggestIndex(hist)
+        prefixes = {q[:k] for q in hist.entries for k in range(len(q) + 2)} | {"a", "ab", "b "}
+        for prefix in prefixes:
+            assert served(by_ranked, prefix) == served(by_history, prefix)
 
 
 def test_optional_fields_default(tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from historiographer.attack import _groups
-from historiographer.history import DEFAULT_ALPHABET, SearchHistory, normalize
+from historiographer.history import DEFAULT_ALPHABET, RankedHistory, SearchHistory, normalize
 from historiographer.oracle import (
     PrefixTooShortError,
     SuggestIndex,
@@ -214,6 +214,17 @@ class TestSuggestIndex:
         index = SuggestIndex(make_history([("cobalt", 1, 1, True)]))
         index("co").texts.append("x")
         assert index("co").texts == ["cobalt"]
+
+    def test_no_caller_changes_what_it_serves(self):
+        hist = make_history([("cobalt", 2, 1, True), ("code", 1, 1, True)])
+        index = SuggestIndex(hist)
+        index.ranked_queries().append("cow")
+        hist.insert_search("cow", 9, "http://example.com/cow")
+        assert index("co").texts == ["cobalt", "code"]
+        ranked = RankedHistory("u", 2, hist.ranked)
+        with pytest.raises(AttributeError):
+            ranked.ranked = ()
+        assert SuggestIndex(ranked)("co").texts == ["cobalt", "cow", "code"]
 
     @given(
         st.lists(
