@@ -19,7 +19,9 @@ from .cookies import (
 )
 # unused here, but perfbench/tracing.py looks these up on this module to patch them
 from .cookies import audit_trace, count_users, load_trace  # noqa: F401
-from .harness import HarnessError, gen_synthetic, ingest_query_log_counted, run_batch
+from .harness import (
+    HarnessError, clicked_fraction_problem, gen_synthetic, ingest_query_log_counted, run_batch,
+)
 from .history import HistoryError, iter_ranked, save_histories
 # unused here, but perfbench/tracing.py looks it up on this module to patch it
 from .history import load_histories  # noqa: F401
@@ -69,6 +71,7 @@ def cmd_plan(args) -> int:
     ]:
         if problem:
             raise InputError(f"{flag}: {problem}")
+    _at_least("--length", args.length, MIN_PREFIX_LEN)
     corpus = _load_corpus_arg(args.corpus)
     plan = build_plan(
         corpus,
@@ -206,15 +209,14 @@ def _parse_entries(raw: str):
 
 def cmd_gen(args) -> int:
     _at_least("--users", args.users)
-    if args.vocab is not None:
-        vocabulary = _load_corpus_arg(args.vocab)
-    else:
-        vocabulary = bundled_wordlist()
+    problem = clicked_fraction_problem(args.clicked_fraction)
+    if problem:
+        raise InputError(f"--clicked-fraction: {problem}")
     histories = gen_synthetic(
         n_users=args.users,
         entries_per_user=_parse_entries(args.entries),
         clicked_fraction=args.clicked_fraction,
-        vocabulary=vocabulary,
+        vocabulary=_load_corpus_arg("bundled" if args.vocab is None else args.vocab),
         seed=args.seed,
     )
     out = Path(args.output)

@@ -148,6 +148,12 @@ def ingest_query_log_counted(path) -> Tuple[Dict[str, SearchHistory], int]:
     return histories, skipped
 
 
+def clicked_fraction_problem(clicked_fraction: float) -> Optional[str]:
+    """What keeps clicked_fraction from being a probability, as a message;
+    None if nothing does."""
+    return None if 0 <= clicked_fraction <= 1 else f"{clicked_fraction} is not in [0, 1]"
+
+
 def gen_synthetic(
     n_users: int,
     entries_per_user: Union[int, Tuple[int, int]],
@@ -158,14 +164,12 @@ def gen_synthetic(
     """Reproducible synthetic datasets: queries drawn from the vocabulary
     with Zipf-like weights (1/rank), each searched at a time in
     [1_000_000, 2_000_000]."""
-    if not 0 <= clicked_fraction <= 1:
-        raise HarnessError(f"clicked_fraction must be in [0, 1], got {clicked_fraction}")
+    problem = clicked_fraction_problem(clicked_fraction)
+    if problem:
+        raise HarnessError(f"clicked_fraction: {problem}")
     rng = random.Random(seed)
     weights = [1.0 / (i + 1) for i in range(len(vocabulary))]
-    if isinstance(entries_per_user, int):
-        low = high = entries_per_user
-    else:
-        low, high = entries_per_user
+    low, high = (entries_per_user,) * 2 if isinstance(entries_per_user, int) else entries_per_user
     histories: Dict[str, SearchHistory] = {}
     for i in range(n_users):
         user_id = f"user{i:04d}"

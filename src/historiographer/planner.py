@@ -8,7 +8,7 @@ import csv
 import io
 import json
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from importlib import resources
 from types import MappingProxyType
 from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
@@ -67,9 +67,7 @@ def build_stats(corpus: Sequence[str], length: int, alphabet: str = PLANNER_ALPH
 def mass_problem(mass_fraction: float) -> Optional[str]:
     """What keeps mass_fraction from being a share of the corpus, as a
     message; None if nothing does."""
-    if not 0 < mass_fraction <= 1:
-        return f"{mass_fraction} is not in (0, 1]"
-    return None
+    return None if 0 < mass_fraction <= 1 else f"{mass_fraction} is not in (0, 1]"
 
 
 def select_mass(counts: Mapping[str, int], mass_fraction: float) -> List[str]:
@@ -295,27 +293,24 @@ class PrefixPlan:
     @classmethod
     def from_dict(cls, d) -> "PrefixPlan":
         """The plan to_dict gave; PlannerError("field: problem") if d is not
-        one. A plan saved with filter_extensions false extended a prefix to
-        every child with a count, so it selects those; its selected is still
-        checked as written."""
+        one. The plan command never wrote filter_extensions false, so such a
+        plan is refused, once every other check has passed."""
         problem = _plan_problem(d)
         if problem:
             raise PlannerError(problem)
-        stats_by_length = {int(n): counts for n, counts in d["stats"].items()}
         plan = cls(
             seeds=d["seeds"],
             mass_fraction=d["mass_fraction"],
-            stats_by_length=stats_by_length,
+            stats_by_length={int(n): counts for n, counts in d["stats"].items()},
             alphabet=d["alphabet"],
             unigram_order=d["unigram_order"],
             selected_by_length={int(n): sel for n, sel in d.get("selected", {}).items()},
         )
-        if d.get("filter_extensions", True):
-            return plan
-        return replace(plan, selected_by_length={
-            n: [p for p, count in counts.items() if count > 0]
-            for n, counts in stats_by_length.items()
-        })
+        if not d.get("filter_extensions", True):
+            raise PlannerError(
+                "filter_extensions: false is not read; build the plan again with the plan command"
+            )
+        return plan
 
     @classmethod
     def load(cls, path) -> "PrefixPlan":
@@ -335,8 +330,6 @@ def build_plan(
     alphabet: str = PLANNER_ALPHABET,
 ) -> PrefixPlan:
     """Build seed list and per-length stats from a reference corpus."""
-    if not corpus:
-        raise EmptyCorpusError("reference corpus is empty")
     if not lengths:
         raise PlannerError("no prefix lengths given")
     stats_by_length = {n: build_stats(corpus, n, alphabet) for n in sorted(lengths)}

@@ -1,8 +1,10 @@
 import random
+from bisect import bisect_left
 
 import pytest
 
 from historiographer.history import HistoryError, SearchHistory, iter_histories, iter_ranked
+from historiographer.oracle import MAX_HISTORY_SUGGESTIONS, SuggestionResponse, _check_prefix
 
 
 def random_history(rng, vocabulary, max_entries=50, clicked_fraction=0.6, user_id="u"):
@@ -14,6 +16,27 @@ def random_history(rng, vocabulary, max_entries=50, clicked_fraction=0.6, user_i
         url = f"http://example.com/{query.replace(' ', '-')}" if clicked else None
         hist.insert_search(query, time, url)
     return hist
+
+
+def bisect_oracle(history):
+    """A reference oracle for the heap loop that serves what
+    SuggestIndex(history) serves: a checked prefix's run of matching
+    queries, found by bisecting the clicked queries in query order, and
+    the 3 of them that come first in history.ranked."""
+    ranked = history.ranked
+    # rank positions in query order
+    by_query = sorted(range(len(ranked)), key=ranked.__getitem__)
+    queries = [ranked[i] for i in by_query]
+
+    def oracle(prefix):
+        _check_prefix(prefix)
+        lo = hi = bisect_left(queries, prefix)
+        while hi < len(queries) and queries[hi].startswith(prefix):
+            hi += 1
+        best = sorted(by_query[lo:hi])[:MAX_HISTORY_SUGGESTIONS]
+        return SuggestionResponse(prefix, [ranked[i] for i in best])
+
+    return oracle
 
 
 def read_both(path):

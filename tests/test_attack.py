@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_history
+from conftest import bisect_oracle, random_history
 from historiographer import attack
 from historiographer.attack import (
     AttackConfig,
@@ -366,7 +366,7 @@ class TestFixedOrderWalk:
             )
             for hist in histories:
                 index = SuggestIndex(hist)
-                want = run_outcome(reference_reconstruct, index, config)
+                want = run_outcome(reference_reconstruct, bisect_oracle(hist), config)
                 passes.clear()
                 got = run_outcome(reconstruct, index, config)
                 assert got == want
@@ -403,10 +403,8 @@ class TestFixedOrderWalk:
                 rank = {q: i for i, q in enumerate(ranked)}
                 # what the heap loop finds saturated: it serves at most the
                 # cap, and the threshold is at most the cap
-                saturated = {
-                    p for p, served in reference_reconstruct(index, config).request_log
-                    if served >= threshold
-                }
+                heap_run = reference_reconstruct(bisect_oracle(hist), config)
+                saturated = {p for p, served in heap_run.request_log if served >= threshold}
                 calls.clear()
                 reconstruct(index, config)
                 assert calls[0] == (first, ranked)
@@ -439,9 +437,8 @@ class TestFixedOrderWalk:
         for budget in (None, 1, n - 1, n, n + 1):
             config = AttackConfig(plan=plan, budget=budget, descent_threshold=threshold)
             for hist in histories:
-                index = SuggestIndex(hist)
-                got = run_outcome(reconstruct, index, config)
-                assert got == run_outcome(reference_reconstruct, index, config)
+                got = run_outcome(reconstruct, SuggestIndex(hist), config)
+                assert got == run_outcome(reference_reconstruct, bisect_oracle(hist), config)
 
     @pytest.mark.parametrize("threshold", [1, 3])
     def test_budget_at_each_level_change(self, wordlist, histories, threshold):
@@ -450,7 +447,7 @@ class TestFixedOrderWalk:
         plan = bundled_plan_with(wordlist, ["qz"])
         deepest = 0
         for hist in histories:
-            index = SuggestIndex(hist)
+            index, reference = SuggestIndex(hist), bisect_oracle(hist)
             config = AttackConfig(plan=plan, max_depth=6, descent_threshold=threshold)
             run = reconstruct(index, config)
             lengths = [len(p) for p, _ in run.request_log]
@@ -462,20 +459,20 @@ class TestFixedOrderWalk:
                     plan=plan, budget=budget, max_depth=6, descent_threshold=threshold
                 )
                 assert run_outcome(reconstruct, index, config) == run_outcome(
-                    reference_reconstruct, index, config
+                    reference_reconstruct, reference, config
                 )
         assert deepest > 4
 
     def test_new_seeds_are_served(self, wordlist, histories):
         # new seeds make a new plan, ranked again; a repeat is dropped
         plan = build_plan(wordlist, 0.9)
-        index = SuggestIndex(histories[-1])
+        index, reference = SuggestIndex(histories[-1]), bisect_oracle(histories[-1])
         for seeds in (plan.seeds[::2], [*plan.seeds, "qz"], ["th", "qz"], ["th", "th"]):
             changed = dataclasses.replace(plan, seeds=seeds)
             assert changed.seeds == tuple(dict.fromkeys(seeds))
             config = AttackConfig(plan=changed, descent_threshold=2)
             got = run_outcome(reconstruct, index, config)
-            assert got == run_outcome(reference_reconstruct, index, config)
+            assert got == run_outcome(reference_reconstruct, reference, config)
             assert [p for p, _ in got[0] if len(p) == 2] == sorted(
                 set(seeds), key=lambda p: (-stats_count(plan, p), p)
             )
@@ -523,7 +520,7 @@ class TestFixedOrderWalk:
         assert changed.walk_order.seeds == {"th", "qz"}
         config = AttackConfig(plan=changed, descent_threshold=2)
         got = run_outcome(reconstruct, index, config)
-        assert got == run_outcome(reference_reconstruct, index, config)
+        assert got == run_outcome(reference_reconstruct, bisect_oracle(histories[-1]), config)
         assert [p for p, _ in got[0] if len(p) == 2] == ["th", "qz"]
         with pytest.raises(PlannerError, match="^seeds: 'ZZ' is not normalized$"):
             dataclasses.replace(plan, seeds=("th", "ZZ"))
@@ -549,10 +546,10 @@ class TestFixedOrderWalk:
         for budget in (None, len(plan.seeds)):
             config = AttackConfig(plan=plan, budget=budget, descent_threshold=2)
             for hist in histories[:2]:
-                index = SuggestIndex(hist)
-                got = run_outcome(reconstruct, index, config)
-                assert got == run_outcome(reference_reconstruct, index, config)
-                assert got == run_outcome(reconstruct, lambda p: index(p), config)
+                reference = bisect_oracle(hist)
+                got = run_outcome(reconstruct, SuggestIndex(hist), config)
+                assert got == run_outcome(reference_reconstruct, reference, config)
+                assert got == run_outcome(reconstruct, reference, config)
                 assert got[5] is None
 
 
@@ -595,7 +592,7 @@ def test_fallback_on_histories_not_normalized(wordlist, monkeypatch):
     words = [w for w in wordlist if w[:2] in ("co", "re") and len(w) > 3]
     cut_inside = 0
     for hist in [messy_history(rng, words, 150, f"u{k}") for k in range(3)]:
-        index = SuggestIndex(hist)
+        index, reference = SuggestIndex(hist), bisect_oracle(hist)
         for threshold, max_depth in itertools.product([2, 3], [None, 5]):
             config = AttackConfig(plan=plan, max_depth=max_depth, descent_threshold=threshold)
             lengths = [len(p) for p in reconstruct(index, config).requested]
@@ -614,7 +611,7 @@ def test_fallback_on_histories_not_normalized(wordlist, monkeypatch):
                     plan=plan, budget=budget, max_depth=max_depth, descent_threshold=threshold
                 )
                 got = run_outcome(reconstruct, index, config)
-                assert got == run_outcome(reference_reconstruct, index, config)
+                assert got == run_outcome(reference_reconstruct, reference, config)
                 # a fallback never appends a space to a parent ending in one
                 assert not any("  " in p for p in got[1])
     # the level passes met both kinds of key the fallback never asks
@@ -733,10 +730,10 @@ class TestHeapLoopPlans:
                 plan=plan, budget=budget, max_depth=max_depth, descent_threshold=threshold
             )
             for hist in histories:
-                index = SuggestIndex(hist)
-                got = run_outcome(reconstruct, index, config)
-                assert got == run_outcome(reference_reconstruct, index, config)
-                assert got == run_outcome(reconstruct, lambda p: index(p), config)
+                reference = bisect_oracle(hist)
+                got = run_outcome(reconstruct, SuggestIndex(hist), config)
+                assert got == run_outcome(reference_reconstruct, reference, config)
+                assert got == run_outcome(reconstruct, reference, config)
                 assert got[5] is None
 
     def test_which_loaded_plans_take_the_heap_loop(self, tmp_path, wordlist):
@@ -828,9 +825,8 @@ class TestLoadedPlansWalk:
         for budget, threshold in ((None, 3), (60, 2)):
             config = AttackConfig(plan=plan, budget=budget, descent_threshold=threshold)
             for hist in histories:
-                index = SuggestIndex(hist)
-                got = run_outcome(reconstruct, index, config)
-                assert got == run_outcome(reference_reconstruct, index, config)
+                got = run_outcome(reconstruct, SuggestIndex(hist), config)
+                assert got == run_outcome(reference_reconstruct, bisect_oracle(hist), config)
                 assert got[5] is None
 
 

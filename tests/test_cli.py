@@ -82,6 +82,15 @@ class TestPlan:
         assert capsys.readouterr().err == f"error: --mass: {shown} is not in (0, 1]\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("length", ["1", "0", "-2"])
+    def test_length_below_two_exit_2(self, tmp_path, capsys, length):
+        # refused by its flag's name before the corpus is read: this one
+        # does not exist
+        out = tmp_path / "p.json"
+        assert run(["plan", tmp_path / "nope.txt", f"--length={length}", "-o", out]) == 2
+        assert capsys.readouterr().err == f"error: --length must be >= 2, got {length}\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("char", ["é", "A", "-"])
     def test_alphabet_outside_the_query_alphabet_exit_2(self, tmp_path, capsys, char):
         # the oracle refuses every prefix holding such a character, so an
@@ -440,7 +449,7 @@ class TestEval:
             ({"stats": {"2": {"ab": -1}}}, "stats.2.ab: -1 is negative"),
             ({"stats": {}}, "stats: empty"),
             ({"seeds": ["ab"], "stats": {"3": {"abc": 1}}}, "seeds: 'ab' is not 3 characters long"),
-            # selected is checked as written, even where the plan reads none
+            # every other check comes before filter_extensions false is refused
             (
                 {"filter_extensions": False, "selected": {"3": ["abc", "zz  ", "ZZZ"]}},
                 "selected.3: 'zz  ' is not normalized",
@@ -452,6 +461,11 @@ class TestEval:
             ({"mass_fraction": -1}, "mass_fraction: -1 is not in (0, 1]"),
             ({"mass_fraction": 7}, "mass_fraction: 7 is not in (0, 1]"),
             ({"mass_fraction": float("nan")}, "mass_fraction: nan is not in (0, 1]"),
+            # no plan command wrote it
+            (
+                {"filter_extensions": False},
+                "filter_extensions: false is not read; build the plan again with the plan command",
+            ),
         ],
     )
     def test_malformed_plan_exit_2(self, tmp_path, capsys, plan_file, change, message):
@@ -982,8 +996,10 @@ class TestGen:
 
     @pytest.mark.parametrize("entries", ["5:1", "x", "0", "0:3", "1:x", ":", "3:", "-2:4"])
     def test_bad_entries_exit_2(self, tmp_path, capsys, entries):
+        # refused before the vocabulary is read: this one does not exist
         out = tmp_path / "d.jsonl"
-        rc = run(["gen", "--users", 2, f"--entries={entries}", "-o", out])
+        vocab = tmp_path / "nope.txt"
+        rc = run(["gen", "--users", 2, f"--entries={entries}", "--vocab", vocab, "-o", out])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: --entries") and repr(entries) in err
@@ -994,6 +1010,20 @@ class TestGen:
         out = tmp_path / "d.jsonl"
         assert run(["gen", f"--users={users}", "-o", out]) == 2
         assert capsys.readouterr().err == f"error: --users must be >= 1, got {users}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "fraction, shown", [("2", "2.0"), ("1.5", "1.5"), ("-0.5", "-0.5"), ("nan", "nan")]
+    )
+    def test_clicked_fraction_outside_the_unit_interval_exit_2(
+        self, tmp_path, capsys, fraction, shown
+    ):
+        # refused by its flag's name before the vocabulary is read: this one
+        # does not exist
+        out = tmp_path / "d.jsonl"
+        args = ["gen", "--users", 2, f"--clicked-fraction={fraction}", "--vocab", tmp_path / "nope.txt"]
+        assert run([*args, "-o", out]) == 2
+        assert capsys.readouterr().err == f"error: --clicked-fraction: {shown} is not in [0, 1]\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_entries_range_bounds_inclusive(self, tmp_path):

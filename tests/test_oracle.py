@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import bisect_oracle
 from historiographer.attack import _groups
 from historiographer.history import DEFAULT_ALPHABET, RankedHistory, SearchHistory, normalize
 from historiographer.oracle import (
@@ -170,11 +171,14 @@ class TestSuggestIndex:
     def test_matches_linear_scan(self, searches, texts):
         hist = self.build(searches)
         index = SuggestIndex(hist)
+        # the tests' reference oracle for the heap loop
+        bisecting = bisect_oracle(hist)
         prefixes = [q[:k] for q in hist.entries for k in range(len(q) + 2)] + texts
         for prefix in prefixes:
             expected = self.outcome(lambda p: scan_suggest(hist, p), prefix)
             assert self.outcome(index, prefix) == expected
             assert self.outcome(lambda p: suggest(hist, p), prefix) == expected
+            assert self.outcome(bisecting, prefix) == expected
 
     def test_top_code_point_in_prefix(self):
         # the alphabet's highest character, so no bound above it exists

@@ -210,12 +210,11 @@ def write_trace(path, seed=6, records=300):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-@pytest.fixture(scope="module")
-def inputs(tmp_path_factory):
-    """The bundled plan files and a generated dataset, written by the CLI;
-    that dataset's lines in reverse user order with user0005's history
-    repeated last under the id user0002; a seeded AOL log and trace."""
-    tmp = tmp_path_factory.mktemp("inputs")
+def write_inputs(tmp):
+    """Into the directory tmp, the bundled plan files and a generated
+    dataset, written by the CLI; that dataset's lines in reverse user order
+    with user0005's history repeated last under the id user0002; a seeded
+    AOL log and trace. Their paths by the names CASES uses."""
     paths = {
         "plan": tmp / "plan.json", "plan3": tmp / "plan3.json", "gen": tmp / "gen.jsonl",
         "mixed": tmp / "mixed.jsonl", "aol": tmp / "aol.tsv", "trace": tmp / "trace.jsonl",
@@ -233,6 +232,11 @@ def inputs(tmp_path_factory):
     repeated["user_id"] = "user0002"
     paths["mixed"].write_text("".join(reversed(lines)) + json.dumps(repeated) + "\n")
     return {name: str(path) for name, path in paths.items()}
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    return write_inputs(tmp_path_factory.mktemp("inputs"))
 
 
 def sha256(path) -> str:

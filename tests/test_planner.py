@@ -1,12 +1,14 @@
 import json
 import string
 import tempfile
+from importlib import resources
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from historiographer.cli import main
 from historiographer.history import DEFAULT_ALPHABET, SearchHistory, normalize
 from historiographer.oracle import OracleError, SuggestIndex
 from historiographer.planner import (
@@ -56,6 +58,8 @@ class TestBuildStats:
     def test_empty_corpus(self):
         with pytest.raises(EmptyCorpusError):
             build_stats([], 2)
+        with pytest.raises(EmptyCorpusError, match="^reference corpus is empty$"):
+            build_plan([], 0.9)
 
     def test_length_below_two(self):
         with pytest.raises(PlannerError):
@@ -180,18 +184,14 @@ class TestExtend:
                 assert len(child) == len(prefix) + 1
 
 
-def reference_extend(plan, prefix, filter_extensions=True):
-    """Scan every prefix one level down, as extend() did before its cache.
-    Unfiltered, every child with a count is kept, as plans saved with
-    filter_extensions false extended."""
+def reference_extend(plan, prefix):
+    """Scan every prefix one level down, as extend() did before its cache."""
     child_len = len(prefix) + 1
     stats = plan.stats_by_length.get(child_len)
     if stats is None:
         return [prefix + c for c in plan.unigram_order if not (c == " " and prefix.endswith(" "))]
-    children = [p for p in stats if p.startswith(prefix) and stats[p] > 0]
-    if filter_extensions:
-        selected = plan.selected_by_length.get(child_len, set())
-        children = [p for p in children if p in selected]
+    selected = plan.selected_by_length.get(child_len, set())
+    children = [p for p in stats if p.startswith(prefix) and stats[p] > 0 and p in selected]
     return sorted(children, key=lambda p: (-stats[p], p))
 
 
@@ -201,29 +201,42 @@ def legacy_unfiltered(plan):
     return {**plan.to_dict(), "filter_extensions": False, "selection": "rank"}
 
 
+UNFILTERED_REFUSAL = (
+    "filter_extensions: false is not read; build the plan again with the plan command"
+)
+
+
 class TestExtendCache:
     @pytest.mark.parametrize("round_trip", [False, True])
-    @pytest.mark.parametrize("filter_extensions", [True, False])
+    # the one value a plan is read with
+    @pytest.mark.parametrize("filter_extensions", [True])
     @pytest.mark.parametrize("lengths", [(2, 3), (2, 3, 4)])
     def test_matches_reference_scan(self, wordlist, lengths, filter_extensions, round_trip):
-        # filter_extensions=False: a saved plan that says so still loads,
-        # and extends to every child with a count, saved again or not
         plan = build_plan(wordlist, 0.9, lengths=lengths)
-        if not filter_extensions:
-            plan = PrefixPlan.from_dict(legacy_unfiltered(plan))
+        assert plan.to_dict()["filter_extensions"] is filter_extensions
         if round_trip:
             plan = PrefixPlan.from_dict(json.loads(json.dumps(plan.to_dict())))
         prefixes = [a + b for a in LETTERS for b in LETTERS]
         prefixes += sorted(plan.stats_by_length[3]) + ["qjx", "zzz"]
         for prefix in prefixes:
-            expected = reference_extend(plan, prefix, filter_extensions)
-            assert plan.extend(prefix) == expected, prefix
+            assert plan.extend(prefix) == reference_extend(plan, prefix), prefix
 
-    def test_filter_changes_children(self, wordlist):
-        # Both settings are exercised above only if they can differ.
-        plan = build_plan(wordlist, 0.5)
-        unfiltered = PrefixPlan.from_dict(legacy_unfiltered(plan)).extend("co")
-        assert set(plan.extend("co")) < set(unfiltered)
+    def test_unfiltered_plan_is_refused(self, wordlist, tmp_path, capsys):
+        # no plan command wrote filter_extensions false, and no reader
+        # takes it
+        saved = legacy_unfiltered(build_plan(wordlist, 0.5))
+        with pytest.raises(PlannerError) as exc_info:
+            PrefixPlan.from_dict(saved)
+        assert str(exc_info.value) == UNFILTERED_REFUSAL
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(saved))
+        with pytest.raises(PlannerError) as exc_info:
+            PrefixPlan.load(path)
+        assert str(exc_info.value) == f"{path}: {UNFILTERED_REFUSAL}"
+        fixture = resources.files("historiographer.data").joinpath("volunteers.jsonl")
+        assert main(["eval", str(fixture), str(path), "-o", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {UNFILTERED_REFUSAL}\n"
+        assert not (tmp_path / "r.json").exists()
 
     def test_saved_plan_keeps_fixed_fields(self, wordlist):
         saved = build_plan(wordlist, 0.9).to_dict()
