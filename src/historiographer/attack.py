@@ -11,7 +11,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from .history import RankedHistory, SearchHistory
 from .oracle import MAX_HISTORY_SUGGESTIONS, MIN_PREFIX_LEN, SuggestIndex, SuggestionResponse
-from .planner import PrefixPlan
+from .planner import PrefixPlan, WalkOrder
 
 UNLIMITED = None
 
@@ -77,15 +77,9 @@ class ReconstructionResult:
     def recovered_after(self, k: int) -> int:
         """How many distinct texts the first k requests served: what a run
         cut at budget k recovers. Not part of to_json."""
-        requested, served = self.requested, self.served
-        if k >= len(requested):
+        if k >= len(self.requested):
             return len(self.recovered)
-        if len(requested) - k < k:
-            # no prefix is asked twice, so the first k are the served ones
-            # outside the rest, the shorter side to read
-            rest = set(requested[k:])
-            return len(set().union(*(texts for p, texts in served.items() if p not in rest)))
-        return len(set().union(*(served[p] for p in requested[:k] if p in served)))
+        return _served_by_first(self.requested, self.served, k)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -97,6 +91,17 @@ class ReconstructionResult:
             },
             sort_keys=True,
         )
+
+
+def _served_by_first(requested: List[str], served: Dict[str, List[str]], k: int) -> int:
+    """How many distinct texts the first k of the requests served, for k
+    below their number."""
+    if len(requested) - k < k:
+        # no prefix is asked twice, so the first k are the served ones
+        # outside the rest, the shorter side to read
+        rest = set(requested[k:])
+        return len(set().union(*(texts for p, texts in served.items() if p not in rest)))
+    return len(set().union(*(served[p] for p in requested[:k] if p in served)))
 
 
 def reconstruct(oracle: SuggestFn, config: AttackConfig) -> ReconstructionResult:
@@ -129,15 +134,14 @@ def reconstruct(oracle: SuggestFn, config: AttackConfig) -> ReconstructionResult
     heapq.heapify(heap)
     result = ReconstructionResult()
     requested, served, recovered = result.requested, result.served, result.recovered
-    asked: Set[str] = set()
 
+    # A plan holds each seed and unigram_order character once, and a child
+    # is one character longer than its one parent, so no prefix is pushed
+    # twice.
     while heap:
         if budget is not None and len(requested) >= budget:
             return result
         prefix = heapq.heappop(heap)[-1]
-        if prefix in asked:
-            continue
-        asked.add(prefix)
         try:
             response = oracle(prefix)
         except Exception as exc:
@@ -149,8 +153,7 @@ def reconstruct(oracle: SuggestFn, config: AttackConfig) -> ReconstructionResult
             recovered.update(texts)
         if len(texts) >= threshold and (max_depth is None or len(prefix) < max_depth):
             for child in plan.extend(prefix):
-                if child not in asked:
-                    heapq.heappush(heap, priority(child))
+                heapq.heappush(heap, priority(child))
     result.frontier_exhausted = True
     return result
 
@@ -161,36 +164,43 @@ def _walk(index: SuggestIndex, config: AttackConfig) -> ReconstructionResult:
     Each level is served from one pass over the user's clicked queries in
     ranked order, and only the queries under a saturated prefix go on to the
     next level. A plan asks no prefix the oracle refuses (see
-    planner._order_problem), so the walk never aborts."""
+    planner._order_problem), so the walk never aborts. The loop counts the
+    requests and fills recovered; requested and served are spelled from the
+    kept levels (_spell) when read, or at once where the budget cuts."""
     plan, budget, max_depth = config.plan, config.budget, config.max_depth
+    threshold = config.descent_threshold
     order = plan.walk_order
     chars, spaceless = order.chars, order.spaceless
-    ranked, fallback, served = [], [], {}
+    # per level: whether it is a stats level; its prefixes, or past the
+    # stats levels its saturated parents, sorted; the prefixes it served;
+    # and the texts it served each of them, in the same order
+    levels: List[tuple] = []
+    used, recovered = 0, set()
     level, n = plan.seeds, len(plan.seeds[0])
     groups = _groups(index.ranked_queries(), n)
     while level:
         stats_level = n in plan.stats_by_length  # contiguous from the seeds' length
         if stats_level:
-            ranked += level
-        elif budget is not None and len(ranked) + len(fallback) > budget:
+            used += len(level)
+            # a dict's keys intersect an exact set from the smaller side
+            hits = groups.keys() & (order.seeds if level is plan.seeds else level)
+        elif budget is not None and used > budget:
             break  # this level and every later one would be cut
         else:
-            fallback += level
-        if stats_level:
-            # a dict's keys intersect an exact set from the smaller side;
-            # ranked takes the seeds as listed, which build_plan lists in
-            # rank order, so the sort below finds that run already sorted
-            hits = groups.keys() & (order.seeds if level is plan.seeds else level)
-        else:
+            # level holds the saturated parents, and each asks a child per
+            # character, bar a space after a space
+            used += sum(len(spaceless if p[-1] == " " else chars) for p in level)
             # Each key is a saturated parent plus one character (see the
             # grouping below), so the level asked it unless that character
             # is not in unigram_order or is a space after a space: queries
             # are not normalized on load.
             hits = [p for p in groups if p[-1] in plan.unigram_order and not p.endswith("  ")]
-        served.update((p, groups[p][:MAX_HISTORY_SUGGESTIONS]) for p in hits)
+        texts = [groups[p][:MAX_HISTORY_SUGGESTIONS] for p in hits]
+        recovered.update(*texts)
+        levels.append((stats_level, level, hits, texts))
         if max_depth is not None and n >= max_depth:
             break
-        saturated = [p for p in hits if len(groups[p]) >= config.descent_threshold]
+        saturated = [p for p in hits if len(groups[p]) >= threshold]
         # every next-level prefix extends a saturated one, and each child's
         # queries all come from its one parent's group, in rank order
         groups = _groups([q for p in saturated for q in groups[p] if len(q) > n], n + 1)
@@ -198,19 +208,73 @@ def _walk(index: SuggestIndex, config: AttackConfig) -> ReconstructionResult:
         if n in plan.stats_by_length:
             level = [c for p in saturated for c in plan.extend(p)]
         else:
+            level = sorted(saturated)
+    if budget is None or used <= budget:
+        return _WalkResult(order, levels, used, recovered)
+    requested, served = _spell(order, levels)
+    del requested[budget:]
+    # the levels served prefixes past the cut too
+    asked = set(requested)
+    served = {p: texts for p, texts in served.items() if p in asked}
+    return ReconstructionResult(requested, served, set().union(*served.values()))
+
+
+def _spell(order: WalkOrder, levels: List[tuple]) -> Tuple[List[str], Dict[str, List[str]]]:
+    """A walk's requested prefixes, in request order, and the texts served
+    to each that was served any, from its levels (see _walk)."""
+    stats: List[str] = []
+    fallback: List[str] = []
+    served: Dict[str, List[str]] = {}
+    for stats_level, prefixes, hits, texts in levels:
+        if stats_level:
+            stats += prefixes
+        else:
             # what extend gives each parent, already in sorted order
-            level = [
-                p + c for p in sorted(saturated) for c in (spaceless if p[-1] == " " else chars)
+            fallback += [
+                p + c for p in prefixes for c in (order.spaceless if p[-1] == " " else order.chars)
             ]
-    requested = sorted(ranked, key=order.rank.__getitem__) + fallback
-    exhausted = budget is None or len(requested) <= budget
-    if not exhausted:
-        del requested[budget:]
-        # the levels served prefixes past the cut too
-        asked = set(requested)
-        served = {p: texts for p, texts in served.items() if p in asked}
-    recovered = set().union(*served.values())
-    return ReconstructionResult(requested, served, recovered, frontier_exhausted=exhausted)
+        served.update(zip(hits, texts))
+    # the seeds come as listed, which build_plan lists in rank order, so
+    # the sort finds that run already sorted
+    return sorted(stats, key=order.rank.__getitem__) + fallback, served
+
+
+class _WalkResult(ReconstructionResult):
+    """The result of a walk that the budget did not cut. It keeps the walk's
+    levels and spells requested and served from them the first time either
+    is read, so a reader of requests_used and recovered alone, as an
+    unbudgeted eval is, never builds them."""
+
+    def __init__(self, order: WalkOrder, levels: List[tuple], used: int, recovered: Set[str]):
+        self._order, self._levels, self._used = order, levels, used
+        self._spelled: Optional[Tuple[List[str], Dict[str, List[str]]]] = None
+        self.recovered = recovered
+        self.frontier_exhausted = True
+
+    @property
+    def requests_used(self) -> int:
+        return self._used
+
+    def recovered_after(self, k: int) -> int:
+        # spells the lists only for a k below the requests made, and reads
+        # them without the properties: a curve run asks this once per user
+        if k >= self._used:
+            return len(self.recovered)
+        return _served_by_first(*self._lists(), k)
+
+    @property
+    def requested(self) -> List[str]:
+        return self._lists()[0]
+
+    @property
+    def served(self) -> Dict[str, List[str]]:
+        return self._lists()[1]
+
+    def _lists(self) -> Tuple[List[str], Dict[str, List[str]]]:
+        if self._spelled is None:
+            self._spelled = _spell(self._order, self._levels)
+            self._levels = []
+        return self._spelled
 
 
 def _groups(queries: Iterable[str], n: int) -> Dict[str, List[str]]:

@@ -6,7 +6,6 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field, replace
-from datetime import date, datetime, timezone
 from functools import lru_cache
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
@@ -46,7 +45,9 @@ class HeaderMismatchError(HarnessError):
     pass
 
 
-_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+# date(1970, 1, 1).toordinal(), written out: datetime is imported only where
+# an AOL time needs it, since no other command reads a time
+_EPOCH_ORDINAL = 719163
 
 # seconds for each two-digit ASCII hour, minute and second in range
 _HOURS = {f"{h:02d}": h * 3600 for h in range(24)}
@@ -66,6 +67,8 @@ def _epoch_hour(ymdh: str) -> Optional[int]:
         and (ymdh[:4] + ymdh[5:7] + ymdh[8:10]).isdigit()
         and ymdh[11:] in _HOURS
     ):
+        from datetime import date
+
         try:
             day = date(int(ymdh[:4]), int(ymdh[5:7]), int(ymdh[8:10])).toordinal()
         except ValueError:
@@ -89,6 +92,8 @@ def _parse_query_time(raw: str) -> int:
                 return start + _MINUTES[s[14:16]] + _SECONDS[s[17:]]
             except KeyError:
                 pass
+    from datetime import datetime, timezone
+
     dt = datetime.strptime(s, "%Y-%m-%d %H:%M:%S")
     return int(dt.replace(tzinfo=timezone.utc).timestamp())
 

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
+from operator import attrgetter
 from typing import List, Optional, Tuple, Union
 
-from .history import DEFAULT_ALPHABET, HistoryEntry, RankedHistory, SearchHistory
+from .history import DEFAULT_ALPHABET, HistoryEntry, RankedHistory, SearchHistory, rank
 
 MAX_HISTORY_SUGGESTIONS = 3
 MIN_PREFIX_LEN = 2
@@ -90,5 +91,9 @@ class SuggestIndex:
 
 
 def suggest(history: SearchHistory, prefix: str) -> SuggestionResponse:
-    """Answer one autocomplete request from a SuggestIndex of the history."""
-    return SuggestIndex(history)(prefix)
+    """Answer one autocomplete request as SuggestIndex(history) does, ranking
+    only the clicked queries that start with the prefix."""
+    _check_prefix(prefix)
+    matching = [e for e in history.entries.values() if e.clicked and e.query.startswith(prefix)]
+    ranked = rank(matching, attrgetter("query"), attrgetter("last_time"), attrgetter("count"))
+    return SuggestionResponse(prefix, list(ranked[:MAX_HISTORY_SUGGESTIONS]))

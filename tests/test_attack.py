@@ -60,11 +60,26 @@ class TestDescent:
         assert result.frontier_exhausted
 
     def test_no_prefix_requested_twice(self, wordlist, rng):
-        plan = build_plan(wordlist, 0.9)
+        # The heap loop keeps no set of asked prefixes: a plan holds each
+        # seed and unigram_order character once, even one read from a dict
+        # that repeats them, and a child is one character longer than its
+        # one parent, so no prefix is pushed twice.
+        built = build_plan(wordlist, 0.9)
+        d = built.to_dict()
+        d["seeds"] = d["seeds"] * 2
+        d["unigram_order"] = d["unigram_order"] * 2
+        loaded = PrefixPlan.from_dict(d)
+        assert loaded.seeds == built.seeds and loaded.unigram_order == built.unigram_order
         hist = random_history(rng, wordlist, max_entries=80)
-        result = reconstruct(make_oracle(hist), AttackConfig(plan=plan))
-        probed = [p for p, _ in result.request_log]
-        assert len(probed) == len(set(probed))
+        deepest = 0
+        for plan, threshold in itertools.product([built, loaded], [1, 3]):
+            config = AttackConfig(plan=plan, descent_threshold=threshold)
+            result = reconstruct(make_oracle(hist), config)
+            probed = [p for p, _ in result.request_log]
+            assert len(probed) == len(set(probed))
+            deepest = max(deepest, *map(len, probed))
+        # the fallback past the deepest stats level ran
+        assert deepest > max(built.stats_by_length)
 
     def test_budget_caps_requests(self, wordlist, rng):
         plan = build_plan(wordlist, 0.9)
@@ -551,6 +566,109 @@ class TestFixedOrderWalk:
                 assert got == run_outcome(reference_reconstruct, reference, config)
                 assert got == run_outcome(reconstruct, reference, config)
                 assert got[5] is None
+
+
+class TestWalkResultReaders:
+    """A walk that the budget does not cut keeps its levels and spells its
+    request list only when it is read. Every reader must give what the
+    reference loop gives, read first on a fresh result or after the lists
+    are spelled."""
+
+    READERS = {
+        "requests_used": lambda r: r.requests_used,
+        "recovered": lambda r: r.recovered,
+        "frontier_exhausted": lambda r: r.frontier_exhausted,
+        "request_log": lambda r: r.request_log,
+        "requested": lambda r: r.requested,
+        "served": lambda r: r.served,
+        "to_json": lambda r: r.to_json(),
+    }
+    # the readers an unbudgeted eval makes, which spell nothing
+    COUNTING = {"requests_used", "recovered", "frontier_exhausted"}
+
+    @staticmethod
+    def wanted(run):
+        """What each reader gives for a ReferenceRun, and how many texts its
+        first k requests recovered for k from 0 to one past its requests."""
+        requested = [p for p, _ in run.request_log]
+        want = {
+            "requests_used": len(requested),
+            "recovered": run.recovered,
+            "frontier_exhausted": run.frontier_exhausted,
+            "request_log": run.request_log,
+            "requested": requested,
+            "served": run.served,
+            "to_json": json.dumps(
+                {
+                    "recovered": sorted(run.recovered),
+                    "requests_used": len(requested),
+                    "request_log": [[p, c] for p, c in run.request_log],
+                    "frontier_exhausted": run.frontier_exhausted,
+                },
+                sort_keys=True,
+            ),
+        }
+        return want, run.recovered_counts + [len(run.recovered)]
+
+    @pytest.fixture(scope="class")
+    def histories(self, wordlist):
+        return list(gen_synthetic(3, (60, 200), 0.8, wordlist, seed=48).values())
+
+    @pytest.mark.parametrize("cut", ["none", "stats", "fallback", "max_depth"])
+    def test_every_reader_in_any_order(self, wordlist, histories, monkeypatch, cut):
+        plan = build_plan(wordlist, 0.9)
+        deepest_stats = max(plan.stats_by_length)
+        spelled = []
+        spell = attack._spell
+        monkeypatch.setattr(
+            attack, "_spell", lambda *args: spelled.append(args) or spell(*args)
+        )
+        shapes = set()
+        for hist in histories:
+            index = SuggestIndex(hist)
+            full = reference_reconstruct(bisect_oracle(hist), AttackConfig(plan=plan))
+            lengths = [len(p) for p, _ in full.request_log]
+            stats_end = sum(n <= deepest_stats for n in lengths)
+            budget, max_depth = {
+                "none": (None, None),
+                "stats": (stats_end // 2, None),
+                # one past the stats levels, inside the first fallback level
+                "fallback": (stats_end + 1, None),
+                "max_depth": (None, deepest_stats + 1),
+            }[cut]
+            config = AttackConfig(plan=plan, budget=budget, max_depth=max_depth)
+            run = reference_reconstruct(bisect_oracle(hist), config)
+            want, counts = self.wanted(run)
+            # whether the run ran out, ended past the stats levels, and is
+            # shorter than the full run
+            asked = list(map(len, want["requested"]))
+            shapes.add((run.frontier_exhausted, asked[-1] > deepest_stats, asked != lengths))
+            lazy = budget is None
+            for name, read in self.READERS.items():
+                result = reconstruct(index, config)
+                del spelled[:]
+                assert read(result) == want[name], name
+                assert len(spelled) == (lazy and name not in self.COUNTING), name
+                assert result.requested == want["requested"]
+                assert read(result) == want[name], name
+                assert len(spelled) <= lazy
+            used = want["requests_used"]
+            for k in range(used + 2):
+                result = reconstruct(index, config)
+                del spelled[:]
+                assert result.recovered_after(k) == counts[k]
+                assert len(spelled) == (lazy and k < used)
+            assert result.requested == want["requested"]
+            assert [result.recovered_after(k) for k in range(used + 2)] == counts
+            assert len(spelled) <= lazy
+        assert shapes == {
+            {
+                "none": (True, True, False),
+                "stats": (False, False, True),
+                "fallback": (False, True, True),
+                "max_depth": (True, True, True),
+            }[cut]
+        }
 
 
 def messy_history(rng, words, n, user_id):

@@ -1053,3 +1053,18 @@ def test_cli_import_leaves_email_utils_unloaded():
         check=True,
     )
     assert done.stdout == "False\n"
+
+
+def test_cli_import_leaves_datetime_unloaded():
+    # only AOL ingestion reads a time, so only it imports datetime
+    import historiographer
+    import subprocess
+    import sys
+
+    src = str(Path(historiographer.__file__).resolve().parent.parent)
+    code = "import sys, historiographer.cli; print('datetime' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={"PYTHONPATH": src}, capture_output=True, text=True,
+        check=True,
+    )
+    assert done.stdout == "False\n"

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from historiographer import harness
+from historiographer import attack, harness
 from historiographer.attack import AttackConfig, AttackError, ReconstructionAborted, reconstruct
 from historiographer.harness import (
     HarnessError,
@@ -514,6 +514,21 @@ class TestRunBatch:
             assert heap.to_json() == report.to_json()
         # the heap loop ran: it, unlike the walk, asks the oracle each request
         assert len(asked) == sum(r.n_requests for report in walked for r in report.per_user)
+
+    def test_an_unbudgeted_batch_spells_no_request_list(self, wordlist, monkeypatch):
+        # it reads each run's request count and recovered set alone, so no
+        # walk builds its request order
+        histories = gen_synthetic(8, (5, 300), 0.7, wordlist, seed=22)
+        plan = build_plan(wordlist, 0.9)
+        spelled = []
+        spell = attack._spell
+        monkeypatch.setattr(attack, "_spell", lambda *args: spelled.append(args) or spell(*args))
+        report = run_batch(histories, AttackConfig(plan=plan))
+        assert spelled == []
+        assert sum(r.n_requests for r in report.per_user) > len(plan.seeds) * len(histories)
+        # a cut run spells its lists at once
+        run_batch(histories, AttackConfig(plan=plan, budget=len(plan.seeds) + 1))
+        assert spelled
 
     def test_per_user_failures_recorded(self, wordlist, monkeypatch):
         histories = gen_synthetic(2, 5, 0.5, wordlist, seed=7)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import bisect_oracle
+from conftest import bisect_oracle, random_history
 from historiographer.attack import _groups
 from historiographer.history import DEFAULT_ALPHABET, RankedHistory, SearchHistory, normalize
 from historiographer.oracle import (
@@ -179,6 +179,32 @@ class TestSuggestIndex:
             assert self.outcome(index, prefix) == expected
             assert self.outcome(lambda p: suggest(hist, p), prefix) == expected
             assert self.outcome(bisecting, prefix) == expected
+
+    def test_suggest_serves_as_the_index(self, wordlist):
+        # suggest ranks only the matching entries; it serves and refuses
+        # every prefix as SuggestIndex does, with the same message
+        rng = random.Random(6)
+        # few words under few prefixes, so that queries repeat and compete
+        words = [w for w in wordlist if w.startswith(("co", "th"))][:30] + ["x", "Two  Spaces"]
+        histories = [random_history(rng, words, max_entries=120) for _ in range(4)]
+        # counts and times that tie, so the query order decides
+        ties = [("cobalt", 2, 5, True), ("co", 2, 5, True), ("cod", 1, 9, True)]
+        histories.append(make_history(ties))
+        for hist in histories:
+            index = SuggestIndex(hist)
+            prefixes = {q[:k] for q in hist.entries for k in range(len(q) + 2)}
+            prefixes |= {"", "c", "Co", "co  ", "co ", "\u00e9t", "zz"}
+            for prefix in sorted(prefixes):
+                assert self.refusal_or(suggest, hist, prefix) == self.refusal_or(
+                    lambda _, p: index(p), hist, prefix
+                )
+
+    @staticmethod
+    def refusal_or(fn, hist, prefix):
+        try:
+            return fn(hist, prefix)
+        except Exception as exc:
+            return type(exc), str(exc)
 
     def test_top_code_point_in_prefix(self):
         # the alphabet's highest character, so no bound above it exists

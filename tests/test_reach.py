@@ -34,6 +34,7 @@ HEAP_LOOP = "the heap loop: the reference for _walk, and the path of any callabl
 ACCEPTANCE = "an acceptance name (ROADMAP's hard constraints)"
 VOLUNTEERS = "read by bundled_volunteers, an acceptance name"
 PERFBENCH = "called or patched only by perfbench/ (ROADMAP item 5 retires it)"
+CURVE = "counts a run cut short of its requests, which only recall_curve asks (ROADMAP item 2)"
 
 # qualified name under historiographer: why no CLI run enters it
 UNENTERED = {
@@ -62,6 +63,7 @@ UNENTERED = {
     "cookies.TraceTally.add": PERFBENCH,
     "oracle.SuggestionResponse.history_count": PERFBENCH,
     "harness.recall_curve": PERFBENCH,
+    "attack._served_by_first": CURVE,
 }
 
 
