@@ -6,7 +6,8 @@ from __future__ import annotations
 import csv
 import heapq
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
+from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from .history import RankedHistory, SearchHistory
@@ -55,18 +56,47 @@ class AttackConfig:
             raise AttackError(f"max_depth must be >= {MIN_PREFIX_LEN}, got {self.max_depth}")
 
 
-@dataclass
+# Makes a run's (requested, served): the prefixes asked, in order, and the
+# texts served to each asked prefix that was served at least one.
+SpellFn = Callable[[], Tuple[List[str], Dict[str, List[str]]]]
+
+
 class ReconstructionResult:
-    # the prefixes asked, in order
-    requested: List[str] = field(default_factory=list)
-    # the texts served to each asked prefix that was served at least one
-    served: Dict[str, List[str]] = field(default_factory=dict)
-    recovered: Set[str] = field(default_factory=set)
-    frontier_exhausted: bool = False
+    """One run: how many requests it made, the texts they recovered, and
+    whether the frontier ran out. requested and served come from spell,
+    called once, the first time either is read (also through request_log,
+    to_json and recovered_after(k) for k below the requests made), so a
+    reader of the counts alone never builds them. With no arguments, a run
+    that made no request."""
+
+    __slots__ = ("requests_used", "recovered", "frontier_exhausted", "_spell", "_spelled")
+
+    def __init__(
+        self,
+        requests_used: int = 0,
+        recovered: Optional[Set[str]] = None,
+        frontier_exhausted: bool = False,
+        spell: SpellFn = lambda: ([], {}),
+    ):
+        self.requests_used = requests_used
+        self.recovered = set() if recovered is None else recovered
+        self.frontier_exhausted = frontier_exhausted
+        self._spell = spell
+        self._spelled: Optional[Tuple[List[str], Dict[str, List[str]]]] = None
+
+    def _lists(self) -> Tuple[List[str], Dict[str, List[str]]]:
+        if self._spelled is None:
+            self._spelled = self._spell()
+            self._spell = None  # frees what it kept, a walk's levels
+        return self._spelled
 
     @property
-    def requests_used(self) -> int:
-        return len(self.requested)
+    def requested(self) -> List[str]:
+        return self._lists()[0]
+
+    @property
+    def served(self) -> Dict[str, List[str]]:
+        return self._lists()[1]
 
     @property
     def request_log(self) -> List[Tuple[str, int]]:
@@ -77,9 +107,15 @@ class ReconstructionResult:
     def recovered_after(self, k: int) -> int:
         """How many distinct texts the first k requests served: what a run
         cut at budget k recovers. Not part of to_json."""
-        if k >= len(self.requested):
+        if k >= self.requests_used:
             return len(self.recovered)
-        return _served_by_first(self.requested, self.served, k)
+        requested, served = self._lists()
+        if len(requested) - k < k:
+            # no prefix is asked twice, so the first k are the served ones
+            # outside the rest, the shorter side to read
+            rest = set(requested[k:])
+            return len(set().union(*(texts for p, texts in served.items() if p not in rest)))
+        return len(set().union(*(served[p] for p in requested[:k] if p in served)))
 
     def to_json(self) -> str:
         return json.dumps(
@@ -91,17 +127,6 @@ class ReconstructionResult:
             },
             sort_keys=True,
         )
-
-
-def _served_by_first(requested: List[str], served: Dict[str, List[str]], k: int) -> int:
-    """How many distinct texts the first k of the requests served, for k
-    below their number."""
-    if len(requested) - k < k:
-        # no prefix is asked twice, so the first k are the served ones
-        # outside the rest, the shorter side to read
-        rest = set(requested[k:])
-        return len(set().union(*(texts for p, texts in served.items() if p not in rest)))
-    return len(set().union(*(served[p] for p in requested[:k] if p in served)))
 
 
 def reconstruct(oracle: SuggestFn, config: AttackConfig) -> ReconstructionResult:
@@ -132,20 +157,22 @@ def reconstruct(oracle: SuggestFn, config: AttackConfig) -> ReconstructionResult
     # priorities alone.
     heap: List[Tuple] = [priority(p) for p in plan.seeds]
     heapq.heapify(heap)
-    result = ReconstructionResult()
-    requested, served, recovered = result.requested, result.served, result.recovered
+    requested: List[str] = []
+    served: Dict[str, List[str]] = {}
+    recovered: Set[str] = set()
 
     # A plan holds each seed and unigram_order character once, and a child
     # is one character longer than its one parent, so no prefix is pushed
     # twice.
-    while heap:
-        if budget is not None and len(requested) >= budget:
-            return result
+    while heap and (budget is None or len(requested) < budget):
         prefix = heapq.heappop(heap)[-1]
         try:
             response = oracle(prefix)
         except Exception as exc:
-            raise ReconstructionAborted(str(exc), result) from exc
+            cut = ReconstructionResult(
+                len(requested), recovered, False, lambda: (requested, served)
+            )
+            raise ReconstructionAborted(str(exc), cut) from exc
         texts = response.texts
         requested.append(prefix)
         if texts:
@@ -154,8 +181,7 @@ def reconstruct(oracle: SuggestFn, config: AttackConfig) -> ReconstructionResult
         if len(texts) >= threshold and (max_depth is None or len(prefix) < max_depth):
             for child in plan.extend(prefix):
                 heapq.heappush(heap, priority(child))
-    result.frontier_exhausted = True
-    return result
+    return ReconstructionResult(len(requested), recovered, not heap, lambda: (requested, served))
 
 
 def _walk(index: SuggestIndex, config: AttackConfig) -> ReconstructionResult:
@@ -177,7 +203,7 @@ def _walk(index: SuggestIndex, config: AttackConfig) -> ReconstructionResult:
     levels: List[tuple] = []
     used, recovered = 0, set()
     level, n = plan.seeds, len(plan.seeds[0])
-    groups = _groups(index.ranked_queries(), n)
+    groups = _groups(index.ranked, n)
     while level:
         stats_level = n in plan.stats_by_length  # contiguous from the seeds' length
         if stats_level:
@@ -210,13 +236,14 @@ def _walk(index: SuggestIndex, config: AttackConfig) -> ReconstructionResult:
         else:
             level = sorted(saturated)
     if budget is None or used <= budget:
-        return _WalkResult(order, levels, used, recovered)
+        return ReconstructionResult(used, recovered, True, partial(_spell, order, levels))
     requested, served = _spell(order, levels)
     del requested[budget:]
     # the levels served prefixes past the cut too
     asked = set(requested)
     served = {p: texts for p, texts in served.items() if p in asked}
-    return ReconstructionResult(requested, served, set().union(*served.values()))
+    recovered = set().union(*served.values())
+    return ReconstructionResult(budget, recovered, False, lambda: (requested, served))
 
 
 def _spell(order: WalkOrder, levels: List[tuple]) -> Tuple[List[str], Dict[str, List[str]]]:
@@ -239,49 +266,11 @@ def _spell(order: WalkOrder, levels: List[tuple]) -> Tuple[List[str], Dict[str, 
     return sorted(stats, key=order.rank.__getitem__) + fallback, served
 
 
-class _WalkResult(ReconstructionResult):
-    """The result of a walk that the budget did not cut. It keeps the walk's
-    levels and spells requested and served from them the first time either
-    is read, so a reader of requests_used and recovered alone, as an
-    unbudgeted eval is, never builds them."""
-
-    def __init__(self, order: WalkOrder, levels: List[tuple], used: int, recovered: Set[str]):
-        self._order, self._levels, self._used = order, levels, used
-        self._spelled: Optional[Tuple[List[str], Dict[str, List[str]]]] = None
-        self.recovered = recovered
-        self.frontier_exhausted = True
-
-    @property
-    def requests_used(self) -> int:
-        return self._used
-
-    def recovered_after(self, k: int) -> int:
-        # spells the lists only for a k below the requests made, and reads
-        # them without the properties: a curve run asks this once per user
-        if k >= self._used:
-            return len(self.recovered)
-        return _served_by_first(*self._lists(), k)
-
-    @property
-    def requested(self) -> List[str]:
-        return self._lists()[0]
-
-    @property
-    def served(self) -> Dict[str, List[str]]:
-        return self._lists()[1]
-
-    def _lists(self) -> Tuple[List[str], Dict[str, List[str]]]:
-        if self._spelled is None:
-            self._spelled = _spell(self._order, self._levels)
-            self._levels = []
-        return self._spelled
-
-
 def _groups(queries: Iterable[str], n: int) -> Dict[str, List[str]]:
-    """Every query under each q[:n], in the order given: over
-    ranked_queries, a group's first MAX_HISTORY_SUGGESTIONS are what the
-    index serves that prefix of length n, and its size says whether the
-    prefix is saturated. A query shorter than n sits under itself, which no
+    """Every query under each q[:n], in the order given: over an index's
+    ranked, a group's first MAX_HISTORY_SUGGESTIONS are what the index
+    serves that prefix of length n, and its size says whether the prefix is
+    saturated. A query shorter than n sits under itself, which no
     prefix of length n equals."""
     groups: Dict[str, List[str]] = {}
     for q in queries:

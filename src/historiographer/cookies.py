@@ -266,12 +266,13 @@ _CATALOG_VALUES = {"default_scheme": ("http", "https"), "https_support": ("no", 
 def load_catalog(path) -> List[ServiceCatalogEntry]:
     """Read the service catalog, a JSON array of entries. A file that is not
     such an array, or an entry with a missing, ill-typed or unknown field
-    value or a string holding a lone surrogate, raises CatalogError naming
-    the file, the entry and the field."""
+    value, a string holding a lone surrogate or a service named before,
+    raises CatalogError naming the file, the entry and the field."""
     entries = read_json(path, CatalogError)
     if type(entries) is not list:
         raise CatalogError(f"{path}: expected a JSON array, got {type(entries).__name__}")
     catalog = []
+    first: Dict[str, int] = {}  # the entry that first names each service
     for i, d in enumerate(entries):
         problem = field_problem(d, _CATALOG_FIELDS, where=f"[{i}].")
         if problem:
@@ -286,6 +287,10 @@ def load_catalog(path) -> List[ServiceCatalogEntry]:
                 raise CatalogError(
                     f"{path}: [{i}].{key}: expected one of {', '.join(allowed)}, got {d[key]!r}"
                 )
+        # the audit counts accounts per service name
+        j = first.setdefault(entry.service, i)
+        if j != i:
+            raise CatalogError(f"{path}: [{i}].service: {entry.service!r} repeats [{j}]")
         catalog.append(entry)
     return catalog
 

@@ -76,18 +76,14 @@ class SuggestIndex:
 
     def __init__(self, history: Union[SearchHistory, RankedHistory]):
         # a tuple, so no caller can change what the index serves
-        self._ranked = history.ranked
+        self.ranked = history.ranked
 
     def __call__(self, prefix: str) -> SuggestionResponse:
         """The top-3 clicked queries that start with the prefix, under
         default_ranking."""
         _check_prefix(prefix)
-        matches = (q for q in self._ranked if q.startswith(prefix))
+        matches = (q for q in self.ranked if q.startswith(prefix))
         return SuggestionResponse(prefix, list(islice(matches, MAX_HISTORY_SUGGESTIONS)))
-
-    def ranked_queries(self) -> List[str]:
-        """Every clicked query, best first under default_ranking."""
-        return list(self._ranked)
 
 
 def suggest(history: SearchHistory, prefix: str) -> SuggestionResponse:

@@ -17,6 +17,7 @@ from historiographer.attack import (
     AttackConfig,
     AttackError,
     ReconstructionAborted,
+    ReconstructionResult,
     compute_recall,
     reconstruct,
     score,
@@ -414,7 +415,7 @@ class TestFixedOrderWalk:
             config = AttackConfig(plan=plan, max_depth=max_depth, descent_threshold=threshold)
             for hist in histories:
                 index = SuggestIndex(hist)
-                ranked = index.ranked_queries()
+                ranked = list(index.ranked)
                 rank = {q: i for i, q in enumerate(ranked)}
                 # what the heap loop finds saturated: it serves at most the
                 # cap, and the threshold is at most the cap
@@ -569,10 +570,10 @@ class TestFixedOrderWalk:
 
 
 class TestWalkResultReaders:
-    """A walk that the budget does not cut keeps its levels and spells its
-    request list only when it is read. Every reader must give what the
-    reference loop gives, read first on a fresh result or after the lists
-    are spelled."""
+    """Both loops give a ReconstructionResult. A walk that the budget does
+    not cut keeps its levels and spells its request list only when it is
+    read. Every reader must give what the reference loop gives, read first
+    on a fresh result or after the lists are spelled."""
 
     READERS = {
         "requests_used": lambda r: r.requests_used,
@@ -585,6 +586,12 @@ class TestWalkResultReaders:
     }
     # the readers an unbudgeted eval makes, which spell nothing
     COUNTING = {"requests_used", "recovered", "frontier_exhausted"}
+    # the walk's cases are named by the cut alone, the heap loop's by both
+    CASES = [
+        pytest.param(loop, cut, id=cut if loop == "walk" else f"{loop}-{cut}")
+        for loop in ("walk", "heap")
+        for cut in ("none", "stats", "fallback", "max_depth")
+    ]
 
     @staticmethod
     def wanted(run):
@@ -610,12 +617,25 @@ class TestWalkResultReaders:
         }
         return want, run.recovered_counts + [len(run.recovered)]
 
+    @staticmethod
+    def aborting(oracle, fail_at):
+        """The oracle, refusing every request after its first fail_at."""
+        calls = []
+
+        def refusing(prefix):
+            if len(calls) == fail_at:
+                raise RuntimeError(f"refused {prefix!r}")
+            calls.append(prefix)
+            return oracle(prefix)
+
+        return refusing
+
     @pytest.fixture(scope="class")
     def histories(self, wordlist):
         return list(gen_synthetic(3, (60, 200), 0.8, wordlist, seed=48).values())
 
-    @pytest.mark.parametrize("cut", ["none", "stats", "fallback", "max_depth"])
-    def test_every_reader_in_any_order(self, wordlist, histories, monkeypatch, cut):
+    @pytest.mark.parametrize("loop, cut", CASES)
+    def test_every_reader_in_any_order(self, wordlist, histories, monkeypatch, loop, cut):
         plan = build_plan(wordlist, 0.9)
         deepest_stats = max(plan.stats_by_length)
         spelled = []
@@ -625,7 +645,7 @@ class TestWalkResultReaders:
         )
         shapes = set()
         for hist in histories:
-            index = SuggestIndex(hist)
+            oracle = SuggestIndex(hist) if loop == "walk" else bisect_oracle(hist)
             full = reference_reconstruct(bisect_oracle(hist), AttackConfig(plan=plan))
             lengths = [len(p) for p, _ in full.request_log]
             stats_end = sum(n <= deepest_stats for n in lengths)
@@ -643,9 +663,11 @@ class TestWalkResultReaders:
             # shorter than the full run
             asked = list(map(len, want["requested"]))
             shapes.add((run.frontier_exhausted, asked[-1] > deepest_stats, asked != lengths))
-            lazy = budget is None
+            # only an uncut walk spells when read; the heap loop never spells
+            lazy = budget is None and loop == "walk"
             for name, read in self.READERS.items():
-                result = reconstruct(index, config)
+                result = reconstruct(oracle, config)
+                assert type(result) is ReconstructionResult
                 del spelled[:]
                 assert read(result) == want[name], name
                 assert len(spelled) == (lazy and name not in self.COUNTING), name
@@ -654,13 +676,25 @@ class TestWalkResultReaders:
                 assert len(spelled) <= lazy
             used = want["requests_used"]
             for k in range(used + 2):
-                result = reconstruct(index, config)
+                result = reconstruct(oracle, config)
                 del spelled[:]
                 assert result.recovered_after(k) == counts[k]
                 assert len(spelled) == (lazy and k < used)
             assert result.requested == want["requested"]
             assert [result.recovered_after(k) for k in range(used + 2)] == counts
             assert len(spelled) <= lazy
+            if loop == "heap":
+                # an abort midway leaves the same class, its readers agreeing
+                fail_at = used // 2
+                with pytest.raises(ReconstructionAborted) as exc_info:
+                    reconstruct(self.aborting(oracle, fail_at), config)
+                partial = exc_info.value.partial
+                assert type(partial) is ReconstructionResult
+                assert partial.requests_used == len(partial.requested) == fail_at
+                assert partial.recovered == set().union(*partial.served.values())
+                assert partial.requested == want["requested"][:fail_at]
+                assert partial.recovered_after(fail_at) == counts[fail_at]
+                assert not partial.frontier_exhausted
         assert shapes == {
             {
                 "none": (True, True, False),

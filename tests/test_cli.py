@@ -679,6 +679,7 @@ class TestAudit:
             (3, {"https_support": ""}, "[3].https_support: expected one of no, optional, mandatory, got ''"),
             # JSON can escape a lone surrogate, which no output file can hold
             (0, {"service": "\ud800"}, "[0].service: holds a lone surrogate"),
+            (4, {"service": "Search"}, "[4].service: 'Search' repeats [0]"),
         ],
     )
     def test_malformed_catalog_exit_2(self, tmp_path, capsys, index, change, message):

@@ -338,6 +338,15 @@ def test_bundled_catalog_is_the_catalog_file():
         ("[3]", "[0]: expected an object"),
         ("[", "invalid JSON"),
         ('[{"service": "S"}]', "[0].default_scheme: missing"),
+        # the audit would count each account twice under "S"
+        (
+            json.dumps([
+                {"service": "S", "default_scheme": "http", "https_support": "no",
+                 "uses_domain_cookie": False, "host_pattern": host, "path_pattern": "/"}
+                for host in ("www.google.com", "maps.google.com")
+            ]),
+            "[1].service: 'S' repeats [0]",
+        ),
     ],
 )
 def test_load_catalog_names_entry_and_field(tmp_path, text, message):

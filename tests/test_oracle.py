@@ -248,7 +248,8 @@ class TestSuggestIndex:
     def test_no_caller_changes_what_it_serves(self):
         hist = make_history([("cobalt", 2, 1, True), ("code", 1, 1, True)])
         index = SuggestIndex(hist)
-        index.ranked_queries().append("cow")
+        with pytest.raises(AttributeError):
+            index.ranked.append("cow")
         hist.insert_search("cow", 9, "http://example.com/cow")
         assert index("co").texts == ["cobalt", "code"]
         ranked = RankedHistory("u", 2, hist.ranked)
@@ -269,7 +270,7 @@ class TestSuggestIndex:
     @settings(max_examples=150, deadline=None)
     def test_level_pass_matches_linear_scan(self, searches):
         hist = self.build(searches)
-        ranked = SuggestIndex(hist).ranked_queries()
+        ranked = list(SuggestIndex(hist).ranked)
         clicked = [e for e in hist.entries.values() if e.clicked]
         assert ranked == [e.query for e in sorted(clicked, key=default_ranking)]
         for n in range(2, 8):

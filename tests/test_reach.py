@@ -34,7 +34,6 @@ HEAP_LOOP = "the heap loop: the reference for _walk, and the path of any callabl
 ACCEPTANCE = "an acceptance name (ROADMAP's hard constraints)"
 VOLUNTEERS = "read by bundled_volunteers, an acceptance name"
 PERFBENCH = "called or patched only by perfbench/ (ROADMAP item 5 retires it)"
-CURVE = "counts a run cut short of its requests, which only recall_curve asks (ROADMAP item 2)"
 
 # qualified name under historiographer: why no CLI run enters it
 UNENTERED = {
@@ -63,7 +62,6 @@ UNENTERED = {
     "cookies.TraceTally.add": PERFBENCH,
     "oracle.SuggestionResponse.history_count": PERFBENCH,
     "harness.recall_curve": PERFBENCH,
-    "attack._served_by_first": CURVE,
 }
 
 
@@ -105,6 +103,9 @@ def test_unentered_functions_are_declared(tmp_path):
     defined = defined_functions()
     undefined = UNENTERED.keys() - set(defined.values())
     assert not undefined, f"listed, but no def has these names: {sorted(undefined)}"
+    # a reason whose last entry was deleted goes with it
+    reasons = {value for name, value in globals().items() if name.isupper() and type(value) is str}
+    assert not reasons - set(UNENTERED.values()), "a reason names no entry"
     entered = entered_functions(tmp_path)
     unentered = {name for key, name in defined.items() if key not in entered}
     problems = [
