@@ -6,11 +6,10 @@ from __future__ import annotations
 import csv
 import heapq
 import json
-from dataclasses import dataclass, fields
 from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
 
-from .history import RankedHistory, SearchHistory
+from .history import RankedHistory, Record, SearchHistory
 from .oracle import MAX_HISTORY_SUGGESTIONS, MIN_PREFIX_LEN, SuggestIndex, SuggestionResponse
 from .planner import PrefixPlan, WalkOrder
 
@@ -32,14 +31,17 @@ class ReconstructionAborted(AttackError):
         self.partial = partial
 
 
-@dataclass
-class AttackConfig:
-    plan: PrefixPlan
-    budget: Optional[int] = UNLIMITED
-    max_depth: Optional[int] = UNLIMITED
-    descent_threshold: int = MAX_HISTORY_SUGGESTIONS
+class AttackConfig(Record):
+    _fields = ("plan", "budget", "max_depth", "descent_threshold")
 
-    def __post_init__(self):
+    def __init__(
+        self, plan: PrefixPlan, budget: Optional[int] = UNLIMITED,
+        max_depth: Optional[int] = UNLIMITED, descent_threshold: int = MAX_HISTORY_SUGGESTIONS,
+    ):
+        self.plan = plan
+        self.budget = budget
+        self.max_depth = max_depth
+        self.descent_threshold = descent_threshold
         # Below 1 every prefix would descend, and the alphabet fallback past
         # the deepest stats level never runs out of children.
         if self.descent_threshold < 1:
@@ -278,17 +280,19 @@ def _groups(queries: Iterable[str], n: int) -> Dict[str, List[str]]:
     return groups
 
 
-@dataclass
-class RecallReport:
+class RecallReport(Record):
     """One user's score. The fields, in this order, are the per-user keys
-    of the eval JSON and the columns of the per-user CSV."""
+    of the eval JSON (its vars()) and the columns of the per-user CSV."""
 
-    user_id: str
-    n_h: int
-    n_c: int
-    n_s: int
-    recall: float
-    n_requests: int
+    _fields = ("user_id", "n_h", "n_c", "n_s", "recall", "n_requests")
+
+    def __init__(self, user_id: str, n_h: int, n_c: int, n_s: int, recall: float, n_requests: int):
+        self.user_id = user_id
+        self.n_h = n_h
+        self.n_c = n_c
+        self.n_s = n_s
+        self.recall = recall
+        self.n_requests = n_requests
 
     def csv_row(self) -> List[str]:
         row = {name: str(value) for name, value in vars(self).items()}
@@ -329,6 +333,6 @@ def score(result: ReconstructionResult, truth: Union[SearchHistory, RankedHistor
 def write_reports_csv(reports: List[RecallReport], path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(f.name for f in fields(RecallReport))
+        writer.writerow(RecallReport._fields)
         for report in reports:
             writer.writerow(report.csv_row())

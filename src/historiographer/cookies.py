@@ -4,13 +4,12 @@ ingestion, user counting and the session-hijack exposure audit."""
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
 from importlib import resources
 from operator import itemgetter
 from sys import intern
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, get_origin, get_type_hints
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, get_origin
 
-from .history import STRINGS, field_problem, json_lines, read_json, surrogate_problem
+from .history import STRINGS, Record, field_problem, json_lines, read_json, surrogate_problem
 
 HISTORY_LINK_FLAG = "has_history_link"
 
@@ -31,15 +30,20 @@ class CatalogError(CookieError):
     pass
 
 
-@dataclass
-class Cookie:
-    name: str
-    value: str
-    domain: str
-    path: str = "/"
-    secure: bool = False
-    expiry: Optional[int] = None
-    host_only: bool = False
+class Cookie(Record):
+    _fields = ("name", "value", "domain", "path", "secure", "expiry", "host_only")
+
+    def __init__(
+        self, name: str, value: str, domain: str, path: str = "/", secure: bool = False,
+        expiry: Optional[int] = None, host_only: bool = False,
+    ):
+        self.name = name
+        self.value = value
+        self.domain = domain
+        self.path = path
+        self.secure = secure
+        self.expiry = expiry
+        self.host_only = host_only
 
 
 def _parse_expires(raw: str) -> Optional[int]:
@@ -107,17 +111,22 @@ def parse_cookie_header(header_value: str) -> Dict[str, str]:
     return out
 
 
-@dataclass(slots=True)
-class TrafficRecord:
-    time: int
-    scheme: str  # "http" or "https"
-    client_ip: str
-    host: str
-    path: str
-    # crumbs of the request's Cookie headers, name -> value; iter_trace
-    # leaves them out of HTTPS records, which an eavesdropper cannot read
-    cookies: Dict[str, str] = field(default_factory=dict)
-    body_flags: Set[str] = field(default_factory=set)
+class TrafficRecord(Record):
+    __slots__ = _fields = ("time", "scheme", "client_ip", "host", "path", "cookies", "body_flags")
+
+    def __init__(
+        self, time: int, scheme: str, client_ip: str, host: str, path: str,
+        cookies: Optional[Dict[str, str]] = None, body_flags: Optional[Set[str]] = None,
+    ):
+        self.time = time
+        self.scheme = scheme  # "http" or "https"
+        self.client_ip = client_ip
+        self.host = host
+        self.path = path
+        # crumbs of the request's Cookie headers, name -> value; iter_trace
+        # leaves them out of HTTPS records, which an eavesdropper cannot read
+        self.cookies = {} if cookies is None else cookies
+        self.body_flags = set() if body_flags is None else body_flags
 
 
 def cookie_applies(cookie: Cookie, record: TrafficRecord) -> bool:
@@ -243,22 +252,26 @@ def count_users(trace: Iterable[TrafficRecord]) -> Dict[str, int]:
     return TraceTally(trace).user_counts()
 
 
-@dataclass
-class ServiceCatalogEntry:
-    service: str
-    default_scheme: str  # "http" or "https"
-    https_support: str  # "no" | "optional" | "mandatory"
-    uses_domain_cookie: bool
-    host_pattern: str
-    path_pattern: str
+class ServiceCatalogEntry(Record):
+    _fields = (
+        "service", "default_scheme", "https_support", "uses_domain_cookie", "host_pattern",
+        "path_pattern",
+    )
 
-    def __post_init__(self) -> None:
-        self.default_scheme = self.default_scheme.lower()
-        self.https_support = self.https_support.lower()
+    def __init__(
+        self, service: str, default_scheme: str, https_support: str, uses_domain_cookie: bool,
+        host_pattern: str, path_pattern: str,
+    ):
+        self.service = service
+        self.default_scheme = default_scheme.lower()  # "http" or "https"
+        self.https_support = https_support.lower()  # "no" | "optional" | "mandatory"
+        self.uses_domain_cookie = uses_domain_cookie
+        self.host_pattern = host_pattern
+        self.path_pattern = path_pattern
 
 
-# every field of an entry is required, with the JSON type it is declared with
-_CATALOG_FIELDS = get_type_hints(ServiceCatalogEntry)
+# every field of an entry, in order, is required, with its JSON type
+_CATALOG_FIELDS = dict(zip(ServiceCatalogEntry._fields, [str, str, str, bool, str, str]))
 # the values a field may take, in any case
 _CATALOG_VALUES = {"default_scheme": ("http", "https"), "https_support": ("no", "optional", "mandatory")}
 
@@ -302,13 +315,21 @@ def bundled_catalog() -> List[ServiceCatalogEntry]:
         return load_catalog(path)
 
 
-@dataclass
-class HijackReport:
-    sid: str
-    services_accessible: List[str]
-    cookies_seen: List[str]
-    signed_in: bool
-    history_enabled: bool
+class HijackReport(Record):
+    """One audited account. Its fields, in this order, are its keys in the
+    audit JSON (its vars())."""
+
+    _fields = ("sid", "services_accessible", "cookies_seen", "signed_in", "history_enabled")
+
+    def __init__(
+        self, sid: str, services_accessible: List[str], cookies_seen: List[str], signed_in: bool,
+        history_enabled: bool,
+    ):
+        self.sid = sid
+        self.services_accessible = services_accessible
+        self.cookies_seen = cookies_seen
+        self.signed_in = signed_in
+        self.history_enabled = history_enabled
 
 
 def audit_services(

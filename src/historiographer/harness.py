@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
@@ -18,7 +17,7 @@ from .attack import (
     compute_recall,
     reconstruct,
 )
-from .history import SearchHistory, load_histories, normalize
+from .history import Record, SearchHistory, load_histories, normalize
 from .oracle import MAX_HISTORY_SUGGESTIONS, SuggestIndex, default_ranking
 
 AOL_COLUMNS = ["AnonID", "Query", "QueryTime", "ItemRank", "ClickURL"]
@@ -213,13 +212,18 @@ def brute_force_recoverable(history: SearchHistory) -> Set[str]:
     return recoverable
 
 
-@dataclass
-class AggregateReport:
-    users: int
-    mean_recall: float
-    mean_requests: float
-    per_user: List[RecallReport]
-    failures: Dict[str, str] = field(default_factory=dict)
+class AggregateReport(Record):
+    _fields = ("users", "mean_recall", "mean_requests", "per_user", "failures")
+
+    def __init__(
+        self, users: int, mean_recall: float, mean_requests: float, per_user: List[RecallReport],
+        failures: Optional[Dict[str, str]] = None,
+    ):
+        self.users = users
+        self.mean_recall = mean_recall
+        self.mean_requests = mean_requests
+        self.per_user = per_user
+        self.failures = {} if failures is None else failures
 
     @classmethod
     def of(cls, per_user: List[RecallReport], failures: Dict[str, str]) -> "AggregateReport":
@@ -270,7 +274,10 @@ def _reports(
     """
     if isinstance(histories, Mapping):
         histories = histories.values()
-    run_config = replace(config, budget=None if None in budgets else max(budgets))
+    run_config = AttackConfig(
+        config.plan, None if None in budgets else max(budgets), config.max_depth,
+        config.descent_threshold,
+    )
     # per budget: the row or the failure of each user id
     batches: List[Tuple[Dict[str, RecallReport], Dict[str, str]]] = [({}, {}) for _ in budgets]
     for hist in histories:

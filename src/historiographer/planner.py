@@ -8,12 +8,11 @@ import csv
 import io
 import json
 from collections import Counter
-from dataclasses import dataclass, field
 from importlib import resources
 from types import MappingProxyType
-from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .history import DEFAULT_ALPHABET, STRINGS, field_problem, normalize, read_json
+from .history import DEFAULT_ALPHABET, STRINGS, Record, field_problem, normalize, read_json
 from .oracle import prefix_problem
 
 PLANNER_ALPHABET = "abcdefghijklmnopqrstuvwxyz"
@@ -183,7 +182,7 @@ def query_alphabet_problem(chars: str) -> Optional[str]:
     return None
 
 
-class WalkOrder(NamedTuple):
+class WalkOrder:
     """What the fixed-order walk reads of a plan: each seed and stats-level
     prefix by its place in the attack's request order (count descending,
     then shorter, then lexicographic), the seeds as a set, and
@@ -192,42 +191,53 @@ class WalkOrder(NamedTuple):
     second to a parent that ends in a space). The seeds are an exact set:
     in 3.11 `dict_keys & x` looks up from the smaller side only then."""
 
-    rank: Dict[str, int]
-    seeds: Set[str]
-    chars: Tuple[str, ...]
-    spaceless: Tuple[str, ...]
+    __slots__ = ("rank", "seeds", "chars", "spaceless")
+
+    def __init__(self, rank: Dict[str, int], seeds: Set[str], chars: Tuple[str, ...]):
+        self.rank = rank
+        self.seeds = seeds
+        self.chars = chars
+        self.spaceless = tuple(c for c in chars if c != " ")
 
 
-@dataclass(frozen=True)
-class PrefixPlan:
+class PrefixPlan(Record):
     """A plan fixes the attack's request order when it is made. Every way to
-    make one (build_plan, from_dict, load, dataclasses.replace) runs
-    __post_init__, which keeps read-only copies of the data less repeated
-    seeds and unigram_order characters (each stats level a {prefix: count}
-    mapping), raises PlannerError("field: problem") where mass_problem or
-    _order_problem names one, and works out the walk order and the extend
-    children of each stats level."""
+    make one (build_plan, from_dict, load, or the constructor with another
+    plan's fields) runs __init__, which keeps read-only copies of the data
+    less repeated seeds and unigram_order characters (each stats level a
+    {prefix: count} mapping), raises PlannerError("field: problem") where
+    mass_problem or _order_problem names one, and works out the walk order
+    and the extend children of each stats level. A plan is read-only, and
+    it compares by its fields, not by what it works out from them."""
 
-    seeds: Sequence[str]
+    _fields = (
+        "seeds", "mass_fraction", "stats_by_length", "alphabet", "unigram_order",
+        "selected_by_length",
+    )
+    seeds: Tuple[str, ...]
     mass_fraction: float
     stats_by_length: Mapping[int, Mapping[str, int]]
     alphabet: str
     unigram_order: str
-    selected_by_length: Mapping[int, FrozenSet[str]] = field(default_factory=dict)
-    walk_order: WalkOrder = field(init=False, repr=False, compare=False)
+    selected_by_length: Mapping[int, FrozenSet[str]]
+    walk_order: WalkOrder
     # children by parent prefix at each stats level, frequency-ordered
-    _children: Dict[int, Dict[str, List[str]]] = field(init=False, repr=False, compare=False)
+    _children: Dict[int, Dict[str, List[str]]]
 
-    def __post_init__(self):
-        seeds = tuple(dict.fromkeys(self.seeds))
-        unigram_order = "".join(dict.fromkeys(self.unigram_order))
+    def __init__(
+        self, seeds: Sequence[str], mass_fraction: float,
+        stats_by_length: Mapping[int, Mapping[str, int]], alphabet: str, unigram_order: str,
+        selected_by_length: Optional[Mapping[int, Sequence[str]]] = None,
+    ):
+        seeds = tuple(dict.fromkeys(seeds))
+        unigram_order = "".join(dict.fromkeys(unigram_order))
         # copies, not views: a plan ranks its requests by these counts
         stats = MappingProxyType({
-            n: MappingProxyType(dict(counts)) for n, counts in self.stats_by_length.items()
+            n: MappingProxyType(dict(counts)) for n, counts in stats_by_length.items()
         })
         # checked in the order given, so that the first problem is named
-        selected = {n: tuple(s) for n, s in self.selected_by_length.items()}
-        mass = mass_problem(self.mass_fraction)
+        selected = {n: tuple(s) for n, s in (selected_by_length or {}).items()}
+        mass = mass_problem(mass_fraction)
         problem = f"mass_fraction: {mass}" if mass else _order_problem(
             seeds, unigram_order, stats, selected
         )
@@ -237,10 +247,8 @@ class PrefixPlan:
         # one dict: each level's prefixes are of its own length
         count = {p: c for level in stats.values() for p, c in level.items()}
         ranked = sorted(set(seeds).union(count), key=lambda p: (-count.get(p, 0), len(p), p))
-        chars = tuple(sorted(unigram_order))
         order = WalkOrder(
-            {p: i for i, p in enumerate(ranked)}, set(seeds), chars,
-            tuple(c for c in chars if c != " "),
+            {p: i for i, p in enumerate(ranked)}, set(seeds), tuple(sorted(unigram_order))
         )
         # the rank within one level is that level's frequency order
         children: Dict[int, Dict[str, List[str]]] = {n: {} for n in stats}
@@ -248,10 +256,14 @@ class PrefixPlan:
             if count.get(p, 0) > 0 and p in selected.get(len(p), ()):
                 children[len(p)].setdefault(p[:-1], []).append(p)
         for name, value in [
-            ("seeds", seeds), ("unigram_order", unigram_order), ("stats_by_length", stats),
+            ("seeds", seeds), ("mass_fraction", mass_fraction), ("stats_by_length", stats),
+            ("alphabet", alphabet), ("unigram_order", unigram_order),
             ("selected_by_length", selected), ("walk_order", order), ("_children", children),
         ]:
             object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"PrefixPlan.{name} is read-only")
 
     def extend(self, prefix: str) -> List[str]:
         """Children of a saturated prefix, one character longer, ordered by

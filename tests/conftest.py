@@ -18,6 +18,13 @@ def random_history(rng, vocabulary, max_entries=50, clicked_fraction=0.6, user_i
     return hist
 
 
+def remade(record, **changes):
+    """A new record of record's class, made by its constructor from its
+    fields with the given ones changed: for a plan, one that is checked and
+    ranked again."""
+    return type(record)(**{**{f: getattr(record, f) for f in record._fields}, **changes})
+
+
 def bisect_oracle(history):
     """A reference oracle for the heap loop that serves what
     SuggestIndex(history) serves: a checked prefix's run of matching

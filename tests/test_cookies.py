@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import subprocess
 import sys
@@ -92,7 +93,8 @@ class TestParseSetCookie:
             "    print(parse_set_cookie('SID=a; Expires=Wed, 21 Oct 2015 07:28:00' + zone).expiry)\n"
         )
         done = subprocess.run(
-            [sys.executable, "-c", code], env={"PYTHONPATH": src, "TZ": "Asia/Tokyo"},
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src, "TZ": "Asia/Tokyo"},
             capture_output=True, text=True, check=True,
         )
         offset, *expiries = done.stdout.split()

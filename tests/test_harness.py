@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import json
 import tempfile
@@ -10,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import remade
 from historiographer import attack, harness
 from historiographer.attack import AttackConfig, AttackError, ReconstructionAborted, reconstruct
 from historiographer.harness import (
@@ -58,7 +58,7 @@ def with_qz_seed(plan):
     """The plan with the seed "qz", which has no corpus count, so a run asks
     it after every counted prefix: a run whose oracle refuses it aborts at a
     point of its own for each history."""
-    return dataclasses.replace(plan, seeds=[*plan.seeds, "qz"])
+    return remade(plan, seeds=[*plan.seeds, "qz"])
 
 
 def write_log(tmp_path, rows):
@@ -571,7 +571,7 @@ class TestStreamedBatch:
         monkeypatch.setattr(harness, "SuggestIndex", index)
         config = AttackConfig(plan=build_plan(wordlist, 0.9))
         for budget in (None, 40):
-            budgeted = dataclasses.replace(config, budget=budget)
+            budgeted = remade(config, budget=budget)
             streamed = run_batch(iter_histories(path), budgeted)
             assert streamed.to_json() == run_batch(load_histories(path), budgeted).to_json()
         assert streamed.failures == dict.fromkeys(["user0004", "user0005"], "broken history")
@@ -617,7 +617,7 @@ def per_budget_curve(histories, config, budgets):
     recall_curve must match byte for byte."""
     points = []
     for budget in budgets:
-        report = run_batch(histories, dataclasses.replace(config, budget=budget))
+        report = run_batch(histories, remade(config, budget=budget))
         points.append(
             {
                 "budget": budget,
@@ -719,7 +719,7 @@ class TestRecallCurve:
         assert low < middle < high
         budgets = (1, low, middle, high, high + 1, 2000)
         points = assert_same_curve(histories, config, budgets)
-        users = [run_batch(histories, dataclasses.replace(config, budget=b)).users for b in budgets]
+        users = [run_batch(histories, remade(config, budget=b)).users for b in budgets]
         assert users[1] == len(histories)
         assert 0 < users[2] < len(histories)
         assert users[4] == 0
@@ -754,7 +754,7 @@ class TestRecallCurve:
 
         monkeypatch.setattr(harness, "SuggestIndex", index)
         for budget in (None, 1, 110):
-            report = run_batch(histories, dataclasses.replace(config, budget=budget))
+            report = run_batch(histories, remade(config, budget=budget))
             assert report.failures == dict.fromkeys(histories, "broken history")
             assert report.per_user == []
         assert [p["users"] for p in recall_curve(histories, config, (1, 110))] == [0, 0]

@@ -635,3 +635,51 @@ def test_json_lines_matches_json_loads_per_line(lines):
         path.write_bytes(b"\n".join(lines))
         expected = read_all(json_lines_reference(path, HistoryError))
         assert read_all(json_lines(path, HistoryError)) == expected
+
+
+class TestRecord:
+    """The plain record classes compare and print by their _fields, as the
+    dataclasses they replace did."""
+
+    class Pair(history.Record):
+        _fields = ("a", "b")
+
+        def __init__(self, a, b):
+            self.a = a
+            self.b = b
+
+    def test_equal_by_every_field(self):
+        Pair = self.Pair
+        assert Pair(1, [2]) == Pair(1, [2])
+        assert Pair(1, [2]) != Pair(0, [2])
+        assert Pair(1, [2]) != Pair(1, [3])
+        # another class with the same fields is not equal
+        assert Pair(1, 2) != type("Other", (Pair,), {})(1, 2)
+        assert Pair(1, 2) != (1, 2)
+        with pytest.raises(TypeError):
+            hash(Pair(1, 2))
+        assert repr(Pair(1, "x")) == "Pair(a=1, b='x')"
+
+    def test_fields_are_the_constructor_arguments(self):
+        # so that equality, repr and the tests' remade read every field
+        import inspect
+
+        from historiographer import attack, harness, oracle
+
+        classes = [
+            c for c in history.Record.__subclasses__() if c.__module__.startswith("historiographer.")
+        ]
+        assert {c.__module__ for c in classes} == {
+            m.__name__ for m in (attack, cookies, harness, history, oracle, planner)
+        }
+        for cls in classes:
+            assert tuple(inspect.signature(cls).parameters) == cls._fields, cls
+
+    def test_report_vars_are_the_fields_in_order(self):
+        # the eval JSON and CSV and the audit JSON read a report's vars()
+        from historiographer.attack import RecallReport
+
+        report = RecallReport("u", 3, 2, 1, 0.5, 7)
+        assert tuple(vars(report)) == RecallReport._fields
+        hijack = cookies.HijackReport("s", ["Search"], ["SID"], True, False)
+        assert tuple(vars(hijack)) == cookies.HijackReport._fields
