@@ -9,7 +9,7 @@ import json
 from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
 
-from .history import RankedHistory, Record, SearchHistory
+from .history import InputError, RankedHistory, Record, SearchHistory
 from .oracle import MAX_HISTORY_SUGGESTIONS, MIN_PREFIX_LEN, SuggestIndex, SuggestionResponse
 from .planner import PrefixPlan, WalkOrder
 
@@ -19,7 +19,7 @@ UNLIMITED = None
 SuggestFn = Callable[[str], SuggestionResponse]
 
 
-class AttackError(Exception):
+class AttackError(InputError):
     pass
 
 

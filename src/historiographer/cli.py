@@ -6,38 +6,35 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from importlib import import_module
 from pathlib import Path
 
 from . import __version__
-from .attack import AttackConfig, AttackError, reconstruct, score, write_reports_csv
-from .cookies import (
-    CookieError,
-    TraceTally,
-    bundled_catalog,
-    load_catalog,
-    write_audit_csv,
-)
-# unused here, but perfbench/tracing.py looks these up on this module to patch them
-from .cookies import audit_trace, count_users, load_trace  # noqa: F401
-from .harness import (
-    HarnessError, clicked_fraction_problem, gen_synthetic, ingest_query_log_counted, run_batch,
-)
-from .history import HistoryError, iter_ranked, save_histories
-# unused here, but perfbench/tracing.py looks it up on this module to patch it
-from .history import load_histories  # noqa: F401
+from .attack import AttackConfig, reconstruct, score, write_reports_csv
+from .harness import clicked_fraction_problem, gen_synthetic, ingest_query_log_counted, run_batch
+from .history import InputError, iter_ranked, save_histories
 from .oracle import MIN_PREFIX_LEN, SuggestIndex
 from .planner import (
-    PLANNER_ALPHABET, PlannerError, PrefixPlan, build_plan, bundled_wordlist, load_corpus,
-    mass_problem, query_alphabet_problem, write_stats_csv,
+    PLANNER_ALPHABET, PrefixPlan, build_plan, bundled_wordlist, load_corpus, mass_problem,
+    query_alphabet_problem, write_stats_csv,
 )
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_RUNTIME = 3
 
+# names that only perfbench/tracing.py looks up on this module, to patch
+# them, and the module each is loaded from on first lookup
+_TRACED = {
+    "audit_trace": "cookies", "count_users": "cookies", "load_trace": "cookies",
+    "load_histories": "history",
+}
 
-class InputError(Exception):
-    pass
+
+def __getattr__(name: str):
+    if name not in _TRACED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_TRACED[name]}", __package__), name)
 
 
 def _write_manifest(output: Path, args, **fixed) -> None:
@@ -175,6 +172,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    # only the audit runs the cookie side, so no other subcommand loads it
+    from .cookies import TraceTally, bundled_catalog, load_catalog, write_audit_csv
+
     # the whole trace is read, and any bad record reported, before the catalog
     tally = TraceTally.read(_input_file(args.trace_file, "trace file"))
     if args.catalog_file is not None:
@@ -289,15 +289,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        InputError,
-        FileNotFoundError,
-        CookieError,
-        HarnessError,
-        HistoryError,
-        PlannerError,
-        AttackError,
-    ) as exc:
+    except (InputError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:

@@ -17,7 +17,7 @@ from .attack import (
     compute_recall,
     reconstruct,
 )
-from .history import Record, SearchHistory, load_histories, normalize
+from .history import InputError, Record, SearchHistory, load_histories, normalize
 from .oracle import MAX_HISTORY_SUGGESTIONS, SuggestIndex, default_ranking
 
 AOL_COLUMNS = ["AnonID", "Query", "QueryTime", "ItemRank", "ClickURL"]
@@ -36,7 +36,7 @@ def bundled_volunteers() -> Dict[str, SearchHistory]:
         return load_histories(path)
 
 
-class HarnessError(Exception):
+class HarnessError(InputError):
     pass
 
 

@@ -10,7 +10,11 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 DEFAULT_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789 "
 
 
-class HistoryError(Exception):
+class InputError(Exception):
+    """Input the program refuses; the CLI exits 2."""
+
+
+class HistoryError(InputError):
     pass
 
 

@@ -12,13 +12,13 @@ from importlib import resources
 from types import MappingProxyType
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .history import DEFAULT_ALPHABET, STRINGS, Record, field_problem, normalize, read_json
+from .history import DEFAULT_ALPHABET, STRINGS, InputError, Record, field_problem, normalize, read_json
 from .oracle import prefix_problem
 
 PLANNER_ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
 
-class PlannerError(Exception):
+class PlannerError(InputError):
     pass
 
 

@@ -3,6 +3,7 @@ import functools
 import importlib.util
 import json
 import os
+import pkgutil
 import random
 import tempfile
 import tracemalloc
@@ -18,7 +19,9 @@ from conftest import read_both
 from historiographer import cli, cookies
 from historiographer.attack import AttackConfig, RecallReport, format_recall, reconstruct
 from historiographer.cli import main
-from historiographer.history import DEFAULT_ALPHABET, SearchHistory, iter_ranked, save_histories
+from historiographer.history import (
+    DEFAULT_ALPHABET, InputError, SearchHistory, iter_ranked, save_histories,
+)
 from historiographer.oracle import SuggestIndex
 from historiographer.planner import (
     PLANNER_ALPHABET, PlannerError, PrefixPlan, build_plan, bundled_wordlist,
@@ -1041,6 +1044,58 @@ def test_version_flag(capsys):
     assert exc_info.value.code == 0
 
 
+# every exception class the package defines, by the exit code main gives it:
+# the refusals of the CLI and of every module but the oracle exit 2, and an
+# oracle error, like any other exception, exits 3
+EXIT_BY_ERROR = {
+    "history.InputError": 2,
+    "history.HistoryError": 2,
+    "history.HistoryDisabledError": 2,
+    "history.EmptyQueryError": 2,
+    "attack.AttackError": 2,
+    "attack.ReconstructionAborted": 2,
+    "cookies.CookieError": 2,
+    "cookies.MalformedHeaderError": 2,
+    "cookies.TraceError": 2,
+    "cookies.CatalogError": 2,
+    "harness.HarnessError": 2,
+    "harness.HeaderMismatchError": 2,
+    "planner.PlannerError": 2,
+    "planner.EmptyCorpusError": 2,
+    "oracle.OracleError": 3,
+    "oracle.PrefixTooShortError": 3,
+    "oracle.UnnormalizedPrefixError": 3,
+}
+
+
+def test_every_error_exits_by_its_class(tmp_path, monkeypatch, capsys):
+    """Each exception class a module of the package defines is in
+    EXIT_BY_ERROR, is an InputError exactly when it exits 2, and makes main
+    exit with its code."""
+    import historiographer
+
+    classes = {}
+    for info in pkgutil.iter_modules(historiographer.__path__):
+        module = importlib.import_module(f"historiographer.{info.name}")
+        for name, value in vars(module).items():
+            if (
+                isinstance(value, type) and issubclass(value, BaseException)
+                and value.__module__ == module.__name__
+            ):
+                classes[f"{info.name}.{name}"] = value
+    assert classes.keys() == EXIT_BY_ERROR.keys()
+    assert cli.InputError is InputError
+    for name, cls in classes.items():
+        assert issubclass(cls, InputError) == (EXIT_BY_ERROR[name] == 2), name
+
+        def refuse(args, cls=cls):
+            raise cls.__new__(cls)
+
+        monkeypatch.setattr(cli, "cmd_gen", refuse)
+        assert run(["gen", "--users", 1, "-o", tmp_path / "g.jsonl"]) == EXIT_BY_ERROR[name], name
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 @pytest.mark.parametrize(
     "module",
     [
@@ -1053,6 +1108,8 @@ def test_version_flag(capsys):
         "dataclasses",
         # which dataclasses imports
         "inspect",
+        # only audit runs the cookie side, and it loads it itself
+        "historiographer.cookies",
     ],
 )
 def test_cli_import_leaves_module_unloaded(module):

@@ -9,12 +9,17 @@ CHANGES.md. Manifests are left out: they hold the input and output paths.
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from datetime import datetime, timezone
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import historiographer
 from historiographer.attack import AttackConfig
 from historiographer.cli import main
 from historiographer.harness import AOL_COLUMNS, ingest_query_log_counted, recall_curve
@@ -259,3 +264,25 @@ def test_recall_curve_digest(inputs):
     config = AttackConfig(plan=build_plan(bundled_wordlist(), 0.9))
     curve = json.dumps(recall_curve(histories, config, (110, 440, 2000)))
     assert hashlib.sha256(curve.encode()).hexdigest() == CURVE_DIGEST
+
+
+@pytest.mark.parametrize("case, loads_cookies", [("eval-gen-20", False), ("audit-trace", True)])
+def test_only_audit_loads_cookies(tmp_path, inputs, case, loads_cookies):
+    """A digest case run by main in a fresh interpreter: eval leaves
+    historiographer.cookies unloaded, audit loads it, and each writes the
+    bytes its digests pin."""
+    args, digests = CASES[case]
+    argv = [arg.format(**inputs) for arg in args] + ["-o", str(tmp_path / "out.json")]
+    code = (
+        "import sys\n"
+        "from historiographer.cli import main\n"
+        f"code = main({argv!r})\n"
+        "print(code, 'historiographer.cookies' in sys.modules)\n"
+    )
+    src = str(Path(historiographer.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout == f"0 {loads_cookies}\n"
+    assert {suffix: sha256(tmp_path / f"out{suffix}") for suffix in digests} == digests

@@ -33,7 +33,11 @@ REFUSED = "runs only on input the CLI refuses"
 HEAP_LOOP = "the heap loop: the reference for _walk, and the path of any callable oracle"
 ACCEPTANCE = "an acceptance name (ROADMAP's hard constraints)"
 VOLUNTEERS = "read by bundled_volunteers, an acceptance name"
-PERFBENCH = "called or patched only by perfbench/ (ROADMAP item 5 retires it)"
+PERFBENCH = "called or patched only by perfbench/ (ROADMAP item 7 retires it)"
+RANKING = (
+    "the independent ranking reference of brute_force_recoverable and of two tests; "
+    "no loop calls it (ROADMAP item 7)"
+)
 RECORD = "a record's value equality or repr, which the tests use and no CLI run does"
 
 # qualified name under historiographer: why no CLI run enters it
@@ -47,7 +51,6 @@ UNENTERED = {
     "oracle.SuggestionResponse.__init__": HEAP_LOOP,
     "oracle._check_prefix": HEAP_LOOP,
     "oracle.suggest": HEAP_LOOP,
-    "oracle.default_ranking": HEAP_LOOP,
     "cookies.parse_set_cookie": ACCEPTANCE,
     "cookies._parse_expires": ACCEPTANCE,
     "harness.brute_force_recoverable": ACCEPTANCE,
@@ -65,6 +68,7 @@ UNENTERED = {
     "cookies.TraceTally.add": PERFBENCH,
     "oracle.SuggestionResponse.history_count": PERFBENCH,
     "harness.recall_curve": PERFBENCH,
+    "oracle.default_ranking": RANKING,
     "history.Record.__eq__": RECORD,
     "history.Record.__repr__": RECORD,
 }
