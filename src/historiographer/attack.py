@@ -4,7 +4,6 @@ budgeted, adaptive prefix schedule and assembles the inferred history."""
 from __future__ import annotations
 
 import csv
-import heapq
 import json
 from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
@@ -144,6 +143,9 @@ def reconstruct(oracle: SuggestFn, config: AttackConfig) -> ReconstructionResult
     """
     if type(oracle) is SuggestIndex:
         return _walk(oracle, config)
+    # only this loop uses heapq, and no CLI run enters it
+    import heapq
+
     plan = config.plan
     budget = config.budget
     threshold = config.descent_threshold

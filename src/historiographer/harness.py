@@ -167,10 +167,12 @@ def gen_synthetic(
 ) -> Dict[str, SearchHistory]:
     """Reproducible synthetic datasets: queries drawn from the vocabulary
     with Zipf-like weights (1/rank), each searched at a time in
-    [1_000_000, 2_000_000]."""
+    [1_000_000, 2_000_000]. An empty vocabulary raises HarnessError."""
     problem = clicked_fraction_problem(clicked_fraction)
     if problem:
         raise HarnessError(f"clicked_fraction: {problem}")
+    if not vocabulary:
+        raise HarnessError("vocabulary is empty")
     rng = random.Random(seed)
     weights = [1.0 / (i + 1) for i in range(len(vocabulary))]
     low, high = (entries_per_user,) * 2 if isinstance(entries_per_user, int) else entries_per_user

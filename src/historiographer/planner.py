@@ -9,6 +9,7 @@ import io
 import json
 from collections import Counter
 from importlib import resources
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -27,8 +28,10 @@ class EmptyCorpusError(PlannerError):
 
 
 def _ordered(counts: Mapping[str, int]) -> List[str]:
-    """Canonical order: count descending, then lexicographic."""
-    return sorted(counts, key=lambda p: (-counts[p], p))
+    """Canonical order: count descending, then lexicographic (stable sorts)."""
+    ordered = sorted(counts)
+    ordered.sort(key=counts.__getitem__, reverse=True)
+    return ordered
 
 
 def write_stats_csv(counts: Mapping[str, int], path) -> None:
@@ -46,21 +49,16 @@ def build_stats(corpus: Sequence[str], length: int, alphabet: str = PLANNER_ALPH
     {prefix: count}.
 
     Items shorter than `length`, or whose prefix uses characters outside the
-    alphabet, do not contribute.
+    alphabet, do not contribute. One pass counts every item's prefix; the
+    distinct prefixes are then filtered, each once.
     """
     if length < 2:
         raise PlannerError(f"prefix length must be >= 2, got {length}")
     if not corpus:
         raise EmptyCorpusError("reference corpus is empty")
     allowed = set(alphabet)
-    counts: Counter = Counter()
-    for item in corpus:
-        if len(item) < length:
-            continue
-        prefix = item[:length]
-        if allowed.issuperset(prefix):
-            counts[prefix] += 1
-    return counts
+    counts = Counter(map(itemgetter(slice(0, length)), corpus))
+    return {p: c for p, c in counts.items() if len(p) == length and allowed.issuperset(p)}
 
 
 def mass_problem(mass_fraction: float) -> Optional[str]:
@@ -71,8 +69,9 @@ def mass_problem(mass_fraction: float) -> Optional[str]:
 
 def select_mass(counts: Mapping[str, int], mass_fraction: float) -> List[str]:
     """Smallest frequency-ordered head of the prefix list covering the
-    requested fraction of corpus items. mass_fraction=1 returns every
-    nonzero prefix."""
+    requested fraction of the counted items, the sum of counts: the corpus
+    items whose prefix of the level's length lies in the alphabet.
+    mass_fraction=1 returns every nonzero prefix."""
     problem = mass_problem(mass_fraction)
     if problem:
         raise PlannerError(f"mass_fraction: {problem}")
@@ -145,10 +144,9 @@ def _order_problem(seeds, unigram_order: str, stats: Mapping, selected: Mapping)
         *((f"selected.{n}", n, prefixes) for n, prefixes in selected.items()),
     ]
     for where, _, prefixes in [("seeds", None, seeds), *levels]:
-        for p in prefixes:
-            problem = prefix_problem(p)
-            if problem:
-                return f"{where}: {problem}"
+        problem = next(filter(None, map(prefix_problem, prefixes)), None)
+        if problem:
+            return f"{where}: {problem}"
     lengths = sorted(stats)
     # seeds belong to the shallowest stats level
     for where, n, prefixes in levels + ([("seeds", lengths[0], seeds)] if lengths else []):
@@ -244,16 +242,22 @@ class PrefixPlan(Record):
         if problem:
             raise PlannerError(problem)
         selected = MappingProxyType({n: frozenset(s) for n, s in selected.items()})
-        # one dict: each level's prefixes are of its own length
-        count = {p: c for level in stats.values() for p, c in level.items()}
-        ranked = sorted(set(seeds).union(count), key=lambda p: (-count.get(p, 0), len(p), p))
+        # one dict: each level's prefixes are of its own length, and a seed
+        # no level counts has count 0
+        count = dict.fromkeys(seeds, 0)
+        for level in stats.values():
+            count.update(level)
+        # stable sorts, last key first: count descending, shorter, lexicographic
+        ranked = sorted(count)
+        ranked.sort(key=len)
+        ranked.sort(key=count.__getitem__, reverse=True)
         order = WalkOrder(
             {p: i for i, p in enumerate(ranked)}, set(seeds), tuple(sorted(unigram_order))
         )
         # the rank within one level is that level's frequency order
         children: Dict[int, Dict[str, List[str]]] = {n: {} for n in stats}
         for p in ranked:
-            if count.get(p, 0) > 0 and p in selected.get(len(p), ()):
+            if count[p] > 0 and p in selected.get(len(p), ()):
                 children[len(p)].setdefault(p[:-1], []).append(p)
         for name, value in [
             ("seeds", seeds), ("mass_fraction", mass_fraction), ("stats_by_length", stats),
@@ -349,7 +353,7 @@ def build_plan(
 
     # every character counted in one pass; only the alphabet's are read
     unigrams = Counter("".join(corpus))
-    unigram_order = "".join(sorted(set(alphabet), key=lambda c: (-unigrams[c], c)))
+    unigram_order = "".join(_ordered({c: unigrams[c] for c in alphabet}))
 
     seed_len = min(lengths)
     seeds = picked[seed_len]

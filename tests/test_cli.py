@@ -741,6 +741,21 @@ def test_corpus_not_utf8_exit_2_naming_the_line(tmp_path, capsys, command, data,
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, message", [("plan", "reference corpus is empty"), ("gen", "vocabulary is empty")]
+)
+@pytest.mark.parametrize("data", [b"", b"!!!\n"], ids=["empty", "no-query"])
+def test_corpus_without_a_query_exit_2(tmp_path, capsys, command, message, data):
+    # every line normalizes to nothing, so no item is left to count or draw
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_bytes(data)
+    out = tmp_path / "out.json"
+    args = ["plan", corpus] if command == "plan" else ["gen", "--users", 2, "--vocab", corpus]
+    assert run([*args, "-o", out]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def audit_exit_code(text):
     with tempfile.TemporaryDirectory() as tmp:
         trace = Path(tmp) / "trace.jsonl"
@@ -1110,6 +1125,8 @@ def test_every_error_exits_by_its_class(tmp_path, monkeypatch, capsys):
         "inspect",
         # only audit runs the cookie side, and it loads it itself
         "historiographer.cookies",
+        # only the heap loop uses it, and no CLI run enters that loop
+        "heapq",
     ],
 )
 def test_cli_import_leaves_module_unloaded(module):

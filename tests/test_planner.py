@@ -16,6 +16,7 @@ from historiographer.planner import (
     EmptyCorpusError,
     PlannerError,
     PrefixPlan,
+    _ordered,
     build_plan,
     build_stats,
     bundled_wordlist,
@@ -27,13 +28,13 @@ from historiographer.planner import (
 LETTERS = string.ascii_lowercase
 
 
-def brute_tally(corpus, length):
+def brute_tally(corpus, length, alphabet=LETTERS):
     # independent single-pass tally
     out = {}
     for item in corpus:
         if len(item) >= length:
             p = item[:length]
-            if all(c in LETTERS for c in p):
+            if all(c in alphabet for c in p):
                 out[p] = out.get(p, 0) + 1
     return out
 
@@ -64,6 +65,22 @@ class TestBuildStats:
     def test_length_below_two(self):
         with pytest.raises(PlannerError):
             build_stats(["aa"], 1)
+
+    @given(
+        # items shorter than the length, spaces, digits and a non-ASCII letter
+        st.lists(st.text("ab 1é", max_size=5), min_size=1, max_size=30),
+        st.integers(2, 4),
+        st.sampled_from([LETTERS, "ab", "ab é", "b1"]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_equals_item_by_item_tally(self, corpus, length, alphabet):
+        assert build_stats(corpus, length, alphabet) == brute_tally(corpus, length, alphabet)
+
+
+@given(st.dictionaries(st.text("abc", min_size=1, max_size=3), st.integers(0, 3)))
+@settings(max_examples=100, deadline=None)
+def test_ordered_is_count_descending_then_lexicographic(counts):
+    assert _ordered(counts) == sorted(counts, key=lambda p: (-counts[p], p))
 
 
 class TestSelectMass:
@@ -151,6 +168,22 @@ def test_plan_without_a_fixed_order_refused(wordlist, lengths, alphabet, message
     with pytest.raises(PlannerError) as exc_info:
         build_plan(wordlist, 0.9, lengths=lengths, alphabet=alphabet)
     assert str(exc_info.value) == message
+
+
+@given(
+    st.lists(st.text("abc", min_size=1, max_size=4), min_size=1, max_size=20),
+    st.sampled_from(["ab", "abc"]),
+    st.lists(st.sampled_from(["aa", "ab", "ba", "ca", "az"]), max_size=4),
+)
+@settings(max_examples=100, deadline=None)
+def test_rank_is_count_descending_then_shorter_then_lexicographic(corpus, letters, seeds):
+    # few letters, so that counts tie; "zz" is a seed that no level counts
+    stats = {n: build_stats(corpus, n, letters) for n in (2, 3)}
+    plan = PrefixPlan([*seeds, "zz"], 1.0, stats, letters, letters)
+    count = {p: c for level in stats.values() for p, c in level.items()}
+    expected = sorted(set(plan.seeds).union(count), key=lambda p: (-count.get(p, 0), len(p), p))
+    assert list(plan.walk_order.rank) == expected
+    assert list(plan.walk_order.rank.values()) == list(range(len(expected)))
 
 
 class TestExtend:
