@@ -65,12 +65,16 @@ SpellFn = Callable[[], Tuple[List[str], Dict[str, List[str]]]]
 class ReconstructionResult:
     """One run: how many requests it made, the texts they recovered, and
     whether the frontier ran out. requested and served come from spell,
-    called once, the first time either is read (also through request_log,
-    to_json and recovered_after(k) for k below the requests made), so a
-    reader of the counts alone never builds them. With no arguments, a run
-    that made no request."""
+    called once, the first time either is read (also through request_log
+    and to_json), so a reader of the counts alone never builds them.
+    recovered_after(k) counts within(k), the texts served by the first k
+    requests, where the run gives one (a walk reads them off its levels),
+    and reads the lists otherwise. With no arguments, a run that made no
+    request."""
 
-    __slots__ = ("requests_used", "recovered", "frontier_exhausted", "_spell", "_spelled")
+    __slots__ = (
+        "requests_used", "recovered", "frontier_exhausted", "_spell", "_spelled", "_within"
+    )
 
     def __init__(
         self,
@@ -78,17 +82,18 @@ class ReconstructionResult:
         recovered: Optional[Set[str]] = None,
         frontier_exhausted: bool = False,
         spell: SpellFn = lambda: ([], {}),
+        within: Optional[Callable[[int], Set[str]]] = None,
     ):
         self.requests_used = requests_used
         self.recovered = set() if recovered is None else recovered
         self.frontier_exhausted = frontier_exhausted
         self._spell = spell
         self._spelled: Optional[Tuple[List[str], Dict[str, List[str]]]] = None
+        self._within = within
 
     def _lists(self) -> Tuple[List[str], Dict[str, List[str]]]:
         if self._spelled is None:
             self._spelled = self._spell()
-            self._spell = None  # frees what it kept, a walk's levels
         return self._spelled
 
     @property
@@ -108,14 +113,13 @@ class ReconstructionResult:
     def recovered_after(self, k: int) -> int:
         """How many distinct texts the first k requests served: what a run
         cut at budget k recovers. Not part of to_json."""
+        if k < 0:
+            raise ValueError(f"k must be >= 0, got {k}")
         if k >= self.requests_used:
             return len(self.recovered)
+        if self._within is not None:
+            return len(self._within(k))
         requested, served = self._lists()
-        if len(requested) - k < k:
-            # no prefix is asked twice, so the first k are the served ones
-            # outside the rest, the shorter side to read
-            rest = set(requested[k:])
-            return len(set().union(*(texts for p, texts in served.items() if p not in rest)))
         return len(set().union(*(served[p] for p in requested[:k] if p in served)))
 
     def to_json(self) -> str:
@@ -196,7 +200,8 @@ def _walk(index: SuggestIndex, config: AttackConfig) -> ReconstructionResult:
     next level. A plan asks no prefix the oracle refuses (see
     planner._order_problem), so the walk never aborts. The loop counts the
     requests and fills recovered; requested and served are spelled from the
-    kept levels (_spell) when read, or at once where the budget cuts."""
+    kept levels (_spell) when read, and what a budget keeps of them is read
+    off the levels (_recovered_within)."""
     plan, budget, max_depth = config.plan, config.budget, config.max_depth
     threshold = config.descent_threshold
     order = plan.walk_order
@@ -239,20 +244,20 @@ def _walk(index: SuggestIndex, config: AttackConfig) -> ReconstructionResult:
             level = [c for p in saturated for c in plan.extend(p)]
         else:
             level = sorted(saturated)
-    if budget is None or used <= budget:
-        return ReconstructionResult(used, recovered, True, partial(_spell, order, levels))
-    requested, served = _spell(order, levels)
-    del requested[budget:]
-    # the levels served prefixes past the cut too
-    asked = set(requested)
-    served = {p: texts for p, texts in served.items() if p in asked}
-    recovered = set().union(*served.values())
-    return ReconstructionResult(budget, recovered, False, lambda: (requested, served))
+    cut = budget is not None and used > budget
+    if cut:
+        # the levels asked and served prefixes past the cut too
+        used, recovered = budget, _recovered_within(order, levels, budget)
+    return ReconstructionResult(
+        used, recovered, not cut, partial(_spell, order, levels, used),
+        partial(_recovered_within, order, levels),
+    )
 
 
-def _spell(order: WalkOrder, levels: List[tuple]) -> Tuple[List[str], Dict[str, List[str]]]:
-    """A walk's requested prefixes, in request order, and the texts served
-    to each that was served any, from its levels (see _walk)."""
+def _spell(order: WalkOrder, levels: List[tuple], k: int) -> Tuple[List[str], Dict[str, List[str]]]:
+    """A walk's first k requested prefixes, in request order, and the texts
+    served to each of them that was served any, from its levels (see
+    _walk)."""
     stats: List[str] = []
     fallback: List[str] = []
     served: Dict[str, List[str]] = {}
@@ -267,7 +272,48 @@ def _spell(order: WalkOrder, levels: List[tuple]) -> Tuple[List[str], Dict[str, 
         served.update(zip(hits, texts))
     # the seeds come as listed, which build_plan lists in rank order, so
     # the sort finds that run already sorted
-    return sorted(stats, key=order.rank.__getitem__) + fallback, served
+    requested = sorted(stats, key=order.rank.__getitem__) + fallback
+    if k < len(requested):
+        del requested[k:]
+        asked = set(requested)
+        served = {p: texts for p, texts in served.items() if p in asked}
+    return requested, served
+
+
+def _recovered_within(order: WalkOrder, levels: List[tuple], k: int) -> Set[str]:
+    """The texts served by a walk's first k requests, read from its levels
+    (see _walk) with no request list. The stats levels are asked by rank,
+    so the first k of them hold the k smallest ranks asked. Past them
+    each fallback level is asked whole, up to the one that k ends in,
+    where a child is asked at its parent's offset plus the place of its
+    last character in chars or spaceless."""
+    rank, chars, spaceless = order.rank, order.chars, order.spaceless
+    stats = [level for level in levels if level[0]]
+    # the ranks of the children asked at the stats levels after the seeds'
+    children = [rank[p] for _, prefixes, _, _ in stats[1:] for p in prefixes]
+    ranks = sorted(order.seed_ranks + children) if children else order.seed_ranks
+    if k < len(ranks):
+        bound = ranks[k]  # the first request past the cut
+        return set().union(*(
+            t for _, _, hits, texts in stats for p, t in zip(hits, texts) if rank[p] < bound
+        ))
+    recovered = set().union(*(t for _, _, _, texts in stats for t in texts))
+    k -= len(ranks)
+    for _, parents, hits, texts in levels[len(stats):]:
+        # where each parent's first child is asked in this level
+        start, asked = {}, 0
+        for p in parents:
+            start[p] = asked
+            asked += len(spaceless if p[-1] == " " else chars)
+        if k < asked:
+            recovered.update(*(
+                t for h, t in zip(hits, texts)
+                if start[h[:-1]] + (spaceless if h[-2] == " " else chars).index(h[-1]) < k
+            ))
+            return recovered
+        recovered.update(*texts)
+        k -= asked
+    return recovered
 
 
 def _groups(queries: Iterable[str], n: int) -> Dict[str, List[str]]:

@@ -375,7 +375,8 @@ def json_lines(path, error: type) -> Iterator[Tuple[int, object]]:
     with open(path, "rb", buffering=1 << 16) as fh:
         for lineno, raw in enumerate(fh, 1):
             try:
-                line = raw.decode("utf-8").strip()
+                # JSON's own whitespace only: json.loads refuses any other
+                line = raw.decode("utf-8").strip(" \t\r\n")
             except UnicodeDecodeError as exc:
                 raise error(f"{path}:{lineno}: not UTF-8: {exc}") from None
             if not line:

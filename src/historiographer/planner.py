@@ -183,17 +183,19 @@ def query_alphabet_problem(chars: str) -> Optional[str]:
 class WalkOrder:
     """What the fixed-order walk reads of a plan: each seed and stats-level
     prefix by its place in the attack's request order (count descending,
-    then shorter, then lexicographic), the seeds as a set, and
-    unigram_order in code-point order with and without the space, which
-    the fallback past the deepest stats level appends to a parent (the
-    second to a parent that ends in a space). The seeds are an exact set:
-    in 3.11 `dict_keys & x` looks up from the smaller side only then."""
+    then shorter, then lexicographic), the seeds as a set and their ranks
+    sorted, and unigram_order in code-point order with and without the
+    space, which the fallback past the deepest stats level appends to a
+    parent (the second to a parent that ends in a space). The seeds are an
+    exact set: in 3.11 `dict_keys & x` looks up from the smaller side only
+    then."""
 
-    __slots__ = ("rank", "seeds", "chars", "spaceless")
+    __slots__ = ("rank", "seeds", "seed_ranks", "chars", "spaceless")
 
     def __init__(self, rank: Dict[str, int], seeds: Set[str], chars: Tuple[str, ...]):
         self.rank = rank
         self.seeds = seeds
+        self.seed_ranks = sorted(map(rank.__getitem__, seeds))
         self.chars = chars
         self.spaceless = tuple(c for c in chars if c != " ")
 

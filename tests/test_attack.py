@@ -3,6 +3,7 @@ import heapq
 import itertools
 import json
 import random
+import sys
 import tempfile
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from historiographer.attack import (
     reconstruct,
     score,
 )
-from historiographer.harness import brute_force_recoverable, gen_synthetic
+from historiographer.harness import brute_force_recoverable, bundled_volunteers, gen_synthetic
 from historiographer.history import SearchHistory
 from historiographer.oracle import SuggestIndex, UnnormalizedPrefixError, prefix_problem, suggest
 from historiographer.planner import PlannerError, PrefixPlan, build_plan, build_stats
@@ -193,6 +194,18 @@ class TestRecoveredCounts:
         with pytest.raises(ReconstructionAborted) as exc_info:
             reconstruct(refusing, AttackConfig(plan=plan))
         self.check(exc_info.value.partial)
+
+    @pytest.mark.parametrize("loop", ["walk", "heap"])
+    def test_k_below_zero_refused(self, wordlist, loop):
+        hist = next(iter(bundled_volunteers().values()))
+        oracle = SuggestIndex(hist) if loop == "walk" else bisect_oracle(hist)
+        result = reconstruct(oracle, AttackConfig(plan=build_plan(wordlist, 0.9)))
+        assert (result.requests_used, len(result.recovered)) == (136, 34)
+        for k in (-1, -5):
+            with pytest.raises(ValueError, match=f"^k must be >= 0, got {k}$"):
+                result.recovered_after(k)
+        assert result.recovered_after(0) == 0
+        assert ReconstructionResult().recovered_after(0) == 0
 
     def test_left_out_of_json(self, wordlist):
         hist = random_history(random.Random(9), wordlist, max_entries=40)
@@ -569,10 +582,11 @@ class TestFixedOrderWalk:
 
 
 class TestWalkResultReaders:
-    """Both loops give a ReconstructionResult. A walk that the budget does
-    not cut keeps its levels and spells its request list only when it is
-    read. Every reader must give what the reference loop gives, read first
-    on a fresh result or after the lists are spelled."""
+    """Both loops give a ReconstructionResult. A walk, cut by the budget or
+    not, keeps its levels and spells its request list only when it is
+    read, and answers recovered_after(k) from the levels without spelling.
+    Every reader must give what the reference loop gives, read first on a
+    fresh result or after the lists are spelled."""
 
     READERS = {
         "requests_used": lambda r: r.requests_used,
@@ -662,8 +676,8 @@ class TestWalkResultReaders:
             # shorter than the full run
             asked = list(map(len, want["requested"]))
             shapes.add((run.frontier_exhausted, asked[-1] > deepest_stats, asked != lengths))
-            # only an uncut walk spells when read; the heap loop never spells
-            lazy = budget is None and loop == "walk"
+            # a walk spells when read; the heap loop never spells
+            lazy = loop == "walk"
             for name, read in self.READERS.items():
                 result = reconstruct(oracle, config)
                 assert type(result) is ReconstructionResult
@@ -678,7 +692,7 @@ class TestWalkResultReaders:
                 result = reconstruct(oracle, config)
                 del spelled[:]
                 assert result.recovered_after(k) == counts[k]
-                assert len(spelled) == (lazy and k < used)
+                assert not spelled
             assert result.requested == want["requested"]
             assert [result.recovered_after(k) for k in range(used + 2)] == counts
             assert len(spelled) <= lazy
@@ -702,6 +716,92 @@ class TestWalkResultReaders:
                 "max_depth": (True, True, True),
             }[cut]
         }
+
+
+class TestRecoveredWithin:
+    """_recovered_within reads the texts served by a walk's first k requests
+    off its kept levels. At every k it must give what the spelled request
+    list and served texts give."""
+
+    @pytest.fixture(scope="class")
+    def plans(self, wordlist):
+        two = build_plan(wordlist, 0.9)
+        return {
+            "two": two,
+            "three": build_plan(wordlist, 0.9, lengths=(2, 3, 4)),
+            # a fallback parent can end in a space, and asks no space after it
+            "spaced": remade(two, unigram_order=two.unigram_order + " "),
+        }
+
+    @pytest.fixture(scope="class")
+    def words(self, wordlist):
+        # queries under a few prefixes, so that runs descend past the stats levels
+        return [w for w in wordlist if w[:2] in ("co", "re", "st") and len(w) > 3]
+
+    @staticmethod
+    def check(plan, hist, budget, max_depth, threshold):
+        """Compares at every k from 0 to two past the requests the levels
+        hold; gives the run's shape: its number of stats levels, whether it
+        asked past them, whether a fallback parent ended in a space, and
+        whether the budget cut it."""
+        config = AttackConfig(
+            plan=plan, budget=budget, max_depth=max_depth, descent_threshold=threshold
+        )
+        result = reconstruct(SuggestIndex(hist), config)
+        order, levels = result._within.args
+        # the levels asked prefixes past a cut too
+        requested, served = attack._spell(order, levels, sys.maxsize)
+        want = set()
+        for k, prefix in enumerate(requested + ["", ""]):
+            assert attack._recovered_within(order, levels, k) == want, k
+            want.update(served.get(prefix, ()))
+        stats = [prefixes for stats_level, prefixes, _, _ in levels if stats_level]
+        parents = [p for stats_level, prefixes, _, _ in levels if not stats_level for p in prefixes]
+        assert len(requested) >= result.requests_used
+        return (
+            len(stats),
+            len(requested) > sum(map(len, stats)),
+            any(p[-1] == " " for p in parents),
+            not result.frontier_exhausted,
+        )
+
+    @given(
+        name=st.sampled_from(["two", "three", "spaced"]),
+        seed=st.integers(0, 2**16),
+        budget=st.one_of(st.none(), st.integers(1, 600)),
+        max_depth=st.sampled_from([None, 3, 4, 5]),
+        threshold=st.integers(1, 3),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_equals_the_spelled_lists(self, plans, words, name, seed, budget, max_depth, threshold):
+        hist = messy_history(random.Random(seed), words, 120, "u")
+        self.check(plans[name], hist, budget, max_depth, threshold)
+
+    def test_every_shape_is_met(self, plans, words):
+        shapes = set()
+        for name, seed, budget, max_depth in itertools.product(
+            plans, range(3), [None, 60, 300], [None, 4]
+        ):
+            hist = messy_history(random.Random(seed), words, 120, "u")
+            shape = self.check(plans[name], hist, budget, max_depth, 2)
+            shapes.add((name, *shape))
+        # 2 and 3 stats levels, with and without the space: uncut, cut inside
+        # a fallback level, and cut inside the stats levels
+        for name, levels in [("two", 2), ("three", 3), ("spaced", 2)]:
+            met = {(s[2], s[4]) for s in shapes if s[:2] == (name, levels)}
+            assert met >= {(True, False), (True, True), (False, True)}, name
+        assert any(s[0] == "spaced" and s[3] for s in shapes)
+
+    def test_children_of_a_parent_ending_in_a_space(self, plans):
+        # "con " is saturated past the stats levels, and its children serve
+        # what it does not, each at its place in spaceless
+        hist = SearchHistory(user_id="u")
+        for i, query in enumerate(f"con {c}{d}" for c in "wxyz" for d in "ab"):
+            hist.insert_search(query, i, "http://example.com/")
+        used = reconstruct(SuggestIndex(hist), AttackConfig(plan=plans["spaced"])).requests_used
+        # uncut, and cut inside the level of its children
+        for budget in (None, used - 20):
+            assert self.check(plans["spaced"], hist, budget, None, 3)[2:] == (True, budget is not None)
 
 
 def messy_history(rng, words, n, user_id):

@@ -725,6 +725,34 @@ def test_not_utf8_exit_2_naming_the_line(tmp_path, capsys, plan_file, command, l
     assert capsys.readouterr().err.startswith(f"error: {data}:{lineno}: not UTF-8: ")
 
 
+@pytest.mark.parametrize("command", ["eval", "audit"])
+@pytest.mark.parametrize(
+    "line",
+    ["{good}\u00a0", "\u00a0", "\u3000", "\x1c", "\x1f{good}"],
+    ids=["ends-in-nbsp", "nbsp", "ideographic-space", "file-separator", "unit-separator-first"],
+)
+def test_whitespace_json_refuses_exit_2(tmp_path, capsys, command, line):
+    # only space, tab, CR and LF are JSON whitespace: a line with any other
+    # is neither blank nor JSON
+    good = GOOD_LINES[command]
+    data = tmp_path / "data.jsonl"
+    data.write_bytes(good + b"\n" + line.format(good=good.decode()).encode() + b"\n")
+    assert run([command, data, "-o", tmp_path / "out.json"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {data}:2: invalid JSON: ")
+
+
+@pytest.mark.parametrize("command", ["eval", "audit"])
+def test_blank_lines_and_crlf_read(tmp_path, command):
+    good = GOOD_LINES[command]
+    outs = []
+    for end in (b"\n", b"\r\n"):
+        data = tmp_path / "data.jsonl"
+        data.write_bytes(end.join([b" \t" + good + b"\t ", b"", b" \t\r", good, b""]))
+        outs.append(tmp_path / f"out{len(outs)}.json")
+        assert run([command, data, "-o", outs[-1]]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 @pytest.mark.parametrize("command", ["plan", "gen"])
 @pytest.mark.parametrize(
     "data, lineno",

@@ -526,9 +526,13 @@ class TestRunBatch:
         report = run_batch(histories, AttackConfig(plan=plan))
         assert spelled == []
         assert sum(r.n_requests for r in report.per_user) > len(plan.seeds) * len(histories)
-        # a cut run spells its lists at once
-        run_batch(histories, AttackConfig(plan=plan, budget=len(plan.seeds) + 1))
-        assert spelled
+        # nor does a batch whose budget cuts runs, or a curve that reads each
+        # run at smaller budgets
+        budget = len(plan.seeds) + 1
+        cut = run_batch(histories, AttackConfig(plan=plan, budget=budget))
+        assert budget in {r.n_requests for r in cut.per_user}
+        recall_curve(histories, AttackConfig(plan=plan), (10, budget, 2000))
+        assert spelled == []
 
     def test_per_user_failures_recorded(self, wordlist, monkeypatch):
         histories = gen_synthetic(2, 5, 0.5, wordlist, seed=7)

@@ -577,11 +577,11 @@ def test_bundled_volunteers_is_the_fixture_file():
 
 def json_lines_reference(path, error):
     """json_lines as it read files before its raw_decode fast path: each
-    stripped, non-blank line through json.loads."""
+    line stripped of JSON whitespace, if not blank, through json.loads."""
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, 1):
             try:
-                line = raw.decode("utf-8").strip()
+                line = raw.decode("utf-8").strip(" \t\r\n")
             except UnicodeDecodeError as exc:
                 raise error(f"{path}:{lineno}: not UTF-8: {exc}") from None
             if not line:
@@ -610,7 +610,7 @@ ODD_LINES = st.sampled_from([
     b"1 2", b"{} x", b"[]]", b'"a" "b"', b"{", b"NaN", b"-Infinity", b"-0.0", b"1e400",
     b"[" * 50 + b"]" * 50, b"[" * 100_000 + b"]" * 100_000, b'{"a":' * 50_000,
     b"1" * 5000, b"-" + b"2" * 4301, b'{"n": ' + b"9" * 4400 + b"}",
-    b"\xff", b'"caf\xe9"', b"\xed\xa0\x80", b"{}\r",
+    b"\xff", b'"caf\xe9"', b"\xed\xa0\x80", b"{}\r", b"{}\xc2\xa0", b"\xe3\x80\x80", b"\x1c",
 ])
 LINES = st.lists(
     st.one_of(
