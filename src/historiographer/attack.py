@@ -18,11 +18,7 @@ UNLIMITED = None
 SuggestFn = Callable[[str], SuggestionResponse]
 
 
-class AttackError(InputError):
-    pass
-
-
-class ReconstructionAborted(AttackError):
+class ReconstructionAborted(InputError):
     """Oracle failure mid-run; carries the partial result."""
 
     def __init__(self, message: str, partial: "ReconstructionResult"):
@@ -44,17 +40,17 @@ class AttackConfig(Record):
         # Below 1 every prefix would descend, and the alphabet fallback past
         # the deepest stats level never runs out of children.
         if self.descent_threshold < 1:
-            raise AttackError(f"descent_threshold must be >= 1, got {self.descent_threshold}")
+            raise InputError(f"descent_threshold must be >= 1, got {self.descent_threshold}")
         if self.descent_threshold > MAX_HISTORY_SUGGESTIONS:
-            raise AttackError(
+            raise InputError(
                 f"descent_threshold {self.descent_threshold} exceeds the "
                 f"{MAX_HISTORY_SUGGESTIONS}-suggestion cap"
             )
         if self.budget is not None and self.budget < 1:
-            raise AttackError(f"budget must be >= 1, got {self.budget}")
+            raise InputError(f"budget must be >= 1, got {self.budget}")
         # no prefix shorter than the oracle's minimum is ever requested
         if self.max_depth is not None and self.max_depth < MIN_PREFIX_LEN:
-            raise AttackError(f"max_depth must be >= {MIN_PREFIX_LEN}, got {self.max_depth}")
+            raise InputError(f"max_depth must be >= {MIN_PREFIX_LEN}, got {self.max_depth}")
 
 
 # Makes a run's (requested, served): the prefixes asked, in order, and the

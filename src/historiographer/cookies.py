@@ -14,22 +14,6 @@ from .history import STRINGS, InputError, Record, field_problem, json_lines, rea
 HISTORY_LINK_FLAG = "has_history_link"
 
 
-class CookieError(InputError):
-    pass
-
-
-class MalformedHeaderError(CookieError):
-    pass
-
-
-class TraceError(CookieError):
-    pass
-
-
-class CatalogError(CookieError):
-    pass
-
-
 class Cookie(Record):
     _fields = ("name", "value", "domain", "path", "secure", "expiry", "host_only")
 
@@ -76,11 +60,11 @@ def parse_set_cookie(header_value: str, request_host: str = "") -> Cookie:
     parts = [p.strip() for p in header_value.split(";")]
     first = parts[0]
     if "=" not in first:
-        raise MalformedHeaderError(f"no cookie crumb in {header_value!r}")
+        raise InputError(f"no cookie crumb in {header_value!r}")
     name, _, value = first.partition("=")
     name = name.strip()
     if not name:
-        raise MalformedHeaderError(f"empty cookie name in {header_value!r}")
+        raise InputError(f"empty cookie name in {header_value!r}")
     cookie = Cookie(name=name, value=value.strip(), domain=request_host, host_only=True)
     for part in parts[1:]:
         if not part:
@@ -185,11 +169,11 @@ def _trace_fields(path) -> Iterator[tuple]:
     its crumbs: a caller must not change them.
 
     A bad line (not UTF-8, not JSON) or a record with a missing or ill-typed
-    field raises TraceError naming the file, the line and the field.
+    field raises InputError naming the file, the line and the field.
     """
     memo: Dict[object, Dict[str, str]] = {}
     no_crumbs: Dict[str, str] = {}
-    for lineno, d in json_lines(path, TraceError):
+    for lineno, d in json_lines(path):
         try:
             time, scheme, client_ip, host, req_path = _trace_values(d)
             headers, flags = d.get("headers", {}), d.get("body_flags", [])
@@ -211,7 +195,7 @@ def _trace_fields(path) -> Iterator[tuple]:
                     run += tuple(values)
         except (AttributeError, KeyError, TypeError):
             # which field, worked out only on this rare path
-            raise TraceError(f"{path}:{lineno}: {_trace_problem(d)}") from None
+            raise InputError(f"{path}:{lineno}: {_trace_problem(d)}") from None
         if not run:
             crumbs = no_crumbs
         else:
@@ -235,7 +219,7 @@ def iter_trace(path) -> Iterator[TrafficRecord]:
     eavesdropper never sees them.
 
     A bad line (not UTF-8, not JSON) or a record with a missing or ill-typed
-    field raises TraceError naming the file, the line and the field, the
+    field raises InputError naming the file, the line and the field, the
     same error TraceTally.read raises.
     """
     for *head, crumbs, flags in _trace_fields(path):
@@ -280,30 +264,30 @@ def load_catalog(path) -> List[ServiceCatalogEntry]:
     """Read the service catalog, a JSON array of entries. A file that is not
     such an array, or an entry with a missing, ill-typed or unknown field
     value, a string holding a lone surrogate or a service named before,
-    raises CatalogError naming the file, the entry and the field."""
-    entries = read_json(path, CatalogError)
+    raises InputError naming the file, the entry and the field."""
+    entries = read_json(path)
     if type(entries) is not list:
-        raise CatalogError(f"{path}: expected a JSON array, got {type(entries).__name__}")
+        raise InputError(f"{path}: expected a JSON array, got {type(entries).__name__}")
     catalog = []
     first: Dict[str, int] = {}  # the entry that first names each service
     for i, d in enumerate(entries):
         problem = field_problem(d, _CATALOG_FIELDS, where=f"[{i}].")
         if problem:
-            raise CatalogError(f"{path}: {problem}")
+            raise InputError(f"{path}: {problem}")
         for key, kind in _CATALOG_FIELDS.items():
             problem = surrogate_problem(d[key]) if kind is str else None
             if problem:
-                raise CatalogError(f"{path}: [{i}].{key}: {problem}")
+                raise InputError(f"{path}: [{i}].{key}: {problem}")
         entry = ServiceCatalogEntry(**{key: d[key] for key in _CATALOG_FIELDS})
         for key, allowed in _CATALOG_VALUES.items():
             if getattr(entry, key) not in allowed:
-                raise CatalogError(
+                raise InputError(
                     f"{path}: [{i}].{key}: expected one of {', '.join(allowed)}, got {d[key]!r}"
                 )
         # the audit counts accounts per service name
         j = first.setdefault(entry.service, i)
         if j != i:
-            raise CatalogError(f"{path}: [{i}].service: {entry.service!r} repeats [{j}]")
+            raise InputError(f"{path}: [{i}].service: {entry.service!r} repeats [{j}]")
         catalog.append(entry)
     return catalog
 
@@ -408,7 +392,7 @@ class TraceTally:
     def read(cls, path) -> "TraceTally":
         """The tally of a trace file, read once, each distinct run of Cookie
         values parsed once (see _trace_fields); a bad record raises the
-        TraceError that iter_trace gives."""
+        InputError that iter_trace gives."""
         tally = cls()
         fold = tally._fold
         for _, scheme, client_ip, _, _, crumbs, flags in _trace_fields(path):

@@ -10,7 +10,6 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .attack import (
     AttackConfig,
-    AttackError,
     RecallReport,
     ReconstructionAborted,
     ReconstructionResult,
@@ -34,14 +33,6 @@ def bundled_volunteers() -> Dict[str, SearchHistory]:
     ref = resources.files("historiographer.data").joinpath("volunteers.jsonl")
     with resources.as_file(ref) as path:
         return load_histories(path)
-
-
-class HarnessError(InputError):
-    pass
-
-
-class HeaderMismatchError(HarnessError):
-    pass
 
 
 # date(1970, 1, 1).toordinal(), written out: datetime is imported only where
@@ -113,11 +104,11 @@ def ingest_query_log_counted(path) -> Tuple[Dict[str, SearchHistory], int]:
     try:
         fh = open(path, "rb", buffering=1 << 16)
     except OSError as exc:
-        raise HarnessError(f"cannot read {path}: {exc}") from exc
+        raise InputError(f"cannot read {path}: {exc}") from exc
     with fh:
         header = fh.readline().decode("utf-8", "replace").rstrip("\r\n").split("\t")
         if header != AOL_COLUMNS:
-            raise HeaderMismatchError(f"{path}:1: expected columns {AOL_COLUMNS}, got {header}")
+            raise InputError(f"{path}:1: expected columns {AOL_COLUMNS}, got {header}")
         for raw in fh:
             # the line end stays on the last field, the click URL, which is
             # stripped below
@@ -167,12 +158,12 @@ def gen_synthetic(
 ) -> Dict[str, SearchHistory]:
     """Reproducible synthetic datasets: queries drawn from the vocabulary
     with Zipf-like weights (1/rank), each searched at a time in
-    [1_000_000, 2_000_000]. An empty vocabulary raises HarnessError."""
+    [1_000_000, 2_000_000]. An empty vocabulary raises InputError."""
     problem = clicked_fraction_problem(clicked_fraction)
     if problem:
-        raise HarnessError(f"clicked_fraction: {problem}")
+        raise InputError(f"clicked_fraction: {problem}")
     if not vocabulary:
-        raise HarnessError("vocabulary is empty")
+        raise InputError("vocabulary is empty")
     rng = random.Random(seed)
     weights = [1.0 / (i + 1) for i in range(len(vocabulary))]
     low, high = (entries_per_user,) * 2 if isinstance(entries_per_user, int) else entries_per_user
@@ -307,7 +298,7 @@ def _reports(
         del result
     # every user has a row or a failure at each budget
     if not any(batches[0]):
-        raise HarnessError("no histories to evaluate")
+        raise InputError("no histories to evaluate")
     return [
         AggregateReport.of([rows[u] for u in sorted(rows)], dict(sorted(failures.items())))
         for rows, failures in batches
@@ -336,7 +327,7 @@ def recall_curve(
     if not budgets:
         return []
     if min(budgets) < 1:
-        raise AttackError("budget must be >= 1")
+        raise InputError("budget must be >= 1")
     return [
         {
             "budget": budget,

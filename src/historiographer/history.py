@@ -14,18 +14,6 @@ class InputError(Exception):
     """Input the program refuses; the CLI exits 2."""
 
 
-class HistoryError(InputError):
-    pass
-
-
-class HistoryDisabledError(HistoryError):
-    """Raised when inserting into a history with history_enabled=False."""
-
-
-class EmptyQueryError(HistoryError):
-    """Raised when a query normalizes to the empty string."""
-
-
 # a list of strings, as a field's kind
 STRINGS = list[str]
 # each kind a field may have: its wording and the exact types of its values
@@ -217,10 +205,10 @@ class SearchHistory(Record):
 
     def insert_search(self, raw_query: str, time: int, clicked_url: Optional[str] = None) -> None:
         if not self.history_enabled:
-            raise HistoryDisabledError(f"history disabled for user {self.user_id!r}")
+            raise InputError(f"history disabled for user {self.user_id!r}")
         query = normalize(raw_query)
         if not query:
-            raise EmptyQueryError(f"query {raw_query!r} normalizes to nothing")
+            raise InputError(f"query {raw_query!r} normalizes to nothing")
         self._merge(query, time, clicked_url)
 
     def _merge(self, query: str, time: int, clicked_url: Optional[str]) -> None:
@@ -258,21 +246,21 @@ class SearchHistory(Record):
     @classmethod
     def from_dict(cls, d: dict) -> "SearchHistory":
         """The history that to_dict wrote. A missing or ill-typed field
-        raises HistoryError naming it."""
+        raises InputError naming it."""
         return _history(*_decode(d))
 
 
 def _decode(d: dict) -> Tuple[str, bool, List[list]]:
     """A history record's user id, history_enabled and entry columns (see
     _entry_columns), checked. A missing or ill-typed field raises
-    HistoryError naming it, an entry's by its place."""
+    InputError naming it, an entry's by its place."""
     problem = field_problem(d, _HISTORY_FIELDS, _HISTORY_OPTIONAL)
     if problem:
-        raise HistoryError(problem)
+        raise InputError(problem)
     user_id = d["user_id"]
     problem = surrogate_problem(user_id)
     if problem:
-        raise HistoryError(f"user_id: {problem}")
+        raise InputError(f"user_id: {problem}")
     entries = d.get("entries", [])
     columns = _entry_columns(entries)
     if columns is None:
@@ -280,7 +268,7 @@ def _decode(d: dict) -> Tuple[str, bool, List[list]]:
         for i, ed in enumerate(entries):
             problem = field_problem(ed, _ENTRY_FIELDS, _ENTRY_OPTIONAL, f"entries[{i}].")
             if problem:
-                raise HistoryError(problem)
+                raise InputError(problem)
     return user_id, d["history_enabled"], columns
 
 
@@ -344,17 +332,17 @@ def save_histories(histories: Iterable[SearchHistory], path) -> None:
             fh.write(json.dumps(hist.to_dict(), sort_keys=True) + "\n")
 
 
-def read_json(path, error: type):
+def read_json(path):
     """The JSON value in a UTF-8 file. Bytes that are not UTF-8, or JSON
-    that the decoder refuses, raise error naming the file."""
+    that the decoder refuses, raise InputError naming the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except UnicodeDecodeError as exc:
-        raise error(f"{path}: not UTF-8: {exc}") from None
+        raise InputError(f"{path}: not UTF-8: {exc}") from None
     except (ValueError, RecursionError) as exc:
         # ValueError also covers an integer too long to convert
-        raise error(f"{path}: invalid JSON: {exc}") from None
+        raise InputError(f"{path}: invalid JSON: {exc}") from None
 
 
 # json.loads(s) is this call from index 0, reached through raw_decode, plus
@@ -364,10 +352,10 @@ def read_json(path, error: type):
 _scan_once = json.JSONDecoder().scan_once
 
 
-def json_lines(path, error: type) -> Iterator[Tuple[int, object]]:
+def json_lines(path) -> Iterator[Tuple[int, object]]:
     """(line number, value) for each non-blank line of a JSON-lines file.
     Each line is decoded on its own, so a line that is not UTF-8, or JSON
-    that the decoder refuses, raises error naming the file and that line.
+    that the decoder refuses, raises InputError naming the file and that line.
     The decoder's C scanner reads each stripped line in one call; only a
     line it refuses or does not consume whole goes to json.loads, for the
     value or the message json.loads gives."""
@@ -378,7 +366,7 @@ def json_lines(path, error: type) -> Iterator[Tuple[int, object]]:
                 # JSON's own whitespace only: json.loads refuses any other
                 line = raw.decode("utf-8").strip(" \t\r\n")
             except UnicodeDecodeError as exc:
-                raise error(f"{path}:{lineno}: not UTF-8: {exc}") from None
+                raise InputError(f"{path}:{lineno}: not UTF-8: {exc}") from None
             if not line:
                 continue
             try:
@@ -392,7 +380,7 @@ def json_lines(path, error: type) -> Iterator[Tuple[int, object]]:
                     value = json.loads(line)
                 except (ValueError, RecursionError) as exc:
                     # ValueError also covers an integer too long to convert
-                    raise error(f"{path}:{lineno}: invalid JSON: {exc}") from None
+                    raise InputError(f"{path}:{lineno}: invalid JSON: {exc}") from None
             yield lineno, value
 
 
@@ -401,14 +389,14 @@ def _read(path, build: Callable) -> Iterator:
     order, read only when the next one is asked for.
 
     A bad line (not UTF-8, not JSON) or a record with a missing or ill-typed
-    field raises HistoryError naming the file, the line and the field, when
+    field raises InputError naming the file, the line and the field, when
     the line is reached.
     """
-    for lineno, d in json_lines(path, HistoryError):
+    for lineno, d in json_lines(path):
         try:
             decoded = _decode(d)
-        except HistoryError as exc:
-            raise HistoryError(f"{path}:{lineno}: {exc}") from exc
+        except InputError as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from exc
         yield build(*decoded)
 
 

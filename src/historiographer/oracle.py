@@ -15,15 +15,7 @@ _ALPHABET = frozenset(DEFAULT_ALPHABET)
 
 
 class OracleError(Exception):
-    pass
-
-
-class PrefixTooShortError(OracleError):
-    """Suggestions are only served for prefixes of length >= 2."""
-
-
-class UnnormalizedPrefixError(OracleError):
-    pass
+    """A prefix the oracle refuses to serve; the CLI exits 3."""
 
 
 class SuggestionResponse(Record):
@@ -62,8 +54,7 @@ def prefix_problem(prefix: str) -> Optional[str]:
 def _check_prefix(prefix: str) -> None:
     problem = prefix_problem(prefix)
     if problem is not None:
-        short = len(prefix) < MIN_PREFIX_LEN
-        raise (PrefixTooShortError if short else UnnormalizedPrefixError)(f"prefix {problem}")
+        raise OracleError(f"prefix {problem}")
 
 
 class SuggestIndex:

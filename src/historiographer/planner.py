@@ -19,14 +19,6 @@ from .oracle import prefix_problem
 PLANNER_ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
 
-class PlannerError(InputError):
-    pass
-
-
-class EmptyCorpusError(PlannerError):
-    pass
-
-
 def _ordered(counts: Mapping[str, int]) -> List[str]:
     """Canonical order: count descending, then lexicographic (stable sorts)."""
     ordered = sorted(counts)
@@ -53,9 +45,9 @@ def build_stats(corpus: Sequence[str], length: int, alphabet: str = PLANNER_ALPH
     distinct prefixes are then filtered, each once.
     """
     if length < 2:
-        raise PlannerError(f"prefix length must be >= 2, got {length}")
+        raise InputError(f"prefix length must be >= 2, got {length}")
     if not corpus:
-        raise EmptyCorpusError("reference corpus is empty")
+        raise InputError("reference corpus is empty")
     allowed = set(alphabet)
     counts = Counter(map(itemgetter(slice(0, length)), corpus))
     return {p: c for p, c in counts.items() if len(p) == length and allowed.issuperset(p)}
@@ -74,7 +66,7 @@ def select_mass(counts: Mapping[str, int], mass_fraction: float) -> List[str]:
     mass_fraction=1 returns every nonzero prefix."""
     problem = mass_problem(mass_fraction)
     if problem:
-        raise PlannerError(f"mass_fraction: {problem}")
+        raise InputError(f"mass_fraction: {problem}")
     target = mass_fraction * sum(counts.values())
     picked: List[str] = []
     cum = 0
@@ -205,7 +197,7 @@ class PrefixPlan(Record):
     make one (build_plan, from_dict, load, or the constructor with another
     plan's fields) runs __init__, which keeps read-only copies of the data
     less repeated seeds and unigram_order characters (each stats level a
-    {prefix: count} mapping), raises PlannerError("field: problem") where
+    {prefix: count} mapping), raises InputError("field: problem") where
     mass_problem or _order_problem names one, and works out the walk order
     and the extend children of each stats level. A plan is read-only, and
     it compares by its fields, not by what it works out from them."""
@@ -242,7 +234,7 @@ class PrefixPlan(Record):
             seeds, unigram_order, stats, selected
         )
         if problem:
-            raise PlannerError(problem)
+            raise InputError(problem)
         selected = MappingProxyType({n: frozenset(s) for n, s in selected.items()})
         # one dict: each level's prefixes are of its own length, and a seed
         # no level counts has count 0
@@ -310,12 +302,12 @@ class PrefixPlan(Record):
 
     @classmethod
     def from_dict(cls, d) -> "PrefixPlan":
-        """The plan to_dict gave; PlannerError("field: problem") if d is not
+        """The plan to_dict gave; InputError("field: problem") if d is not
         one. The plan command never wrote filter_extensions false, so such a
         plan is refused, once every other check has passed."""
         problem = _plan_problem(d)
         if problem:
-            raise PlannerError(problem)
+            raise InputError(problem)
         plan = cls(
             seeds=d["seeds"],
             mass_fraction=d["mass_fraction"],
@@ -325,7 +317,7 @@ class PrefixPlan(Record):
             selected_by_length={int(n): sel for n, sel in d.get("selected", {}).items()},
         )
         if not d.get("filter_extensions", True):
-            raise PlannerError(
+            raise InputError(
                 "filter_extensions: false is not read; build the plan again with the plan command"
             )
         return plan
@@ -333,12 +325,12 @@ class PrefixPlan(Record):
     @classmethod
     def load(cls, path) -> "PrefixPlan":
         """The plan that save wrote. A file that is not UTF-8 JSON, or a
-        plan that from_dict refuses, raises PlannerError naming the file."""
-        d = read_json(path, PlannerError)
+        plan that from_dict refuses, raises InputError naming the file."""
+        d = read_json(path)
         try:
             return cls.from_dict(d)
-        except PlannerError as exc:
-            raise PlannerError(f"{path}: {exc}") from None
+        except InputError as exc:
+            raise InputError(f"{path}: {exc}") from None
 
 
 def build_plan(
@@ -349,7 +341,7 @@ def build_plan(
 ) -> PrefixPlan:
     """Build seed list and per-length stats from a reference corpus."""
     if not lengths:
-        raise PlannerError("no prefix lengths given")
+        raise InputError("no prefix lengths given")
     stats_by_length = {n: build_stats(corpus, n, alphabet) for n in sorted(lengths)}
     picked = {n: select_mass(stats, mass_fraction) for n, stats in stats_by_length.items()}
 
@@ -360,7 +352,7 @@ def build_plan(
     seed_len = min(lengths)
     seeds = picked[seed_len]
     if not seeds:
-        raise PlannerError(
+        raise InputError(
             f"no corpus item has a length-{seed_len} prefix in the alphabet {alphabet!r}: "
             "the plan would have no seeds"
         )
@@ -377,7 +369,7 @@ def build_plan(
 def load_corpus(path) -> List[str]:
     """Word-list corpus: one item per line, normalized on load. As in text
     mode, a lone carriage return also ends an item. A line that is not UTF-8
-    raises PlannerError naming the file and the line."""
+    raises InputError naming the file and the line."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -389,7 +381,7 @@ def load_corpus(path) -> List[str]:
             try:
                 raw.decode("utf-8")
             except UnicodeDecodeError as exc:
-                raise PlannerError(f"{path}:{lineno}: not UTF-8: {exc}") from None
+                raise InputError(f"{path}:{lineno}: not UTF-8: {exc}") from None
         raise
     # an item that normalizes to nothing is dropped
     return list(filter(None, map(normalize, text.replace("\r", "\n").split("\n"))))

@@ -3,7 +3,7 @@ from bisect import bisect_left
 
 import pytest
 
-from historiographer.history import HistoryError, SearchHistory, iter_histories, iter_ranked
+from historiographer.history import InputError, SearchHistory, iter_histories, iter_ranked
 from historiographer.oracle import MAX_HISTORY_SUGGESTIONS, SuggestionResponse, _check_prefix
 
 
@@ -56,7 +56,7 @@ def read_both(path):
         try:
             for hist in histories:
                 got.append((hist.user_id, hist.n_h, hist.n_c, hist.ranked))
-        except HistoryError as exc:
+        except InputError as exc:
             return got, str(exc)
         return got, None
 

@@ -15,7 +15,6 @@ from conftest import bisect_oracle, random_history, remade
 from historiographer import attack
 from historiographer.attack import (
     AttackConfig,
-    AttackError,
     ReconstructionAborted,
     ReconstructionResult,
     compute_recall,
@@ -23,9 +22,9 @@ from historiographer.attack import (
     score,
 )
 from historiographer.harness import brute_force_recoverable, bundled_volunteers, gen_synthetic
-from historiographer.history import SearchHistory
-from historiographer.oracle import SuggestIndex, UnnormalizedPrefixError, prefix_problem, suggest
-from historiographer.planner import PlannerError, PrefixPlan, build_plan, build_stats
+from historiographer.history import InputError, SearchHistory
+from historiographer.oracle import OracleError, SuggestIndex, prefix_problem, suggest
+from historiographer.planner import PrefixPlan, build_plan, build_stats
 
 FULL_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789 "
 
@@ -113,16 +112,16 @@ class TestDescent:
 
     def test_config_validation(self, wordlist):
         plan = build_plan(wordlist, 0.9)
-        with pytest.raises(AttackError):
+        with pytest.raises(InputError, match="^descent_threshold 4 exceeds the 3-suggestion cap$"):
             AttackConfig(plan=plan, descent_threshold=4)
-        with pytest.raises(AttackError):
+        with pytest.raises(InputError, match="^budget must be >= 1, got 0$"):
             AttackConfig(plan=plan, budget=0)
-        with pytest.raises(AttackError):
+        with pytest.raises(InputError, match="^budget must be >= 1, got -5$"):
             AttackConfig(plan=plan, budget=-5)
 
     def test_threshold_below_one_rejected(self, wordlist):
         plan = build_plan(wordlist, 0.9)
-        with pytest.raises(AttackError):
+        with pytest.raises(InputError, match="^descent_threshold must be >= 1, got 0$"):
             AttackConfig(plan=plan, descent_threshold=0)
 
     @pytest.mark.parametrize("max_depth", [1, 0, -1])
@@ -130,7 +129,7 @@ class TestDescent:
         # no prefix shorter than 2 is ever requested, so a depth below it
         # would still request the seeds
         plan = build_plan(wordlist, 0.9)
-        with pytest.raises(AttackError, match=f"^max_depth must be >= 2, got {max_depth}$"):
+        with pytest.raises(InputError, match=f"^max_depth must be >= 2, got {max_depth}$"):
             AttackConfig(plan=plan, max_depth=max_depth)
         assert AttackConfig(plan=plan, max_depth=2).max_depth == 2
 
@@ -188,7 +187,7 @@ class TestRecoveredCounts:
 
         def refusing(prefix):
             if prefix == "qz":
-                raise UnnormalizedPrefixError(f"prefix {prefix!r} refused")
+                raise OracleError(f"prefix {prefix!r} refused")
             return index(prefix)
 
         with pytest.raises(ReconstructionAborted) as exc_info:
@@ -246,7 +245,7 @@ def reference_reconstruct(oracle, config):
     same queries."""
     plan = config.plan
     if not plan.seeds:
-        raise AttackError("plan has no seeds")
+        raise InputError("plan has no seeds")
 
     def priority(prefix):
         return (-stats_count(plan, prefix), len(prefix), prefix)
@@ -508,7 +507,7 @@ class TestFixedOrderWalk:
     def test_changed_unigram_order_is_checked(self, wordlist):
         plan = build_plan(wordlist, 0.9)
         # the oracle refuses every child ending in "-"
-        with pytest.raises(PlannerError) as exc_info:
+        with pytest.raises(InputError) as exc_info:
             remade(plan, unigram_order=plan.unigram_order + "-")
         assert str(exc_info.value) == (
             f"unigram_order: '-' is not in the query alphabet {FULL_ALPHABET!r}"
@@ -550,7 +549,7 @@ class TestFixedOrderWalk:
         got = run_outcome(reconstruct, index, config)
         assert got == run_outcome(reference_reconstruct, bisect_oracle(histories[-1]), config)
         assert [p for p, _ in got[0] if len(p) == 2] == ["th", "qz"]
-        with pytest.raises(PlannerError, match="^seeds: 'ZZ' is not normalized$"):
+        with pytest.raises(InputError, match="^seeds: 'ZZ' is not normalized$"):
             remade(plan, seeds=("th", "ZZ"))
 
     @given(
@@ -566,7 +565,7 @@ class TestFixedOrderWalk:
         # heap loop on a plan that is made run alike and never abort
         try:
             plan = bundled_plan_with(wordlist, extra_seeds)
-        except PlannerError as exc:
+        except InputError as exc:
             assert str(exc).startswith("seeds: ")
             assert any(prefix_problem(p) or len(p) != 2 for p in extra_seeds)
             return
@@ -970,7 +969,7 @@ class TestHeapLoopPlans:
         problem = plan_problems(plans)[name]
         if problem is not None:
             for make in makers:
-                with pytest.raises(PlannerError) as exc_info:
+                with pytest.raises(InputError) as exc_info:
                     make()
                 assert str(exc_info.value) == problem
             return
@@ -998,7 +997,7 @@ class TestHeapLoopPlans:
             try:
                 PrefixPlan.load(path)
                 outcomes[name] = None
-            except PlannerError as exc:
+            except InputError as exc:
                 outcomes[name] = str(exc).removeprefix(f"{path}: ")
         assert outcomes == plan_problems(plans)
 
@@ -1070,7 +1069,7 @@ class TestLoadedPlansWalk:
             path.write_text(json.dumps(d))
             try:
                 plan = PrefixPlan.load(path)
-            except PlannerError as exc:
+            except InputError as exc:
                 assert str(exc).startswith(f"{path}: ")
                 return
         for budget, threshold in ((None, 3), (60, 2)):

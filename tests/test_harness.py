@@ -9,12 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import remade
+from conftest import random_history, remade
 from historiographer import attack, harness
-from historiographer.attack import AttackConfig, AttackError, ReconstructionAborted, reconstruct
+from historiographer.attack import AttackConfig, ReconstructionAborted, reconstruct
 from historiographer.harness import (
-    HarnessError,
-    HeaderMismatchError,
     brute_force_recoverable,
     bundled_volunteers,
     gen_synthetic,
@@ -23,14 +21,14 @@ from historiographer.harness import (
     run_batch,
 )
 from historiographer.history import (
-    EmptyQueryError,
-    HistoryError,
+    InputError,
     SearchHistory,
+    normalize,
     iter_histories,
     load_histories,
     save_histories,
 )
-from historiographer.oracle import SuggestIndex, UnnormalizedPrefixError
+from historiographer.oracle import MAX_HISTORY_SUGGESTIONS, MIN_PREFIX_LEN, OracleError, SuggestIndex
 from historiographer.planner import build_plan, bundled_wordlist
 
 AOL_HEADER = "AnonID\tQuery\tQueryTime\tItemRank\tClickURL"
@@ -46,7 +44,7 @@ def refusing_index(refuses):
 
         def oracle(prefix):
             if refuses(prefix):
-                raise UnnormalizedPrefixError(f"prefix {prefix!r} refused")
+                raise OracleError(f"prefix {prefix!r} refused")
             return index(prefix)
 
         return oracle
@@ -104,11 +102,11 @@ class TestIngest:
     def test_header_mismatch(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("foo\tbar\n1\tx\n")
-        with pytest.raises(HeaderMismatchError):
+        with pytest.raises(InputError, match=":1: expected columns "):
             ingest_query_log_counted(path)[0]
 
     def test_unreadable_file(self, tmp_path):
-        with pytest.raises(HarnessError):
+        with pytest.raises(InputError, match="^cannot read "):
             ingest_query_log_counted(tmp_path / "missing.tsv")[0]
 
     def test_not_utf8_row_skipped_and_counted(self, tmp_path):
@@ -333,7 +331,7 @@ def reference_ingest(path):
             hist = histories.get(anon_id, SearchHistory(user_id=anon_id))
             try:
                 hist.insert_search(query, time, click_url.strip() or None)
-            except EmptyQueryError:
+            except InputError:
                 skipped += 1
                 continue
             histories.setdefault(anon_id, hist)
@@ -429,7 +427,7 @@ class TestGenSynthetic:
         assert 0.45 <= n_c / n_h <= 0.60
 
     def test_bad_fraction(self, wordlist):
-        with pytest.raises(HarnessError):
+        with pytest.raises(InputError, match=r"^clicked_fraction: 1.5 is not in \[0, 1\]$"):
             gen_synthetic(1, 1, 1.5, wordlist, seed=0)
 
 
@@ -440,8 +438,6 @@ class TestBruteForce:
         assert brute_force_recoverable(hist) == {"privacy"}
 
     def test_result_subset_of_clicked(self, wordlist, rng):
-        from conftest import random_history
-
         hist = random_history(rng, wordlist, max_entries=60)
         assert brute_force_recoverable(hist) <= set(hist.clicked_queries())
 
@@ -464,6 +460,34 @@ class TestBruteForce:
         hist.insert_search("aa", 150, "http://x")
         assert brute_force_recoverable(hist) == {"aab", "aac", "aad"}
 
+    @given(
+        st.randoms(use_true_random=False),
+        st.lists(st.text("ab c", min_size=1, max_size=5).map(normalize).filter(bool), max_size=10),
+        st.sampled_from([0.3, 0.6, 1.0]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_cap_rule_on_nesting_queries(self, rng, words, clicked_fraction):
+        vocabulary = ["a", "ab", "abc", "ab cd", "ab c", "abcd", "b", "ba", *words]
+        hist = random_history(rng, vocabulary, max_entries=40, clicked_fraction=clicked_fraction)
+        assert cap_rule_recoverable(hist) == brute_force_recoverable(hist)
+
+    def test_cap_rule_on_every_volunteer(self):
+        for hist in bundled_volunteers().values():
+            assert cap_rule_recoverable(hist) == brute_force_recoverable(hist), hist.user_id
+
+
+def cap_rule_recoverable(hist):
+    """The clicked queries that some prefix serves in its top 3, by a closed
+    rule: a query is recoverable iff it is at least 2 characters long and
+    fewer than 3 of the queries ranked above it start with it. Its own
+    full length is the prefix that the fewest queries share."""
+    ranked = hist.ranked
+    return {
+        q for i, q in enumerate(ranked)
+        if len(q) >= MIN_PREFIX_LEN
+        and sum(p.startswith(q) for p in ranked[:i]) < MAX_HISTORY_SUGGESTIONS
+    }
+
 
 class TestRunBatch:
     def test_worker_count_invariance(self, wordlist):
@@ -476,7 +500,7 @@ class TestRunBatch:
         assert run_batch(histories, config).to_json() == first
 
     def test_empty_input(self):
-        with pytest.raises(HarnessError):
+        with pytest.raises(InputError, match="^no histories to evaluate$"):
             run_batch({}, AttackConfig(plan=build_plan(["aa"], 1.0)))
 
     def test_mean_recall_over_clicked_users_only(self, wordlist):
@@ -589,9 +613,9 @@ class TestStreamedBatch:
     def test_an_error_while_reading_propagates(self, wordlist):
         def histories():
             yield from gen_synthetic(2, 5, 0.5, wordlist, seed=3).values()
-            raise HistoryError("d.jsonl:3: invalid JSON")
+            raise InputError("d.jsonl:3: invalid JSON")
 
-        with pytest.raises(HistoryError, match="invalid JSON"):
+        with pytest.raises(InputError, match="invalid JSON"):
             run_batch(histories(), AttackConfig(plan=build_plan(wordlist, 0.9)))
 
 
@@ -765,7 +789,7 @@ class TestRecallCurve:
 
     def test_edge_cases(self, config):
         assert recall_curve({}, config, budgets=()) == []
-        with pytest.raises(AttackError):
+        with pytest.raises(InputError, match="^budget must be >= 1$"):
             recall_curve(bundled_volunteers(), config, budgets=(110, 0))
-        with pytest.raises(HarnessError):
+        with pytest.raises(InputError, match="^no histories to evaluate$"):
             recall_curve({}, config, budgets=(110,))

@@ -12,10 +12,8 @@ from conftest import read_both
 from historiographer import cookies, history, planner
 from historiographer.history import (
     DEFAULT_ALPHABET,
-    EmptyQueryError,
-    HistoryDisabledError,
     HistoryEntry,
-    HistoryError,
+    InputError,
     SearchHistory,
     field_problem,
     iter_histories,
@@ -141,12 +139,12 @@ class TestInsertSearch:
 
     def test_disabled_history_rejects(self):
         hist = SearchHistory(user_id="u", history_enabled=False)
-        with pytest.raises(HistoryDisabledError):
+        with pytest.raises(InputError, match="^history disabled for user 'u'$"):
             hist.insert_search("privacy", 100)
 
     def test_empty_query_rejects(self):
         hist = SearchHistory(user_id="u")
-        with pytest.raises(EmptyQueryError):
+        with pytest.raises(InputError, match="^query '!!!' normalizes to nothing$"):
             hist.insert_search("!!!", 100)
 
     def test_clicked_counts(self):
@@ -242,7 +240,7 @@ def test_load_names_line_and_field(tmp_path, changes, field):
 
     path = tmp_path / "hist.jsonl"
     path.write_text(json.dumps(_record()) + "\n\n" + json.dumps(_record(**changes)) + "\n")
-    with pytest.raises(HistoryError) as exc_info:
+    with pytest.raises(InputError) as exc_info:
         load_histories(path)
     assert str(exc_info.value).startswith(f"{path}:3: {field}")
 
@@ -259,7 +257,7 @@ MALFORMED_LINES = [
 def test_load_rejects_malformed_lines(tmp_path, line, message):
     path = tmp_path / "hist.jsonl"
     path.write_text(line + "\n")
-    with pytest.raises(HistoryError) as exc_info:
+    with pytest.raises(InputError) as exc_info:
         load_histories(path)
     assert str(exc_info.value).startswith(f"{path}:1: {message}")
 
@@ -274,7 +272,7 @@ def test_iter_histories_reads_a_line_when_asked(tmp_path):
     assert [(h.user_id, list(h.entries)) for h in got] == [
         ("u2", ["privacy"]), ("u1", ["privacy"]), ("u2", ["pets"]),
     ]
-    with pytest.raises(HistoryError, match=":4: invalid JSON"):
+    with pytest.raises(InputError, match=":4: invalid JSON"):
         next(histories)
     # load_histories keeps the last line of each user id
     path.write_text("".join(json.dumps(r) + "\n" for r in lines))
@@ -301,7 +299,7 @@ def entry_from_dict_reference(d):
         urls = d.get("clicked_urls", [])
         "".join(urls)
     except (AttributeError, KeyError, TypeError):
-        raise HistoryError(entry_problem_reference(d)) from None
+        raise InputError(entry_problem_reference(d)) from None
     if (
         type(query) is not str
         or type(clicked) is not bool
@@ -310,7 +308,7 @@ def entry_from_dict_reference(d):
         or type(count) is not int
         or type(urls) is not list
     ):
-        raise HistoryError(entry_problem_reference(d))
+        raise InputError(entry_problem_reference(d))
     return HistoryEntry(query, clicked, first_time, last_time, count, list(urls))
 
 
@@ -323,9 +321,9 @@ def iter_histories_reference(path):
             for i, ed in enumerate(d["entries"]):
                 try:
                     entry = entry_from_dict_reference(ed)
-                except HistoryError:
+                except InputError:
                     problem = entry_problem_reference(ed, f"entries[{i}].")
-                    raise HistoryError(f"{path}:{lineno}: {problem}") from None
+                    raise InputError(f"{path}:{lineno}: {problem}") from None
                 hist.entries[entry.query] = entry
             yield hist
 
@@ -337,7 +335,7 @@ def read_histories(histories):
     try:
         for hist in histories:
             got.append((hist.to_dict(), list(hist.entries)))
-    except HistoryError as exc:
+    except InputError as exc:
         return got, str(exc)
     return got, None
 
@@ -450,7 +448,7 @@ def test_from_dict_refuses_a_tuple_of_urls():
             "entries": [{**entry, "query": "aa"}, {**entry, "query": "bb", "clicked_urls": urls}],
         }
         with pytest.raises(
-            HistoryError, match=r"^entries\[1\]\.clicked_urls: expected a list, got tuple$"
+            InputError, match=r"^entries\[1\]\.clicked_urls: expected a list, got tuple$"
         ):
             SearchHistory.from_dict(record)
 
@@ -575,7 +573,7 @@ def test_bundled_volunteers_is_the_fixture_file():
     ]
 
 
-def json_lines_reference(path, error):
+def json_lines_reference(path):
     """json_lines as it read files before its raw_decode fast path: each
     line stripped of JSON whitespace, if not blank, through json.loads."""
     with open(path, "rb") as fh:
@@ -583,13 +581,13 @@ def json_lines_reference(path, error):
             try:
                 line = raw.decode("utf-8").strip(" \t\r\n")
             except UnicodeDecodeError as exc:
-                raise error(f"{path}:{lineno}: not UTF-8: {exc}") from None
+                raise InputError(f"{path}:{lineno}: not UTF-8: {exc}") from None
             if not line:
                 continue
             try:
                 value = json.loads(line)
             except (ValueError, RecursionError) as exc:
-                raise error(f"{path}:{lineno}: invalid JSON: {exc}") from None
+                raise InputError(f"{path}:{lineno}: invalid JSON: {exc}") from None
             yield lineno, value
 
 
@@ -600,7 +598,7 @@ def read_all(lines):
     try:
         for pair in lines:
             pairs.append(repr(pair))
-    except HistoryError as exc:
+    except InputError as exc:
         return pairs, str(exc)
     return pairs, None
 
@@ -633,8 +631,8 @@ def test_json_lines_matches_json_loads_per_line(lines):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "data.jsonl"
         path.write_bytes(b"\n".join(lines))
-        expected = read_all(json_lines_reference(path, HistoryError))
-        assert read_all(json_lines(path, HistoryError)) == expected
+        expected = read_all(json_lines_reference(path))
+        assert read_all(json_lines(path)) == expected
 
 
 class TestRecord:

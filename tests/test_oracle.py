@@ -9,10 +9,9 @@ from conftest import bisect_oracle, random_history
 from historiographer.attack import _groups
 from historiographer.history import DEFAULT_ALPHABET, RankedHistory, SearchHistory, normalize
 from historiographer.oracle import (
-    PrefixTooShortError,
+    OracleError,
     SuggestIndex,
     SuggestionResponse,
-    UnnormalizedPrefixError,
     default_ranking,
     suggest,
 )
@@ -66,11 +65,11 @@ class TestSuggest:
         assert resp.texts == ["cobalt", "coffee", "code"]
 
     def test_prefix_too_short(self):
-        with pytest.raises(PrefixTooShortError):
+        with pytest.raises(OracleError, match="^prefix 'a' shorter than 2$"):
             suggest(make_history([("aa", 1, 1, True)]), "a")
 
     def test_unnormalized_prefix(self):
-        with pytest.raises(UnnormalizedPrefixError):
+        with pytest.raises(OracleError, match="^prefix 'Aa' is not normalized$"):
             suggest(make_history([("aa", 1, 1, True)]), "Aa")
 
     def test_trailing_space_prefix_allowed(self):
@@ -126,9 +125,9 @@ def scan_suggest(history, prefix):
     order, matches ranked by count, then recency, then query, as the oracle
     states its ranking."""
     if len(prefix) < 2:
-        raise PrefixTooShortError(prefix)
+        raise OracleError(prefix)
     if normalize(prefix) != prefix.rstrip(" ") or prefix.endswith("  "):
-        raise UnnormalizedPrefixError(prefix)
+        raise OracleError(prefix)
     matches = []
     for entry in history.entries.values():
         if entry.clicked and entry.query.startswith(prefix):
@@ -217,7 +216,7 @@ class TestSuggestIndex:
         assert sorted(index("a" + top).texts) == sorted(expected)
         assert index(top + top).texts == []
         # a character past the alphabet is refused before any bisection
-        with pytest.raises(UnnormalizedPrefixError):
+        with pytest.raises(OracleError, match="is not normalized$"):
             index("a" + chr(0x10FFFF))
 
     def test_run_ends(self):
@@ -285,12 +284,12 @@ class TestSuggestIndex:
 
 
 def old_prefix_check(prefix):
-    """The check every request makes, written out on its own: the error
-    type it raises, or None."""
+    """The check every request makes, written out on its own: the message
+    of the OracleError it raises, or None."""
     if len(prefix) < 2:
-        return PrefixTooShortError
+        return f"prefix {prefix!r} shorter than 2"
     if normalize(prefix) != prefix.rstrip(" ") or prefix.endswith("  "):
-        return UnnormalizedPrefixError
+        return f"prefix {prefix!r} is not normalized"
     return None
 
 
@@ -299,8 +298,8 @@ class TestPrefixCheck:
     def check(index, prefix):
         try:
             index(prefix)
-        except Exception as exc:
-            return type(exc)
+        except OracleError as exc:
+            return str(exc)
         return None
 
     @given(st.lists(st.one_of(st.text(max_size=6), st.text("abzq1 C", max_size=5)), max_size=10))

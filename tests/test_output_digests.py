@@ -20,10 +20,12 @@ from pathlib import Path
 import pytest
 
 import historiographer
-from historiographer.attack import AttackConfig
+from conftest import bisect_oracle
+from historiographer.attack import AttackConfig, reconstruct
 from historiographer.cli import main
 from historiographer.harness import AOL_COLUMNS, ingest_query_log_counted, recall_curve
-from historiographer.planner import build_plan, bundled_wordlist
+from historiographer.history import load_histories
+from historiographer.planner import PrefixPlan, build_plan, bundled_wordlist
 
 FIXTURE = str(resources.files("historiographer.data").joinpath("volunteers.jsonl"))
 
@@ -99,6 +101,23 @@ CASES = {
         {
             ".json": "0a5ddbdd553aa1777e522fb0c4c97e20a18bb6ae0827b5ef912c24af22f81d12",
             ".report.csv": "c9d1a4a59296eadc7cde1fd913d0d15288178522bccf916b660fb4844c22beb3",
+        },
+    ),
+    # vol07's 128 requests are all stats prefixes: the budget cuts among them
+    "reconstruct-fixture-user-budget-100": (
+        ["reconstruct", FIXTURE, "{plan}", "--user", "vol07", "--budget", "100"],
+        {
+            ".json": "ded4070f9bd7693813295885ce1c0e1f3b26f2e21d766a902abe5a48b87d63d5",
+            ".report.csv": "bc6ddf1773846618acaf6c447231d94fd3629483ac57890ac5d76a6e20e3805e",
+        },
+    ),
+    # vol05's 165 are 139 stats prefixes and 26 fallback children: the budget
+    # cuts among the children
+    "reconstruct-fixture-fallback-user-budget-150": (
+        ["reconstruct", FIXTURE, "{plan}", "--user", "vol05", "--budget", "150"],
+        {
+            ".json": "eb24716565fc247f53563488707c7cf9c89c726491b0f4bb8d31533e226913b4",
+            ".report.csv": "3a33534f957d6cc8562236c4f55756e9bf9b698451cb392ed9cc27e0abefdcd6",
         },
     ),
     "eval-mixed": (
@@ -256,6 +275,31 @@ def test_output_digests(tmp_path, inputs, case):
     written = {p.name[len("out"):] for p in tmp_path.iterdir()}
     assert written == {*digests, ".manifest.json"}
     assert {suffix: sha256(tmp_path / f"out{suffix}") for suffix in digests} == digests
+
+
+@pytest.mark.parametrize(
+    "case, fallback_requests",
+    [
+        ("reconstruct-fixture-user-budget-100", 0),
+        ("reconstruct-fixture-fallback-user-budget-150", 11),
+    ],
+)
+def test_cut_runs_match_the_heap_loop(tmp_path, inputs, case, fallback_requests):
+    """A run that the budget cuts writes the request log and recovered set
+    of the heap loop cut at the same budget, its fallback children (longer
+    than the deepest stats level) included, so the digests pin what the
+    reference loop asks."""
+    args, _ = CASES[case]
+    out = tmp_path / "out.json"
+    assert main([arg.format(**inputs) for arg in args] + ["-o", str(out)]) == 0
+    user, budget = args[args.index("--user") + 1], int(args[args.index("--budget") + 1])
+    plan = PrefixPlan.load(inputs["plan"])
+    oracle = bisect_oracle(load_histories(FIXTURE)[user])
+    cut = reconstruct(oracle, AttackConfig(plan, budget=budget))
+    assert out.read_text() == cut.to_json() + "\n"
+    deepest = max(plan.stats_by_length)
+    assert sum(len(p) > deepest for p, _ in cut.request_log) == fallback_requests
+    assert cut.requests_used == budget < reconstruct(oracle, AttackConfig(plan)).requests_used
 
 
 def test_recall_curve_digest(inputs):

@@ -9,12 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from historiographer.cli import main
-from historiographer.history import DEFAULT_ALPHABET, SearchHistory, normalize
+from historiographer.history import DEFAULT_ALPHABET, InputError, SearchHistory, normalize
 from historiographer.oracle import OracleError, SuggestIndex
 from historiographer.planner import (
     PLANNER_ALPHABET,
-    EmptyCorpusError,
-    PlannerError,
     PrefixPlan,
     _ordered,
     build_plan,
@@ -57,13 +55,13 @@ class TestBuildStats:
         assert sum(stats.values()) == 1
 
     def test_empty_corpus(self):
-        with pytest.raises(EmptyCorpusError):
+        with pytest.raises(InputError, match="^reference corpus is empty$"):
             build_stats([], 2)
-        with pytest.raises(EmptyCorpusError, match="^reference corpus is empty$"):
+        with pytest.raises(InputError, match="^reference corpus is empty$"):
             build_plan([], 0.9)
 
     def test_length_below_two(self):
-        with pytest.raises(PlannerError):
+        with pytest.raises(InputError, match="^prefix length must be >= 2, got 1$"):
             build_stats(["aa"], 1)
 
     @given(
@@ -96,7 +94,7 @@ class TestSelectMass:
 
     def test_bad_fraction(self):
         stats = build_stats(["aa"], 2)
-        with pytest.raises(PlannerError):
+        with pytest.raises(InputError, match=r"^mass_fraction: 0.0 is not in \(0, 1\]$"):
             select_mass(stats, 0.0)
 
     @given(
@@ -143,14 +141,14 @@ class TestBruteForcePlanBounds:
     ],
 )
 def test_seedless_plan_refused(corpus, alphabet, lengths):
-    with pytest.raises(PlannerError) as exc_info:
+    with pytest.raises(InputError) as exc_info:
         build_plan(corpus, 0.9, lengths=lengths, alphabet=alphabet)
     message = str(exc_info.value)
     assert repr(alphabet) in message and f"length-{lengths[0]} prefix" in message
 
 
 def test_no_lengths_refused():
-    with pytest.raises(PlannerError, match="no prefix lengths given"):
+    with pytest.raises(InputError, match="no prefix lengths given"):
         build_plan(["cobalt", "code"], 0.9, lengths=())
 
 
@@ -165,7 +163,7 @@ def test_no_lengths_refused():
     ],
 )
 def test_plan_without_a_fixed_order_refused(wordlist, lengths, alphabet, message):
-    with pytest.raises(PlannerError) as exc_info:
+    with pytest.raises(InputError) as exc_info:
         build_plan(wordlist, 0.9, lengths=lengths, alphabet=alphabet)
     assert str(exc_info.value) == message
 
@@ -258,12 +256,12 @@ class TestExtendCache:
         # no plan command wrote filter_extensions false, and no reader
         # takes it
         saved = legacy_unfiltered(build_plan(wordlist, 0.5))
-        with pytest.raises(PlannerError) as exc_info:
+        with pytest.raises(InputError) as exc_info:
             PrefixPlan.from_dict(saved)
         assert str(exc_info.value) == UNFILTERED_REFUSAL
         path = tmp_path / "plan.json"
         path.write_text(json.dumps(saved))
-        with pytest.raises(PlannerError) as exc_info:
+        with pytest.raises(InputError) as exc_info:
             PrefixPlan.load(path)
         assert str(exc_info.value) == f"{path}: {UNFILTERED_REFUSAL}"
         fixture = resources.files("historiographer.data").joinpath("volunteers.jsonl")
@@ -332,7 +330,7 @@ def value_paths(value, path=()):
 @settings(max_examples=300, deadline=None)
 def test_from_dict_refuses_only_with_planner_error(data):
     """A saved plan with one value replaced, removed or added loads or
-    raises PlannerError, never another exception."""
+    raises InputError, never another exception."""
     d = build_plan(["cobalt", "code", "dog"], 1.0).to_dict()
     path = data.draw(st.sampled_from(list(value_paths(d))))
     value = data.draw(JSON_VALUES)
@@ -353,7 +351,7 @@ def test_from_dict_refuses_only_with_planner_error(data):
             parent.append(value)
     try:
         PrefixPlan.from_dict(d)
-    except PlannerError:
+    except InputError:
         pass
 
 
@@ -398,7 +396,7 @@ def test_load_refuses_each_prefix_the_oracle_refuses(prefix):
             if problem is None:
                 PrefixPlan.load(path)
             else:
-                with pytest.raises(PlannerError) as exc_info:
+                with pytest.raises(InputError) as exc_info:
                     PrefixPlan.load(path)
                 assert str(exc_info.value) == f"{path}: {where}: {problem}"
 
